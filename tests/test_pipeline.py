@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -193,7 +194,36 @@ class TestOptions:
             run_study(matrix, config)
 
 
+# SHA-256 of every artifact of the fixture report (tests/data). A refactor
+# must leave these unchanged; only a deliberate output change may edit them.
+FIXTURE_SHA256 = {
+    "biplot.svg": "46513795512730545376a93cd3ccf96172237dd6ed9d18cc7e2f928a69b99238",
+    "blockwise.svg": "474068fc82361f58434c85ae940d66e9fa4fe057667bef5cc89c7e19da5aedf4",
+    "composite.json": "50fcade282284d9bcd8d1b67d39f4a391e0bd3fedc9ba6a6ce97032a3c6a4e28",
+    "composite_ru.svg": "6fdafb5c6e0422e876d07ed714a36f15e3d48d03e5a18c308e35f994238a6700",
+    "dotplot.svg": "bf81217c96013911dd075687d02b90da72e37c029cd17baf3cb90276d47c09aa",
+    "heatmap.svg": "7819f88fe087019211d7996da22bbc0ddfb187dfc6621fcd2d3305dece9b2e35",
+    "normalized.json": "e470cc013e13ba7f2bc47daf193c00dc2a57ca8dbe1e29161158e1273c1e0b46",
+    "origami.svg": "6debd97d401c966143675ede6f8761192ef23c3d3a4b64836dc6febb64f491bc",
+    "pareto.json": "b1bd662642062d582c0e82ec02f32bf1fbfd8577814d496781119ef29598ffcb",
+    "pca.json": "0707b24c6133cdf4c19f3c7d4430af3472d4ad1ce6a99d1d5f15f0640383636d",
+    "pcp.svg": "8e705b573b3308680a925e344806183b311c7f01bb8c5b3387659d64c1e619a9",
+    "profiles.json": "b0e37fb350e5c51216c9e1dd5c34cfb7c674502df885fc937efca353d244736f",
+    "sdod.svg": "761694d38406e71a23c0fed063dbce54b8e05a680f2b8a0ecd76cd6beaa22abb",
+}
+
+
 class TestArtifacts:
+    def test_fixture_report_matches_pinned_hashes(self, tmp_path, study_config,
+                                                  study_csv_bytes):
+        matrix = ingest(study_csv_bytes, study_config)
+        manifest = write_report(run_study(matrix, study_config), tmp_path)
+        listed = {e["name"]: e["sha256"] for e in manifest["artifacts"]}
+        written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in FIXTURE_SHA256}
+        assert listed == FIXTURE_SHA256
+        assert written == FIXTURE_SHA256
+
     def test_report_writes_manifest_and_files(self, tmp_path, study_config,
                                               study_csv_bytes):
         matrix = ingest(study_csv_bytes, study_config)
