@@ -8,9 +8,9 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .model import Block, Direction, MeasureSpec, _validate_specs
+from .ordering import LINKAGES
 
 OD_CUT_MODES = ("hubert", "literal")
-LINKAGES = ("complete", "average", "single")
 
 
 @dataclass

@@ -47,20 +47,6 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull, dtype=float)
 
 
-def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:
-    """Membership test for a counter-clockwise convex polygon."""
-    verts = np.asarray(vertices, dtype=float)
-    if len(verts) < 3:
-        return False
-    px, py = float(point[0]), float(point[1])
-    for i in range(len(verts)):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % len(verts)]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
-            return False
-    return True
-
-
 def ellipse_points(center, axis1, axis2, n: int = 64) -> np.ndarray:
     """Sample a parametric ellipse given its center and two semi-axis vectors."""
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

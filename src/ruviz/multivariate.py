@@ -380,6 +380,24 @@ def _stahel_donoho_outlyingness(
     return out
 
 
+def _direction_pairs(n: int, seed: int) -> list[tuple[int, int]]:
+    """Observation pairs (i < j) that define projection directions.
+
+    Every pair when n <= 50; otherwise 250 seeded draws of ranks into the
+    `itertools.combinations(range(n), 2)` order, unranked without listing
+    all n(n-1)/2 pairs and returned in that order.
+    """
+    if n <= 50:
+        return list(itertools.combinations(range(n), 2))
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(n * (n - 1) // 2, size=250, replace=False))
+    rows = np.arange(n)
+    offsets = rows * (2 * n - rows - 1) // 2  # rank of (i, i + 1)
+    first = np.searchsorted(offsets, chosen, side="right") - 1
+    second = chosen - offsets[first] + first + 1
+    return list(zip(first.tolist(), second.tolist()))
+
+
 def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     """Outlier-resistant PCA: projection pursuit trimming plus a classical fit.
 
@@ -406,15 +424,7 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     basis = vt[:rank].T
     Y = Xc @ basis
 
-    all_pairs = list(itertools.combinations(range(n), 2))
-    if n <= 50:
-        pairs = all_pairs
-    else:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(all_pairs), size=min(250, len(all_pairs)),
-                            replace=False)
-        pairs = [all_pairs[int(c)] for c in sorted(chosen)]
-    outlyingness = _stahel_donoho_outlyingness(Y, pairs)
+    outlyingness = _stahel_donoho_outlyingness(Y, _direction_pairs(n, seed))
 
     h = math.ceil(0.75 * n)
     keep = np.argsort(outlyingness, kind="stable")[:h]

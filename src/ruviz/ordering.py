@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage as scipy_linkage
 
 LINKAGES = ("complete", "average", "single")
 
@@ -32,28 +33,32 @@ class Dendrogram:
 
 
 def _leaf_order(n: int, merges: tuple[Merge, ...]) -> tuple[int, ...]:
-    children = {n + t: (m.left, m.right) for t, m in enumerate(merges)}
-    heights = {i: 0.0 for i in range(n)}
-    for t, m in enumerate(merges):
-        heights[n + t] = m.height
-
-    def walk(c: int) -> list[int]:
+    """Depth-first leaf order, shallower subtree first, smaller index on ties."""
+    heights = [0.0] * n + [m.height for m in merges]
+    order: list[int] = []
+    stack = [n + len(merges) - 1]
+    while stack:
+        c = stack.pop()
         if c < n:
-            return [c]
-        a, b = sorted(children[c], key=lambda x: (heights[x], x))
-        return walk(a) + walk(b)
-
-    return tuple(walk(n + len(merges) - 1))
+            order.append(c)
+            continue
+        m = merges[c - n]
+        first, second = sorted((m.left, m.right), key=lambda x: (heights[x], x))
+        stack += (second, first)
+    return tuple(order)
 
 
 def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
-    """Agglomerative clustering on Euclidean distances.
+    """Agglomerative clustering on Euclidean distances, via scipy's `linkage`.
 
-    Cluster distances are maintained with the Lance-Williams updates for the
-    chosen linkage. Ties between candidate merges break on the smallest
-    (left, right) cluster-index pair, so the merge sequence is deterministic.
-    Leaf order comes from a depth-first walk that visits the shallower
-    subtree first, smaller index first at equal heights.
+    The merge sequence is scipy's. When candidate merges tie exactly, scipy
+    decides which comes first, not the smallest (left, right) index pair, so
+    inputs with duplicate rows or equal distances may merge in a different
+    order (and, for complete linkage, into a different tree) than a naive
+    agglomeration would. Average-linkage heights can differ from a direct
+    recomputation in the last bit. Leaf order comes from a depth-first walk
+    that visits the shallower subtree first, smaller index first at equal
+    heights.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got '{linkage}'")
@@ -62,48 +67,16 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
         raise ValueError("clustering requires an n x p matrix with n >= 2")
     n = X.shape[0]
 
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(np.linalg.norm(X[i] - X[j]))
-    sizes = {i: 1 for i in range(n)}
-    active = set(range(n))
-    merges: list[Merge] = []
-    next_id = n
-
-    for _ in range(n - 1):
-        best_pair = None
-        best_d = np.inf
-        for pair in sorted(dist):
-            d = dist[pair]
-            if d < best_d:
-                best_d = d
-                best_pair = pair
-        assert best_pair is not None
-        a, b = best_pair
-        new = next_id
-        next_id += 1
-        merges.append(Merge(left=a, right=b, height=best_d, size=sizes[a] + sizes[b]))
-        active.discard(a)
-        active.discard(b)
-        for c in sorted(active):
-            d_ac = dist.pop((min(a, c), max(a, c)))
-            d_bc = dist.pop((min(b, c), max(b, c)))
-            if linkage == "complete":
-                d_new = max(d_ac, d_bc)
-            elif linkage == "single":
-                d_new = min(d_ac, d_bc)
-            else:  # average
-                d_new = (sizes[a] * d_ac + sizes[b] * d_bc) / (sizes[a] + sizes[b])
-            dist[(c, new)] = d_new
-        del dist[(a, b)]
-        sizes[new] = sizes[a] + sizes[b]
-        active.add(new)
-
-    merges_t = tuple(merges)
+    i, j = np.triu_indices(n, 1)
+    d = X[i] - X[j]
+    Z = scipy_linkage(np.sqrt(np.vecdot(d, d)), method=linkage)
+    merges = tuple(
+        Merge(left=int(a), right=int(b), height=float(h), size=int(s))
+        for a, b, h, s in Z
+    )
     return Dendrogram(
         n_leaves=n,
-        merges=merges_t,
-        leaf_order=_leaf_order(n, merges_t),
+        merges=merges,
+        leaf_order=_leaf_order(n, merges),
         linkage=linkage,
     )

@@ -7,6 +7,7 @@ strictly better on at least one. Only the strong notion is implemented.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -56,20 +57,16 @@ def pareto_set(nm: NormalizedMatrix, exclude_reference: bool = True) -> Dominanc
     util = nm.block_values(Block.UTILITY)
     risk = nm.block_values(Block.RISK)
     labels = nm.labels
-    n = len(labels)
-    matrix = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                matrix[i, j] = dominates(util[i], risk[i], util[j], risk[j])
-    candidates = [
-        i for i, r in enumerate(nm.rows) if not (exclude_reference and r.is_reference)
-    ]
-    pareto = frozenset(
-        labels[i]
-        for i in candidates
-        if not any(matrix[j, i] for j in candidates if j != i)
+    u_i, u_j = util[:, None], util[None]
+    r_i, r_j = risk[:, None], risk[None]
+    no_worse = (u_i >= u_j).all(axis=2) & (r_i <= r_j).all(axis=2)
+    better = (u_i > u_j).any(axis=2) | (r_i < r_j).any(axis=2)
+    matrix = no_worse & better
+    candidates = np.flatnonzero(
+        [not (exclude_reference and r.is_reference) for r in nm.rows]
     )
+    dominated = matrix[np.ix_(candidates, candidates)].any(axis=0)
+    pareto = frozenset(labels[i] for i, d in zip(candidates, dominated) if not d)
     matrix.setflags(write=False)
     return DominanceResult(
         labels=labels,
@@ -107,14 +104,6 @@ class CompositeFront:
         return frozenset(p.id for p in self.points)
 
 
-def _dominates_2d(a: FrontPoint, b: FrontPoint) -> bool:
-    return (
-        a.utility >= b.utility
-        and a.risk <= b.risk
-        and (a.utility > b.utility or a.risk < b.risk)
-    )
-
-
 def composite_front(points: Iterable[tuple[str, float, float]]) -> CompositeFront:
     """Non-dominated subset of composite (utility, risk) points, with edges.
 
@@ -123,11 +112,18 @@ def composite_front(points: Iterable[tuple[str, float, float]]) -> CompositeFron
     its risk values are then non-decreasing (staircase property).
     """
     pts = [FrontPoint(str(i), float(u), float(r)) for i, u, r in points]
-    front = [
-        p
-        for p in pts
-        if not any(_dominates_2d(q, p) for q in pts if q is not p)
-    ]
+    # Scan from the highest utility down. A point survives when its risk is
+    # the lowest of its equal-utility group (exact duplicates all survive)
+    # and strictly below every risk seen at higher utility.
+    front: list[FrontPoint] = []
+    best_risk = math.inf
+    by_utility = sorted(pts, key=lambda p: (-p.utility, p.risk))
+    for _, group in itertools.groupby(by_utility, key=lambda p: p.utility):
+        group = list(group)
+        low = group[0].risk
+        if low < best_risk:
+            front += [p for p in group if p.risk == low]
+            best_risk = low
     front.sort(key=lambda p: (p.utility, p.risk, p.id))
     edges = []
     for a, b in zip(front, front[1:]):

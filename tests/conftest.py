@@ -201,6 +201,20 @@ def sample_with_exact_cov(n: int, cov: np.ndarray, seed: int) -> np.ndarray:
     return math.sqrt(n - 1) * Q[:, :k] @ L.T
 
 
+def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:
+    """Membership test for a counter-clockwise convex polygon."""
+    verts = np.asarray(vertices, dtype=float)
+    if len(verts) < 3:
+        return False
+    px, py = float(point[0]), float(point[1])
+    for i in range(len(verts)):
+        ax, ay = verts[i]
+        bx, by = verts[(i + 1) % len(verts)]
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
+            return False
+    return True
+
+
 def gift_wrap_hull(points: np.ndarray) -> set[tuple[float, float]]:
     """Jarvis-march convex hull vertex set (oracle for the monotone chain)."""
     pts = [tuple(map(float, p)) for p in points]

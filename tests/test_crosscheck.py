@@ -1,8 +1,9 @@
 """Cross-checks against established third-party implementations.
 
-These complement the hand-rolled oracles: scipy's linkage and scikit-learn's
-PCA were written independently, so agreement here guards against a shared
-blind spot between the implementation and its test oracle.
+These complement the hand-rolled oracles. `hclust` delegates to scipy's
+linkage, so the linkage checks guard the translation of scipy's output into
+merges; scikit-learn's PCA was written independently, so agreement there
+guards against a shared blind spot between `pca_fit` and its test oracle.
 """
 
 import numpy as np
@@ -12,7 +13,10 @@ from scipy.cluster import hierarchy as scipy_hierarchy
 from ruviz.multivariate import pca_fit
 from ruviz.ordering import hclust
 
-sklearn_decomposition = pytest.importorskip("sklearn.decomposition")
+
+@pytest.fixture()
+def sklearn_decomposition():
+    return pytest.importorskip("sklearn.decomposition")
 
 
 class TestAgainstScipyLinkage:
@@ -42,7 +46,7 @@ class TestAgainstScipyLinkage:
 
 
 class TestAgainstSklearnPca:
-    def test_eigenvalues_ratios_and_components(self):
+    def test_eigenvalues_ratios_and_components(self, sklearn_decomposition):
         rng = np.random.default_rng(161)
         for _ in range(10):
             n = int(rng.integers(5, 15))
@@ -59,7 +63,7 @@ class TestAgainstSklearnPca:
             np.testing.assert_allclose(np.abs(ours.loadings),
                                        np.abs(ref.components_.T), atol=1e-9)
 
-    def test_scores_match_transform(self):
+    def test_scores_match_transform(self, sklearn_decomposition):
         rng = np.random.default_rng(99)
         X = rng.normal(size=(10, 4))
         ours = pca_fit(X, 3)

@@ -1,10 +1,12 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ruviz.errors import AnalysisError
-from ruviz.geometry import point_in_convex_polygon
+from ruviz import multivariate
 from ruviz.model import Block
 from ruviz.multivariate import (
     OutlierFlag,
@@ -17,6 +19,7 @@ from ruviz.multivariate import (
     pca_fit,
     project_acceptance_region,
     robust_pca,
+    _direction_pairs,
     sd_od,
 )
 
@@ -25,6 +28,7 @@ from conftest import (
     gift_wrap_hull,
     make_nm,
     make_specs,
+    point_in_convex_polygon,
     sample_with_exact_cov,
 )
 
@@ -389,6 +393,26 @@ class TestRobustPca:
         assert abs(float(a @ b)) > math.cos(math.radians(6.0))
         diag = sd_od(model_b, extended)
         assert diag.flags[-1] is OutlierFlag.REGULAR
+
+    @pytest.mark.parametrize("n", [51, 60, 200])
+    def test_sampled_pairs_match_listed_selection(self, n, monkeypatch):
+        def listed_pairs(n, seed):
+            # draws ranks into the full list of pairs, then looks them up
+            all_pairs = list(itertools.combinations(range(n), 2))
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(len(all_pairs), size=min(250, len(all_pairs)),
+                                replace=False)
+            return [all_pairs[int(c)] for c in sorted(chosen)]
+
+        for seed in (0, 42, 9001):
+            assert _direction_pairs(n, seed) == listed_pairs(n, seed)
+        data = np.random.default_rng(n).standard_normal((n, 4))
+        model = robust_pca(data, 2, seed=7)
+        monkeypatch.setattr(multivariate, "_direction_pairs", listed_pairs)
+        expected = robust_pca(data, 2, seed=7)
+        for field in dataclasses.fields(model):
+            np.testing.assert_array_equal(getattr(model, field.name),
+                                          getattr(expected, field.name))
 
 
 class TestAcceptanceRegion:

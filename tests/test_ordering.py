@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ruviz.ordering import hclust
+from ruviz.ordering import Merge, _leaf_order, hclust
 
 from conftest import oracle_hclust
 
@@ -15,6 +15,20 @@ class TestHclust:
         first = dend.merges[0]
         assert first.height == 0.0
         assert (first.left, first.right) == (1, 3)
+
+    @pytest.mark.parametrize("linkage,merges", [
+        ("complete", [(0, 2), (1, 3), (4, 6), (7, 8), (5, 9)]),
+        ("average", [(0, 2), (1, 3), (4, 6), (7, 8), (5, 9)]),
+        # scipy's order among the three zero-height merges, not the
+        # smallest (left, right) pair first: (1, 3) would precede (4, 6)
+        ("single", [(0, 2), (4, 6), (1, 3), (7, 8), (5, 9)]),
+    ])
+    def test_duplicate_rows_merge_order_is_pinned(self, linkage, merges):
+        X = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
+                      [0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
+        dend = hclust(X, linkage)
+        assert [(m.left, m.right) for m in dend.merges] == merges
+        assert [m.height for m in dend.merges[:3]] == [0.0, 0.0, 0.0]
 
     def test_two_rows_single_merge(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -75,3 +89,18 @@ class TestHclust:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="n >= 2"):
             hclust(np.ones((1, 3)))
+
+
+class TestLeafOrder:
+    def test_deep_chain_does_not_recurse(self):
+        # leaf t + 1 joins the cluster built so far at every step: a
+        # dendrogram 1,099 merges deep
+        n = 1100
+        merges = (Merge(0, 1, 0.0, 2),) + tuple(
+            Merge(t + 1, n + t - 1, float(t), t + 2) for t in range(1, n - 1)
+        )
+        assert _leaf_order(n, merges) == tuple(range(n - 1, 1, -1)) + (0, 1)
+
+    def test_shallower_subtree_first_then_smaller_index(self):
+        merges = (Merge(2, 3, 0.5, 2), Merge(0, 4, 1.0, 3), Merge(1, 5, 2.0, 4))
+        assert _leaf_order(4, merges) == (1, 0, 2, 3)

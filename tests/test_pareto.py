@@ -18,6 +18,13 @@ from ruviz.pareto import (
 from conftest import make_nm, oracle_front_ids, oracle_pareto_ids
 
 
+def random_values(rng, shape, levels=None):
+    """Uniform [0, 1] draws, or draws from `levels` evenly spaced values."""
+    if levels is None:
+        return rng.random(shape)
+    return rng.integers(0, levels, shape) / (levels - 1)
+
+
 class TestDominates:
     def test_componentwise_true(self):
         assert dominates((0.8, 0.9), (0.2,), (0.7, 0.9), (0.3,))
@@ -58,16 +65,22 @@ class TestParetoSet:
         assert res.pareto_ids == {"a1"}
 
     def test_matches_bruteforce_oracle_random(self):
+        # levels=3 draws from {0, 0.5, 1}, so ties and duplicate rows abound
         rng = np.random.default_rng(123)
-        for _ in range(50):
+        for levels in [None] * 50 + [3] * 50:
             n = int(rng.integers(2, 9))
-            vals = rng.random((n, 5))
+            vals = random_values(rng, (n, 5), levels)
             nm = make_nm(vals, 3)
             res = pareto_set(nm, exclude_reference=False)
             expected = oracle_pareto_ids(
                 [list(row[3:]) for row in vals], [list(row[:3]) for row in vals]
             )
             assert res.pareto_ids == {f"a{i}" for i in expected}
+            assert res.matrix.tolist() == [
+                [dominates(vals[i, 3:], vals[i, :3], vals[j, 3:], vals[j, :3])
+                 for j in range(n)]
+                for i in range(n)
+            ]
 
 
 class TestCompositeFront:
@@ -90,10 +103,11 @@ class TestCompositeFront:
         assert front.edges[0].slope is None  # zero utility step
 
     def test_staircase_property_random(self):
+        # levels=4 puts points on a 4 x 4 grid: equal utilities and duplicates
         rng = np.random.default_rng(5)
-        for _ in range(50):
+        for levels in [None] * 50 + [4] * 50:
             pts = [(f"p{i}", float(u), float(r))
-                   for i, (u, r) in enumerate(rng.random((10, 2)))]
+                   for i, (u, r) in enumerate(random_values(rng, (10, 2), levels))]
             front = composite_front(pts)
             risks = [p.risk for p in front.points]
             assert risks == sorted(risks)
