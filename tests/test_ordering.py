@@ -94,13 +94,10 @@ class TestHclust:
 class TestLeafOrder:
     def test_deep_chain_does_not_recurse(self):
         # leaf t + 1 joins the cluster built so far at every step: a
-        # dendrogram 1,099 merges deep
+        # dendrogram 1,099 merges deep. Each leaf is shallower than its
+        # sibling cluster and comes first; leaves 0 and 1 tie at height 0.
         n = 1100
         merges = (Merge(0, 1, 0.0, 2),) + tuple(
             Merge(t + 1, n + t - 1, float(t), t + 2) for t in range(1, n - 1)
         )
         assert _leaf_order(n, merges) == tuple(range(n - 1, 1, -1)) + (0, 1)
-
-    def test_shallower_subtree_first_then_smaller_index(self):
-        merges = (Merge(2, 3, 0.5, 2), Merge(0, 4, 1.0, 3), Merge(1, 5, 2.0, 4))
-        assert _leaf_order(4, merges) == (1, 0, 2, 3)
