@@ -383,19 +383,15 @@ def _stahel_donoho_outlyingness(
 def _direction_pairs(n: int, seed: int) -> list[tuple[int, int]]:
     """Observation pairs (i < j) that define projection directions.
 
-    Every pair when n <= 50; otherwise 250 seeded draws of ranks into the
-    `itertools.combinations(range(n), 2)` order, unranked without listing
-    all n(n-1)/2 pairs and returned in that order.
+    Every pair when n <= 50; otherwise 250 seeded draws from them. Either way
+    the pairs come in `itertools.combinations(range(n), 2)` order.
     """
-    if n <= 50:
-        return list(itertools.combinations(range(n), 2))
-    rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(n * (n - 1) // 2, size=250, replace=False))
-    rows = np.arange(n)
-    offsets = rows * (2 * n - rows - 1) // 2  # rank of (i, i + 1)
-    first = np.searchsorted(offsets, chosen, side="right") - 1
-    second = chosen - offsets[first] + first + 1
-    return list(zip(first.tolist(), second.tolist()))
+    i, j = np.triu_indices(n, 1)
+    if n > 50:
+        rng = np.random.default_rng(seed)
+        chosen = np.sort(rng.choice(len(i), 250, replace=False))
+        i, j = i[chosen], j[chosen]
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
