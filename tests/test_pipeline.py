@@ -212,17 +212,51 @@ FIXTURE_SHA256 = {
     "sdod.svg": "761694d38406e71a23c0fed063dbce54b8e05a680f2b8a0ecd76cd6beaa22abb",
 }
 
+# The same for the two-dataset study with thresholds, column clustering,
+# robust PCA and orientation on, which reaches the biplot group outlines,
+# the acceptance polygon and the per-dataset references that the fixture
+# never does.
+MULTI_DATASET_SHA256 = {
+    "biplot.svg": "86721b57ba6d3acc7250a91adab7afd22f1bc8fbf392482df9363ecf7d05a425",
+    "blockwise.svg": "463f8cb9d78341ea03f190cf253ed5245345882cfcc4ca41b86ebaefa2088751",
+    "composite.json": "7845e0a5275641cef22c8540e95c1cf1a6ea7c32a9953646d1995354e0820234",
+    "composite_ru.svg": "f48f3039d92c3470d78cebda5dd92d3866efa77ecbd110e9e37f76578573c39a",
+    "dotplot.svg": "9491f9f97cd7220fd80abbdd5a65b6e96e53bedf415244f3d51f7f384d2fcb9b",
+    "heatmap.svg": "8893cebe21de55fc66e0e72b84d0d26e6a69e23f25d95904e40910b9d4c39f40",
+    "normalized.json": "a6031bac847f7b0b223f1b86b0295b51eeab6a8dd5416fa606dae0bf725ae8ee",
+    "origami.svg": "431ef438b4c1591f77a634338e0f306afe74f33a8033f27b23b4532bf6297e6a",
+    "pareto.json": "c5498daabfbd5497041df44b0bcab7bb73a6d8eaf0e3ad3b3a6317d35d274927",
+    "pca.json": "e096a75f936ddeb9ce39cbee39e26f008b6b354dbaff0e5668273f8ce016ed72",
+    "pcp.svg": "87f77ab9de49df5832dbd62bbb0cafc2faf3c4de8dbee95ef82417474f4ab68a",
+    "profiles.json": "4533c2d3d05fbf260df11ca6f470906186c2210cdf85bfc131a6257768b4d4b5",
+    "sdod.svg": "1eadcb037ca9b134233454bd008ef7027b7a4bee5fe1954fe7ede859e391bb03",
+}
+
+
+def _artifact_hashes(result, out_dir):
+    manifest = write_report(result, out_dir)
+    listed = {e["name"]: e["sha256"] for e in manifest["artifacts"]}
+    written = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in listed}
+    assert written == listed
+    return listed
+
 
 class TestArtifacts:
     def test_fixture_report_matches_pinned_hashes(self, tmp_path, study_config,
                                                   study_csv_bytes):
         matrix = ingest(study_csv_bytes, study_config)
-        manifest = write_report(run_study(matrix, study_config), tmp_path)
-        listed = {e["name"]: e["sha256"] for e in manifest["artifacts"]}
-        written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in FIXTURE_SHA256}
-        assert listed == FIXTURE_SHA256
-        assert written == FIXTURE_SHA256
+        result = run_study(matrix, study_config)
+        assert _artifact_hashes(result, tmp_path) == FIXTURE_SHA256
+
+    def test_multi_dataset_report_matches_pinned_hashes(self, tmp_path):
+        matrix, config = multi_dataset_inputs()
+        opts = config.options
+        opts.thresholds = {"r0": 0.8, "r1": 0.7, "u0": 0.4, "u1": 0.3}
+        opts.cluster_columns = opts.robust = opts.orient = True
+        result = run_study(matrix, config)
+        assert result.acceptance is not None and result.groups is not None
+        assert _artifact_hashes(result, tmp_path) == MULTI_DATASET_SHA256
 
     def test_report_writes_manifest_and_files(self, tmp_path, study_config,
                                               study_csv_bytes):
