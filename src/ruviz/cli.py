@@ -25,18 +25,9 @@ from .pipeline import (
     run_study,
     write_report,
 )
+from .svg import PlotKind
 
-PLOT_KINDS = (
-    "heatmap",
-    "dotplot",
-    "composite_ru",
-    "rays",
-    "pcp",
-    "origami",
-    "biplot",
-    "sdod",
-    "blockwise",
-)
+PLOT_KINDS = tuple(k.value for k in PlotKind)
 
 
 class _Parser(argparse.ArgumentParser):

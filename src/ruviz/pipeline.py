@@ -64,18 +64,9 @@ from .render import (
     render_rays,
     render_sdod,
 )
-from .svg import PlotDocument
+from .svg import PlotDocument, PlotKind
 
-SVG_ARTIFACTS = (
-    "heatmap",
-    "dotplot",
-    "composite_ru",
-    "pcp",
-    "origami",
-    "biplot",
-    "sdod",
-    "blockwise",
-)
+SVG_ARTIFACTS = tuple(k.value for k in PlotKind if k is not PlotKind.RAYS)
 JSON_ARTIFACTS = ("normalized", "pareto", "composite", "pca", "profiles")
 
 
@@ -526,20 +517,20 @@ def render_rays_plot(result: StudyResult) -> PlotDocument:
 def _figure_builders(result: StudyResult) -> dict:
     front_ids = result.pareto.front.ids
     return {
-        "heatmap": lambda: render_heatmap(result.nm, result.dendrogram,
-                                          front_ids,
-                                          column_order=result.column_order),
-        "dotplot": lambda: render_dotplot(result.nm),
-        "composite_ru": lambda: render_composite_ru(
+        PlotKind.HEATMAP: lambda: render_heatmap(
+            result.nm, result.dendrogram, front_ids,
+            column_order=result.column_order),
+        PlotKind.DOTPLOT: lambda: render_dotplot(result.nm),
+        PlotKind.COMPOSITE_RU: lambda: render_composite_ru(
             result.scores,
             result.pareto.front,
             result.pareto.knee,
             result.reliability,
             reference_labels=result.reference_labels,
         ),
-        "pcp": lambda: render_pcp(result.pcp),
-        "origami": lambda: _render_origami_figure(result),
-        "biplot": lambda: render_biplot(
+        PlotKind.PCP: lambda: render_pcp(result.pcp),
+        PlotKind.ORIGAMI: lambda: _render_origami_figure(result),
+        PlotKind.BIPLOT: lambda: render_biplot(
             result.pca,
             result.nm.specs,
             result.pca_labels,
@@ -548,14 +539,14 @@ def _figure_builders(result: StudyResult) -> dict:
             acceptance=result.acceptance,
             groups=result.groups,
         ),
-        "sdod": lambda: render_sdod(result.diagnostics),
-        "blockwise": lambda: render_blockwise(
+        PlotKind.SD_OD: lambda: render_sdod(result.diagnostics),
+        PlotKind.BLOCKWISE_RU: lambda: render_blockwise(
             result.blockwise,
             result.nm.labels,
             pareto_ids=front_ids,
             reference_labels=result.reference_labels,
         ),
-        "rays": lambda: render_rays_plot(result),
+        PlotKind.RAYS: lambda: render_rays_plot(result),
     }
 
 
@@ -570,7 +561,8 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
     builders = _figure_builders(result)
     if kind not in builders:
         raise ValidationError(
-            f"unknown plot kind '{kind}'; expected one of {sorted(builders)}"
+            f"unknown plot kind '{kind}'; expected one of "
+            f"{sorted(k.value for k in PlotKind)}"
         )
     return builders[kind]()
 

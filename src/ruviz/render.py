@@ -46,6 +46,7 @@ PARETO_COLOR = "#2166ac"
 NEUTRAL_COLOR = "#9a9a9a"
 REFERENCE_COLOR = "#000000"
 KNEE_COLOR = "#e08214"
+BLOCK_COLOR = {Block.RISK: RISK_COLOR, Block.UTILITY: UTILITY_COLOR}
 PALETTE = ("#2166ac", "#1b7837", "#e08214", "#762a83", "#b2182b", "#35978f")
 FLAG_COLORS = {
     OutlierFlag.REGULAR: "#808080",
@@ -53,6 +54,13 @@ FLAG_COLORS = {
     OutlierFlag.ORTHOGONAL: "#e08214",
     OutlierFlag.BAD_LEVERAGE: "#b2182b",
 }
+UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# legend entries for the markers that `_approach` draws
+APPROACH_LEGEND = (
+    LegendEntry("composite Pareto-optimal", PARETO_COLOR),
+    LegendEntry("other approaches", NEUTRAL_COLOR),
+    LegendEntry("reference (original)", REFERENCE_COLOR),
+)
 
 
 def _interp(c0: str, c1: str, t: float) -> str:
@@ -67,8 +75,7 @@ def _interp(c0: str, c1: str, t: float) -> str:
 
 
 def block_ramp(block: Block, t: float) -> str:
-    end = RISK_COLOR if block is Block.RISK else UTILITY_COLOR
-    return _interp("#ffffff", end, t)
+    return _interp("#ffffff", BLOCK_COLOR[block], t)
 
 
 def _short(s: str, n: int = 16) -> str:
@@ -95,8 +102,11 @@ class Frame:
         return self.y0 + self.h - (v - self.ymin) / (self.ymax - self.ymin) * self.h
 
 
-def _title(doc: PlotDocument, text: str) -> None:
-    doc.add(Text(doc.width / 2, 24, text, size=14, anchor="middle", weight="bold"))
+def _document(kind: PlotKind, title: str) -> PlotDocument:
+    """An empty chart of `kind` with its title drawn."""
+    doc = PlotDocument(kind, title)
+    doc.add(Text(doc.width / 2, 24, title, size=14, anchor="middle", weight="bold"))
+    return doc
 
 
 def _axes(
@@ -132,19 +142,28 @@ def _axes(
     )
 
 
-def _legend(doc: PlotDocument, x: float, y: float) -> None:
+def _composite_axes(doc: PlotDocument, right: float) -> Frame:
+    """Unit-square composite utility (x) vs risk (y) frame, drawn with axes."""
+    fr = Frame(x0=90, y0=60, w=doc.width - 90 - right, h=doc.height - 60 - 90,
+               xmin=-0.02, xmax=1.02, ymin=-0.02, ymax=1.02)
+    _axes(doc, fr, "composite utility", "composite risk", UNIT_TICKS, UNIT_TICKS)
+    return fr
+
+
+def _legend(doc: PlotDocument, x: float, y: float, cols: int = 1,
+            col_w: float = 0, width: int = 28) -> None:
+    """Draw `doc.legend` from (x, y) in `cols` columns `col_w` apart."""
     for i, entry in enumerate(doc.legend):
-        yy = y + i * 16
-        if entry.marker == "line":
-            doc.add(Line(x, yy - 4, x + 14, yy - 4, stroke=entry.color,
-                         stroke_width=2.0))
-        elif entry.marker == "dash":
-            doc.add(Line(x, yy - 4, x + 14, yy - 4, stroke=entry.color,
-                         stroke_width=2.0, dash="4,3"))
+        xx = x + (i % cols) * col_w
+        yy = y + (i // cols) * 16
+        if entry.marker in ("line", "dash"):
+            doc.add(Line(xx, yy - 4, xx + 14, yy - 4, stroke=entry.color,
+                         stroke_width=2.0,
+                         dash="4,3" if entry.marker == "dash" else None))
         else:
-            doc.add(Rect(x, yy - 9, 10, 10, fill=entry.color, stroke="#666666",
+            doc.add(Rect(xx, yy - 9, 10, 10, fill=entry.color, stroke="#666666",
                          stroke_width=0.5))
-        doc.add(Text(x + 18, yy, _short(entry.label, 28), size=10))
+        doc.add(Text(xx + 18, yy, _short(entry.label, width), size=10))
 
 
 def _diamond(cx: float, cy: float, r: float, **style) -> Polygon:
@@ -161,6 +180,21 @@ def _point_label(doc: PlotDocument, x: float, y: float, s: str,
         doc.add(Text(x + 6, max(y - 5, 10.0), s, size=size, fill=color))
 
 
+def _approach(doc: PlotDocument, x: float, y: float, label: str,
+              pareto_ids: frozenset[str], reference_labels: frozenset[str],
+              z: int) -> None:
+    """One approach's marker at layer `z` (reference square, Pareto or other
+    circle), then its point label."""
+    if label in reference_labels:
+        doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR, title=label),
+                z=z)
+    elif label in pareto_ids:
+        doc.add(Circle(x, y, 5.0, fill=PARETO_COLOR, title=label), z=z)
+    else:
+        doc.add(Circle(x, y, 4.0, fill=NEUTRAL_COLOR, title=label), z=z)
+    _point_label(doc, x, y, _short(label, 14))
+
+
 def render_heatmap(
     nm: NormalizedMatrix,
     dendrogram: Dendrogram,
@@ -173,8 +207,7 @@ def render_heatmap(
     `column_order` optionally permutes the measure columns (the declared
     order is kept by default).
     """
-    doc = PlotDocument(PlotKind.HEATMAP, "normalized measures by approach")
-    _title(doc, "normalized measures by approach")
+    doc = _document(PlotKind.HEATMAP, "normalized measures by approach")
     n = len(nm.rows)
     p = len(nm.specs)
     columns = list(column_order) if column_order is not None else list(range(p))
@@ -213,14 +246,11 @@ def render_heatmap(
                          anchor="middle", fill=text_color), z=1)
 
     ly = doc.height - 46
-    doc.add(Text(left, ly - 10, "risk 0 to 1", size=10))
-    for i in range(6):
-        doc.add(Rect(left + 70 + i * 14, ly - 19, 14, 11,
-                     fill=block_ramp(Block.RISK, i / 5)))
-    doc.add(Text(left + 190, ly - 10, "utility 0 to 1", size=10))
-    for i in range(6):
-        doc.add(Rect(left + 270 + i * 14, ly - 19, 14, 11,
-                     fill=block_ramp(Block.UTILITY, i / 5)))
+    for block, text_x, ramp_x in ((Block.RISK, 0, 70), (Block.UTILITY, 190, 270)):
+        doc.add(Text(left + text_x, ly - 10, f"{block.value} 0 to 1", size=10))
+        for i in range(6):
+            doc.add(Rect(left + ramp_x + i * 14, ly - 19, 14, 11,
+                         fill=block_ramp(block, i / 5)))
     doc.add(Text(left + 400, ly - 10,
                  "* composite Pareto-optimal   rows ordered by "
                  f"{dendrogram.linkage}-linkage clustering", size=10,
@@ -234,8 +264,7 @@ def render_heatmap(
 
 def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     """Per-approach dots on a shared [0, 1] axis, one facet per block."""
-    doc = PlotDocument(PlotKind.DOTPLOT, "measure values by approach")
-    _title(doc, "measure values by approach")
+    doc = _document(PlotKind.DOTPLOT, "measure values by approach")
     n = len(nm.rows)
     left, top, gap = 150, 70, 50
     bottom = 150
@@ -245,7 +274,7 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
 
     facets = ((Block.RISK, left), (Block.UTILITY, left + facet_w + gap))
     for block, fx in facets:
-        color = RISK_COLOR if block is Block.RISK else UTILITY_COLOR
+        color = BLOCK_COLOR[block]
         idx = nm.block_indices(block)
         k = len(idx)
         doc.add(Text(fx + facet_w / 2, top - 12, block.value, size=12,
@@ -315,12 +344,8 @@ def render_composite_ru(
     reference_labels: frozenset[str] = frozenset(),
 ) -> PlotDocument:
     """Composite risk vs utility map with the Pareto front and knee marked."""
-    doc = PlotDocument(PlotKind.COMPOSITE_RU, "composite risk-utility map")
-    _title(doc, "composite risk-utility map")
-    fr = Frame(x0=90, y0=60, w=doc.width - 90 - 260, h=doc.height - 60 - 90,
-               xmin=-0.02, xmax=1.02, ymin=-0.02, ymax=1.02)
-    _axes(doc, fr, "composite utility", "composite risk",
-          (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0))
+    doc = _document(PlotKind.COMPOSITE_RU, "composite risk-utility map")
+    fr = _composite_axes(doc, right=260)
 
     front_ids = front.ids
     for i, label in enumerate(scores.labels):
@@ -351,17 +376,10 @@ def render_composite_ru(
     for i, label in enumerate(scores.labels):
         u, r = float(scores.utility[i]), float(scores.risk[i])
         x, y = fr.sx(u), fr.sy(r)
-        if label in reference_labels:
-            doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR,
-                         title=label), z=3)
-        elif label in front_ids:
-            doc.add(Circle(x, y, 5.0, fill=PARETO_COLOR, title=label), z=3)
-        else:
-            doc.add(Circle(x, y, 4.0, fill=NEUTRAL_COLOR, title=label), z=3)
+        _approach(doc, x, y, label, front_ids, reference_labels, z=3)
         if knee is not None and label == knee.id:
             doc.add(_diamond(x, y, 9.0, fill="none", stroke=KNEE_COLOR,
                              stroke_width=2.5), z=4)
-        _point_label(doc, x, y, _short(label, 14))
 
     ax = doc.width - 240
     doc.add(Text(ax, 70, "composite reliability", size=11, weight="bold"))
@@ -389,12 +407,8 @@ def render_rays(
     pareto_ids: frozenset[str] = frozenset(),
 ) -> PlotDocument:
     """Rays from every approach to the reference, labeled with slope and L2."""
-    doc = PlotDocument(PlotKind.RAYS, "marginal trade-off against the reference")
-    _title(doc, "marginal trade-off against the reference")
-    fr = Frame(x0=90, y0=60, w=doc.width - 90 - 240, h=doc.height - 60 - 90,
-               xmin=-0.02, xmax=1.02, ymin=-0.02, ymax=1.02)
-    _axes(doc, fr, "composite utility", "composite risk",
-          (0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0))
+    doc = _document(PlotKind.RAYS, "marginal trade-off against the reference")
+    fr = _composite_axes(doc, right=240)
     ref_label, u0, r0 = reference
     x0, y0 = fr.sx(u0), fr.sy(r0)
     for ray in rays:
@@ -413,9 +427,7 @@ def render_rays(
             z=3)
     _point_label(doc, x0, y0, _short(ref_label, 14), color="#000000")
     doc.legend = [
-        LegendEntry("composite Pareto-optimal", PARETO_COLOR),
-        LegendEntry("other approaches", NEUTRAL_COLOR),
-        LegendEntry("reference (original)", REFERENCE_COLOR),
+        *APPROACH_LEGEND,
         LegendEntry("s = risk change per utility", "#c8c8c8", marker="line"),
     ]
     _legend(doc, doc.width - 225, 70)
@@ -424,8 +436,7 @@ def render_rays(
 
 def render_pcp(pcp: PcpLines) -> PlotDocument:
     """Parallel coordinates with risk and utility in separate facets."""
-    doc = PlotDocument(PlotKind.PCP, "parallel coordinates")
-    _title(doc, "parallel coordinates")
+    doc = _document(PlotKind.PCP, "parallel coordinates")
     left, right, top, bottom, gap = 80, 40, 80, 120, 70
     plot_h = doc.height - top - bottom
 
@@ -466,25 +477,24 @@ def render_pcp(pcp: PcpLines) -> PlotDocument:
     def y_of(v: float) -> float:
         return top + plot_h - v * plot_h
 
+    column = {a.measure_id: j for j, a in enumerate(pcp.axes)}
     pareto_labels = sorted(l.id for l in pcp.lines if l.is_pareto)
     color_of = {lbl: PALETTE[i % len(PALETTE)] for i, lbl in enumerate(pareto_labels)}
     for line in pcp.lines:
+        if line.is_reference:
+            style = dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")
+            z = 2
+        elif line.is_pareto:
+            style = dict(stroke=color_of[line.id], stroke_width=2.2)
+            z = 3
+        else:
+            style = dict(stroke="#c4c4c4", stroke_width=1.2)
+            z = 1
         for axes in (risk_axes, util_axes):
-            pts = []
-            for a in axes:
-                j = [ax.measure_id for ax in pcp.axes].index(a.measure_id)
-                pts.append((pos[a.measure_id], y_of(float(line.values[j]))))
+            pts = [(pos[a.measure_id], y_of(float(line.values[column[a.measure_id]])))
+                   for a in axes]
             if len(pts) < 2:
                 pts = pts + pts
-            if line.is_reference:
-                style = dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")
-                z = 2
-            elif line.is_pareto:
-                style = dict(stroke=color_of[line.id], stroke_width=2.2)
-                z = 3
-            else:
-                style = dict(stroke="#c4c4c4", stroke_width=1.2)
-                z = 1
             doc.add(Polyline(points=tuple(pts), fill="none", title=line.id,
                              **style), z=z)
 
@@ -493,15 +503,7 @@ def render_pcp(pcp: PcpLines) -> PlotDocument:
     doc.legend.append(LegendEntry("reference (original)", REFERENCE_COLOR,
                                   marker="dash"))
     doc.legend.append(LegendEntry("dominated", "#c4c4c4", marker="line"))
-    lx = left
-    for i, entry in enumerate(doc.legend):
-        x = lx + (i % 4) * 210
-        y = doc.height - 40 + (i // 4) * 16
-        if entry.marker in ("line", "dash"):
-            doc.add(Line(x, y - 4, x + 14, y - 4, stroke=entry.color,
-                         stroke_width=2.0,
-                         dash="4,3" if entry.marker == "dash" else None))
-        doc.add(Text(x + 18, y, _short(entry.label, 24), size=10))
+    _legend(doc, left, doc.height - 40, cols=4, col_w=210, width=24)
     return doc
 
 
@@ -519,8 +521,7 @@ def render_origami(
     if not panels:
         raise ValueError("origami rendering needs at least one panel")
 
-    doc = PlotDocument(PlotKind.ORIGAMI, "radial measure profiles")
-    _title(doc, "radial measure profiles")
+    doc = _document(PlotKind.ORIGAMI, "radial measure profiles")
     n_panels = len(panels)
     cols = min(3, n_panels)
     rows = math.ceil(n_panels / cols)
@@ -554,10 +555,8 @@ def render_origami(
                 anchor = "start"
             elif math.cos(ang) < -0.25:
                 anchor = "end"
-            color = (RISK_COLOR if block_by_measure[mid] is Block.RISK
-                     else UTILITY_COLOR)
             doc.add(Text(lx, lyy + 3, _short(mid, 12), size=8, anchor=anchor,
-                         fill=color))
+                         fill=BLOCK_COLOR[block_by_measure[mid]]))
         for sidx, pid in enumerate(panel):
             prof = by_id[pid]
             pts = tuple(
@@ -599,8 +598,7 @@ def render_biplot(
     """Joint-PCA biplot: approach scores plus measure loading arrows."""
     if model.k < 2:
         raise ValueError("biplot requires a k >= 2 model")
-    doc = PlotDocument(PlotKind.BIPLOT, "joint PCA biplot")
-    _title(doc, "joint PCA biplot")
+    doc = _document(PlotKind.BIPLOT, "joint PCA biplot")
     scores = model.scores[:, :2]
     span = float(np.abs(scores).max()) if scores.size else 1.0
     span = max(span, 1e-9)
@@ -611,25 +609,26 @@ def render_biplot(
     extents = [np.abs(load2 * arrow_scale).max() if load2.size else 0.0]
     if acceptance is not None and len(acceptance.vertices):
         extents.append(float(np.abs(acceptance.vertices).max()))
-    if groups:
-        for g in groups:
-            if g.ellipse_axes is not None:
-                pts = ellipse_points(g.centroid, g.ellipse_axes[0],
-                                     g.ellipse_axes[1])
-                extents.append(float(np.abs(pts).max()))
-            elif g.hull is not None and len(g.hull):
-                extents.append(float(np.abs(g.hull).max()))
+    groups = groups or ()
+    outlines = [
+        ellipse_points(g.centroid, g.ellipse_axes[0], g.ellipse_axes[1])
+        if g.ellipse_axes is not None else g.hull
+        for g in groups
+    ]
+    for pts in outlines:
+        if pts is not None and len(pts):
+            extents.append(float(np.abs(pts).max()))
     lim = max([lim] + [1.12 * e for e in extents])
 
     side = min(doc.width - 330, doc.height - 150)
     fr = Frame(x0=90, y0=60, w=side, h=side, xmin=-lim, xmax=lim, ymin=-lim,
                ymax=lim)
     evr = model.explained_variance_ratio
+    ticks = (round(-lim * 0.8, 2), 0.0, round(lim * 0.8, 2))
     _axes(doc, fr,
           f"PC1 ({evr[0] * 100:.1f}% of variance)",
           f"PC2 ({evr[1] * 100:.1f}% of variance)",
-          (round(-lim * 0.8, 2), 0.0, round(lim * 0.8, 2)),
-          (round(-lim * 0.8, 2), 0.0, round(lim * 0.8, 2)))
+          ticks, ticks)
     doc.add(Line(fr.sx(-lim), fr.sy(0), fr.sx(lim), fr.sy(0), stroke="#e0e0e0"))
     doc.add(Line(fr.sx(0), fr.sy(-lim), fr.sx(0), fr.sy(lim), stroke="#e0e0e0"))
 
@@ -641,29 +640,21 @@ def render_biplot(
                         stroke_width=1.5, dash="6,3",
                         title="acceptance region"), z=1)
 
-    if groups:
-        for gidx, g in enumerate(groups):
-            color = PALETTE[gidx % len(PALETTE)]
-            if g.ellipse_axes is not None:
-                pts = ellipse_points(g.centroid, g.ellipse_axes[0],
-                                     g.ellipse_axes[1])
-                doc.add(Polygon(points=tuple((fr.sx(float(x)), fr.sy(float(y)))
-                                             for x, y in pts),
-                                fill="none", stroke=color, stroke_width=1.2,
-                                dash="3,3", title=g.label), z=1)
-            elif g.hull is not None and len(g.hull) >= 2:
-                doc.add(Polygon(points=tuple((fr.sx(float(x)), fr.sy(float(y)))
-                                             for x, y in g.hull),
-                                fill="none", stroke=color, stroke_width=1.2,
-                                dash="3,3", title=g.label), z=1)
-            cxp, cyp = fr.sx(float(g.centroid[0])), fr.sy(float(g.centroid[1]))
-            doc.add(Line(cxp - 5, cyp, cxp + 5, cyp, stroke=color,
-                         stroke_width=1.5), z=2)
-            doc.add(Line(cxp, cyp - 5, cxp, cyp + 5, stroke=color,
-                         stroke_width=1.5), z=2)
+    for gidx, (g, outline) in enumerate(zip(groups, outlines)):
+        color = PALETTE[gidx % len(PALETTE)]
+        if outline is not None and len(outline) >= 2:
+            doc.add(Polygon(points=tuple((fr.sx(float(x)), fr.sy(float(y)))
+                                         for x, y in outline),
+                            fill="none", stroke=color, stroke_width=1.2,
+                            dash="3,3", title=g.label), z=1)
+        cxp, cyp = fr.sx(float(g.centroid[0])), fr.sy(float(g.centroid[1]))
+        doc.add(Line(cxp - 5, cyp, cxp + 5, cyp, stroke=color,
+                     stroke_width=1.5), z=2)
+        doc.add(Line(cxp, cyp - 5, cxp, cyp + 5, stroke=color,
+                     stroke_width=1.5), z=2)
 
     for spec, lrow in zip(specs, load2):
-        color = RISK_COLOR if spec.block is Block.RISK else UTILITY_COLOR
+        color = BLOCK_COLOR[spec.block]
         tipx = fr.sx(float(lrow[0]) * arrow_scale)
         tipy = fr.sy(float(lrow[1]) * arrow_scale)
         _arrow(doc, fr.sx(0), fr.sy(0), tipx, tipy, color, spec.id)
@@ -672,20 +663,11 @@ def render_biplot(
                      fill=color), z=3)
 
     for label, srow in zip(labels, scores):
-        x, y = fr.sx(float(srow[0])), fr.sy(float(srow[1]))
-        if label in reference_labels:
-            doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR,
-                         title=label), z=4)
-        elif label in pareto_ids:
-            doc.add(Circle(x, y, 5.0, fill=PARETO_COLOR, title=label), z=4)
-        else:
-            doc.add(Circle(x, y, 4.0, fill=NEUTRAL_COLOR, title=label), z=4)
-        _point_label(doc, x, y, _short(label, 14))
+        _approach(doc, fr.sx(float(srow[0])), fr.sy(float(srow[1])), label,
+                  pareto_ids, reference_labels, z=4)
 
     doc.legend = [
-        LegendEntry("composite Pareto-optimal", PARETO_COLOR),
-        LegendEntry("other approaches", NEUTRAL_COLOR),
-        LegendEntry("reference (original)", REFERENCE_COLOR),
+        *APPROACH_LEGEND,
         LegendEntry("risk loading", RISK_COLOR, marker="line"),
         LegendEntry("utility loading", UTILITY_COLOR, marker="line"),
     ]
@@ -701,8 +683,7 @@ def render_biplot(
 
 def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
     """Score-distance vs orthogonal-distance outlier map with cutoffs."""
-    doc = PlotDocument(PlotKind.SD_OD, "PCA outlier map")
-    _title(doc, "PCA outlier map")
+    doc = _document(PlotKind.SD_OD, "PCA outlier map")
     sd_max = max(float(diag.sd.max()) if diag.sd.size else 0.0, diag.sd_cutoff)
     od_max = max(float(diag.od.max()) if diag.od.size else 0.0, diag.od_cutoff)
     sd_max = sd_max * 1.15 if sd_max > 0 else 1.0
@@ -711,8 +692,8 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                xmin=0.0, xmax=sd_max, ymin=0.0, ymax=od_max)
     _axes(doc, fr, f"score distance (k={diag.components_used})",
           "orthogonal distance",
-          tuple(round(sd_max * f, 2) for f in (0.0, 0.25, 0.5, 0.75, 1.0)),
-          tuple(round(od_max * f, 2) for f in (0.0, 0.25, 0.5, 0.75, 1.0)))
+          tuple(round(sd_max * f, 2) for f in UNIT_TICKS),
+          tuple(round(od_max * f, 2) for f in UNIT_TICKS))
 
     xcut = fr.sx(diag.sd_cutoff)
     doc.add(Line(xcut, fr.y0, xcut, fr.y0 + fr.h, stroke="#555555",
@@ -782,8 +763,7 @@ def render_blockwise(
     reference_labels: frozenset[str] = frozenset(),
 ) -> PlotDocument:
     """Utility-PC1 vs risk-PC1 scatter with contribution bars per axis."""
-    doc = PlotDocument(PlotKind.BLOCKWISE_RU, "blockwise PCA map")
-    _title(doc, "blockwise PCA map")
+    doc = _document(PlotKind.BLOCKWISE_RU, "blockwise PCA map")
     ux = np.asarray(bw.utility.scores, dtype=float)
     ry = np.asarray(bw.risk.scores, dtype=float)
 
@@ -808,15 +788,8 @@ def render_blockwise(
           tuple(round(ymin + (ymax - ymin) * f, 2) for f in (0.0, 0.5, 1.0)))
 
     for label, x_v, y_v in zip(labels, ux, ry):
-        x, y = fr.sx(float(x_v)), fr.sy(float(y_v))
-        if label in reference_labels:
-            doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR,
-                         title=label), z=2)
-        elif label in pareto_ids:
-            doc.add(Circle(x, y, 5.0, fill=PARETO_COLOR, title=label), z=2)
-        else:
-            doc.add(Circle(x, y, 4.0, fill=NEUTRAL_COLOR, title=label), z=2)
-        _point_label(doc, x, y, _short(label, 14))
+        _approach(doc, fr.sx(float(x_v)), fr.sy(float(y_v)), label, pareto_ids,
+                  reference_labels, z=2)
 
     _stacked_bar_h(doc, bw.utility, fr.x0, doc.height - 84, fr.w, 24)
     doc.add(Text(fr.x0, doc.height - 92, "utility PC1 contributions "
@@ -825,10 +798,6 @@ def render_blockwise(
     _stacked_bar_v(doc, bw.risk, 66, fr.y0, 24, fr.h)
     doc.add(Text(66, fr.y0 - 8, "risk PC1", size=9, fill="#444444"))
 
-    doc.legend = [
-        LegendEntry("composite Pareto-optimal", PARETO_COLOR),
-        LegendEntry("other approaches", NEUTRAL_COLOR),
-        LegendEntry("reference (original)", REFERENCE_COLOR),
-    ]
+    doc.legend = list(APPROACH_LEGEND)
     _legend(doc, doc.width - 235, 70)
     return doc

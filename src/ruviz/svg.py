@@ -57,6 +57,12 @@ def _title_child(title: str | None) -> str:
     return f"<title>{escape(title)}</title>" if title else ""
 
 
+def _element(tag: str, attrs: str, title: str | None) -> str:
+    """`<tag attrs>` with a `<title>` child when titled, else self-closing."""
+    inner = _title_child(title)
+    return f"<{tag} {attrs}>{inner}</{tag}>" if inner else f"<{tag} {attrs}/>"
+
+
 @dataclass(frozen=True)
 class Rect:
     x: float
@@ -81,8 +87,7 @@ class Rect:
             + _style_attrs(self.fill, self.stroke, self.stroke_width, self.dash,
                            self.opacity)
         )
-        inner = _title_child(self.title)
-        return f"<rect {attrs}>{inner}</rect>" if inner else f"<rect {attrs}/>"
+        return _element("rect", attrs, self.title)
 
 
 @dataclass(frozen=True)
@@ -123,33 +128,22 @@ class PolyBase:
     def coords(self) -> Iterator[tuple[float, float]]:
         yield from self.points
 
-    def _points_attr(self) -> str:
-        return " ".join(f"{fmt(x)},{fmt(y)}" for x, y in self.points)
+    def _svg(self, tag: str, fill: str | None) -> str:
+        points = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in self.points)
+        attrs = f'points="{points}"' + _style_attrs(
+            fill, self.stroke, self.stroke_width, self.dash, self.opacity
+        )
+        return _element(tag, attrs, self.title)
 
 
 class Polyline(PolyBase):
     def to_svg(self) -> str:
-        attrs = f'points="{self._points_attr()}"' + _style_attrs(
-            self.fill or "none", self.stroke, self.stroke_width, self.dash,
-            self.opacity
-        )
-        inner = _title_child(self.title)
-        return (
-            f"<polyline {attrs}>{inner}</polyline>" if inner
-            else f"<polyline {attrs}/>"
-        )
+        return self._svg("polyline", self.fill or "none")
 
 
 class Polygon(PolyBase):
     def to_svg(self) -> str:
-        attrs = f'points="{self._points_attr()}"' + _style_attrs(
-            self.fill, self.stroke, self.stroke_width, self.dash, self.opacity
-        )
-        inner = _title_child(self.title)
-        return (
-            f"<polygon {attrs}>{inner}</polygon>" if inner
-            else f"<polygon {attrs}/>"
-        )
+        return self._svg("polygon", self.fill)
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,7 @@ class Circle:
             _style_attrs(self.fill, self.stroke, self.stroke_width, None,
                          self.opacity)
         )
-        inner = _title_child(self.title)
-        return f"<circle {attrs}>{inner}</circle>" if inner else f"<circle {attrs}/>"
+        return _element("circle", attrs, self.title)
 
 
 @dataclass(frozen=True)
