@@ -505,11 +505,12 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
 def render_rays_plot(result: StudyResult) -> PlotDocument:
     if not result.pareto.rays or result.pareto.reference_label is None:
         raise AnalysisError("rays plot unavailable: no reference row")
-    ref_label = result.pareto.reference_label
-    u0, r0 = result.scores.point(ref_label)
+    # run_study measures each candidate against its own dataset's reference
+    dataset_of = {row.label: row.dataset for row in result.nm.rows}
     return render_rays(
-        result.pareto.rays,
-        (ref_label, u0, r0),
+        [((ref.label, *result.scores.point(ref.label)),
+          [ray for ray in result.pareto.rays if dataset_of[ray.id] == ref.dataset])
+         for ref in result.nm.rows if ref.is_reference],
         pareto_ids=result.pareto.front.ids,
     )
 

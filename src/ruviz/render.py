@@ -183,8 +183,7 @@ def _point_label(doc: PlotDocument, x: float, y: float, s: str,
 def _approach(doc: PlotDocument, x: float, y: float, label: str,
               pareto_ids: frozenset[str], reference_labels: frozenset[str],
               z: int) -> None:
-    """One approach's marker at layer `z` (reference square, Pareto or other
-    circle), then its point label."""
+    """Draw one approach's marker at layer `z`, then its point label."""
     if label in reference_labels:
         doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR, title=label),
                 z=z)
@@ -402,30 +401,35 @@ def render_composite_ru(
 
 
 def render_rays(
-    rays: Sequence[Ray],
-    reference: tuple[str, float, float],
+    rays_by_reference: Sequence[tuple[tuple[str, float, float], Sequence[Ray]]],
     pareto_ids: frozenset[str] = frozenset(),
 ) -> PlotDocument:
-    """Rays from every approach to the reference, labeled with slope and L2."""
+    """Rays from every approach to its reference, labeled with slope and L2.
+
+    Each item pairs one reference (label, utility, risk) with the rays
+    measured against it; a multi-dataset study has one per dataset.
+    """
     doc = _document(PlotKind.RAYS, "marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
-    ref_label, u0, r0 = reference
-    x0, y0 = fr.sx(u0), fr.sy(r0)
-    for ray in rays:
+    ends = [(ray, fr.sx(u0), fr.sy(r0))
+            for (_, u0, r0), rays in rays_by_reference for ray in rays]
+    for ray, x0, y0 in ends:
         x, y = fr.sx(ray.utility), fr.sy(ray.risk)
         doc.add(Line(x, y, x0, y0, stroke="#c8c8c8", stroke_width=1.0))
         mx, my = (x + x0) / 2, (y + y0) / 2
         doc.add(Text(mx + 3, my - 3,
                      f"s={_slope_text(ray.slope)} d={ray.l2:.2f}", size=8,
                      fill="#666666"), z=1)
-    for ray in rays:
+    for ray, _, _ in ends:
         x, y = fr.sx(ray.utility), fr.sy(ray.risk)
         color = PARETO_COLOR if ray.id in pareto_ids else NEUTRAL_COLOR
         doc.add(Circle(x, y, 4.5, fill=color, title=ray.id), z=2)
         _point_label(doc, x, y, _short(ray.id, 14))
-    doc.add(Rect(x0 - 5, y0 - 5, 10, 10, fill=REFERENCE_COLOR, title=ref_label),
-            z=3)
-    _point_label(doc, x0, y0, _short(ref_label, 14), color="#000000")
+    for (label, u0, r0), _ in rays_by_reference:
+        x0, y0 = fr.sx(u0), fr.sy(r0)
+        doc.add(Rect(x0 - 5, y0 - 5, 10, 10, fill=REFERENCE_COLOR, title=label),
+                z=3)
+        _point_label(doc, x0, y0, _short(label, 14), color="#000000")
     doc.legend = [
         *APPROACH_LEGEND,
         LegendEntry("s = risk change per utility", "#c8c8c8", marker="line"),
@@ -714,12 +718,8 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                        stroke_width=0.6, title=label), z=2)
         _point_label(doc, x, y, _short(label, 14))
 
-    doc.legend = [
-        LegendEntry("regular", FLAG_COLORS[OutlierFlag.REGULAR]),
-        LegendEntry("good leverage", FLAG_COLORS[OutlierFlag.GOOD_LEVERAGE]),
-        LegendEntry("orthogonal outlier", FLAG_COLORS[OutlierFlag.ORTHOGONAL]),
-        LegendEntry("bad leverage", FLAG_COLORS[OutlierFlag.BAD_LEVERAGE]),
-    ]
+    doc.legend = [LegendEntry(flag.value.replace("_", " "), color)
+                  for flag, color in FLAG_COLORS.items()]
     _legend(doc, doc.width - 235, 70)
     return doc
 

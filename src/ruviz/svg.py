@@ -231,9 +231,6 @@ class PlotDocument:
     def primitives(self) -> list:
         return [p for _, _, p in sorted(self._items, key=lambda t: (t[0], t[1]))]
 
-    def count(self, cls) -> int:
-        return sum(1 for p in self.primitives() if isinstance(p, cls))
-
     def assert_in_bounds(self, slack: float = 0.5) -> None:
         for p in self.primitives():
             for x, y in p.coords():

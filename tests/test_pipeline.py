@@ -14,6 +14,7 @@ from ruviz.pipeline import (
     run_study,
     write_report,
 )
+from ruviz.svg import Line, Rect, Text
 
 
 def multi_dataset_inputs():
@@ -36,6 +37,30 @@ def multi_dataset_inputs():
     return ingest("\n".join(lines) + "\n", config), config
 
 
+def two_reference_inputs():
+    """Two datasets whose reference rows differ, so their rays do too."""
+    config = StudyConfig.from_json(json.dumps({
+        "measures": [
+            {"id": "r0", "block": "risk", "direction": "lower"},
+            {"id": "r1", "block": "risk", "direction": "lower"},
+            {"id": "u0", "block": "utility", "direction": "lower"},
+            {"id": "u1", "block": "utility", "direction": "lower"},
+        ],
+        "reference": "orig",
+    }))
+    csv = """approach,dataset,r0,r1,u0,u1
+orig,d1,1.0,1.0,0.0,0.0
+m1,d1,0.5,0.6,0.3,0.2
+m2,d1,0.3,0.2,0.6,0.5
+m3,d1,0.7,0.8,0.2,0.1
+orig,d2,0.8,0.7,0.1,0.2
+m1,d2,0.4,0.3,0.4,0.5
+m2,d2,0.2,0.1,0.8,0.7
+m3,d2,0.6,0.4,0.3,0.35
+"""
+    return ingest(csv, config), config
+
+
 class TestMultiDataset:
     def test_groups_and_rays_per_dataset(self):
         matrix, config = multi_dataset_inputs()
@@ -54,6 +79,24 @@ class TestMultiDataset:
         assert "groups" in doc
         kinds = {g["kind"] for g in doc["groups"]}
         assert kinds <= {"ellipse", "hull", "point"}
+
+    def test_rays_plot_ends_each_ray_at_its_own_reference(self):
+        matrix, config = two_reference_inputs()
+        result = run_study(matrix, config)
+        doc = render_plot(result, "rays")
+        doc.assert_in_bounds()
+        prims = doc.primitives()
+        refs = {p.title: (p.x + p.w / 2, p.y + p.h / 2) for p in prims
+                if isinstance(p, Rect) and p.title}
+        assert sorted(refs) == ["orig@d1", "orig@d2"]
+        assert refs["orig@d1"] != refs["orig@d2"]
+        texts = {p.content for p in prims if isinstance(p, Text)}
+        assert {"orig@d1", "orig@d2"} <= texts
+        ends = [(p.x2, p.y2) for p in prims if isinstance(p, Line)
+                and p.stroke == "#c8c8c8" and p.stroke_width == 1.0]
+        expected = [refs["orig@" + ray.id.split("@")[1]]
+                    for ray in result.pareto.rays]
+        assert ends == [pytest.approx(e) for e in expected]
 
     def test_biplot_renders_with_groups(self):
         matrix, config = multi_dataset_inputs()

@@ -189,7 +189,7 @@ class TestCompositeRu:
 class TestRays:
     def test_undefined_slope_labeled_infinity(self):
         rays = rays_to_reference([("p", 1.0, 0.4)], (1.0, 1.0))
-        doc = render_rays(rays, ("orig", 1.0, 1.0))
+        doc = render_rays([(("orig", 1.0, 1.0), rays)])
         assert any("s=∞" in t for t in texts(doc))
         well_formed(doc)
 
@@ -201,7 +201,8 @@ class TestRays:
         ]
         u0, r0 = scores.point("original")
         rays = rays_to_reference(points, (u0, r0))
-        doc = render_rays(rays, ("original", u0, r0), pareto_ids=front.ids)
+        doc = render_rays([(("original", u0, r0), rays)],
+                          pareto_ids=front.ids)
         from ruviz.svg import Line
 
         ray_lines = [p for p in doc.primitives() if isinstance(p, Line)
