@@ -20,6 +20,7 @@ from .config import LINKAGES, OD_CUT_MODES, StudyConfig, load_thresholds
 from .errors import AnalysisError, ValidationError
 from .model import Block, ingest
 from .pipeline import (
+    _atomic_write,
     artifact_jsons,
     render_plot,
     run_study,
@@ -165,7 +166,7 @@ def _cmd_plot(args) -> int:
     out = Path(args.out if args.out is not None else config.options.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.kind}.svg"
-    path.write_text(doc.to_svg(), encoding="utf-8")
+    _atomic_write(path, doc.to_svg())
     print(f"wrote {path}")
     return 0
 

@@ -11,6 +11,23 @@ from .model import Block, Direction, MeasureSpec, _validate_specs
 from .ordering import LINKAGES
 
 OD_CUT_MODES = ("hubert", "literal")
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def _has_type(value, expected: type) -> bool:
+    """JSON typing: a bool is only a bool, and a float may be given as an int."""
+    if expected is bool or isinstance(value, bool):
+        return expected is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _check_thresholds(doc, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: must be an object {{measure id: cutoff}}")
+    for mid, c in doc.items():
+        if not _has_type(c, float) or not 0.0 <= float(c) <= 1.0:
+            raise ValidationError(f"{where}['{mid}']: must be in [0, 1], got {c!r}")
 
 
 @dataclass
@@ -30,6 +47,13 @@ class StudyOptions:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.default is not None and not _has_type(value, type(f.default)):
+                raise ValidationError(
+                    f"options.{f.name}: must be {_TYPE_NAMES[type(f.default)]}, "
+                    f"got {value!r}"
+                )
         if self.od_cut_mode not in OD_CUT_MODES:
             raise ValidationError(
                 f"options.od_cut_mode: must be one of {OD_CUT_MODES}, "
@@ -43,14 +67,10 @@ class StudyOptions:
             raise ValidationError(
                 f"options.r_aux: must be in (0, 1), got {self.r_aux}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if self.seed < 0:
             raise ValidationError("options.seed: must be a non-negative integer")
         if self.thresholds is not None:
-            for mid, c in self.thresholds.items():
-                if not isinstance(c, (int, float)) or not 0.0 <= float(c) <= 1.0:
-                    raise ValidationError(
-                        f"options.thresholds['{mid}']: must be in [0, 1], got {c!r}"
-                    )
+            _check_thresholds(self.thresholds, "options.thresholds")
 
 
 @dataclass
@@ -148,11 +168,5 @@ def load_thresholds(path: str | Path) -> dict[str, float]:
         raise ValidationError(f"thresholds: cannot read '{p}' ({exc})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"thresholds: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("thresholds: must be an object {measure id: cutoff}")
-    out = {}
-    for mid, c in doc.items():
-        if not isinstance(c, (int, float)) or not 0.0 <= float(c) <= 1.0:
-            raise ValidationError(f"thresholds['{mid}']: must be in [0, 1], got {c!r}")
-        out[str(mid)] = float(c)
-    return out
+    _check_thresholds(doc, "thresholds")
+    return {str(mid): float(c) for mid, c in doc.items()}

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -51,6 +52,24 @@ class TestValidate:
         code = main(["validate", *common_args(), "--r-aux", "7"])
         assert code == 1
         assert "r_aux" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("robust", "no"),
+        ("exclude_reference_from_range", "false"),
+        ("orient", 1),
+        ("out_dir", 5),
+        ("r_aux", "0.1"),
+        ("thresholds", [1]),
+    ])
+    def test_mistyped_config_option_exit_1(self, tmp_path, capsys, field, value):
+        cfg = json.loads((DATA / "study.json").read_text())
+        cfg["options"][field] = value
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["validate", "--config", str(cfg_path),
+                     "--data", str(DATA / "measures.csv")])
+        assert code == 1
+        assert f"options.{field}:" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:
@@ -126,6 +145,19 @@ class TestPlot:
         code = main(["plot", "biplot", *common_args(), "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "biplot.svg").exists()
+
+    def test_failed_write_keeps_previous_svg(self, tmp_path, monkeypatch):
+        previous = tmp_path / "sdod.svg"
+        previous.write_text("previous")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["plot", "sdod", *common_args(), "--out", str(tmp_path)])
+        assert previous.read_text() == "previous"
+        assert list(tmp_path.glob(".sdod.svg.*")) == []
 
 
 class TestReport:
