@@ -67,9 +67,11 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
         raise ValueError("clustering requires an n x p matrix with n >= 2")
     n = X.shape[0]
 
-    i, j = np.triu_indices(n, 1)
-    d = X[i] - X[j]
-    Z = scipy_linkage(np.sqrt(np.vecdot(d, d)), method=linkage)
+    # condensed distances one row at a time, so memory stays O(n^2), not
+    # O(n^2 p); same pair order and arithmetic as an all-pairs difference array
+    rows = (X[a] - X[a + 1:] for a in range(n - 1))
+    dist = np.concatenate([np.sqrt(np.vecdot(d, d)) for d in rows])
+    Z = scipy_linkage(dist, method=linkage)
     merges = tuple(
         Merge(left=int(a), right=int(b), height=float(h), size=int(s))
         for a, b, h, s in Z

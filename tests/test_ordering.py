@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import linkage as scipy_linkage
 
 from ruviz.ordering import Merge, _leaf_order, hclust
 
@@ -81,6 +82,19 @@ class TestHclust:
         dend = hclust(X, "single")
         assert len(dend.merges) == 5
         assert dend.merges[-1].size == 6
+
+    @pytest.mark.parametrize("linkage", ["complete", "average", "single"])
+    def test_row_by_row_distances_match_all_pairs(self, linkage):
+        # coarse values and duplicate rows give tied distances, where a
+        # last-bit difference in the distances would reorder merges
+        rng = np.random.default_rng(30)
+        X = np.round(rng.random((320, 10)), 1)
+        X[300:] = X[:20]
+        i, j = np.triu_indices(len(X), 1)
+        d = X[i] - X[j]
+        Z = scipy_linkage(np.sqrt(np.vecdot(d, d)), method=linkage)
+        expected = [Merge(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
+        assert list(hclust(X, linkage).merges) == expected
 
     def test_unknown_linkage(self):
         with pytest.raises(ValueError, match="linkage"):
