@@ -507,12 +507,13 @@ def render_rays_plot(result: StudyResult) -> PlotDocument:
         raise AnalysisError("rays plot unavailable: no reference row")
     # run_study measures each candidate against its own dataset's reference
     dataset_of = {row.label: row.dataset for row in result.nm.rows}
-    return render_rays(
-        [((ref.label, *result.scores.point(ref.label)),
-          [ray for ray in result.pareto.rays if dataset_of[ray.id] == ref.dataset])
-         for ref in result.nm.rows if ref.is_reference],
-        pareto_ids=result.pareto.front.ids,
-    )
+    rays_by_reference = []
+    for ref in (row for row in result.nm.rows if row.is_reference):
+        u0, r0 = result.scores.point(ref.label)
+        rays = [ray for ray in result.pareto.rays
+                if dataset_of[ray.id] == ref.dataset]
+        rays_by_reference.append(((ref.label, u0, r0), rays))
+    return render_rays(rays_by_reference, pareto_ids=result.pareto.front.ids)
 
 
 def _figure_builders(result: StudyResult) -> dict:
