@@ -5,7 +5,7 @@ plot <kind>, report. Analysis subcommands print JSON to stdout; `plot` and
 `report` write files. The CLI is stateless: every invocation runs the
 pipeline end to end from --config and --data.
 
-Exit codes: 0 success, 1 validation error, 2 analysis error.
+Exit codes: 0 success, 1 validation or write error, 2 analysis error.
 """
 
 from __future__ import annotations
@@ -203,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as exc:
         print(f"{NAME}: analysis error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"{NAME}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -154,13 +154,26 @@ class TestPlot:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["plot", "sdod", *common_args(), "--out", str(tmp_path)])
+        assert main(["plot", "sdod", *common_args(), "--out", str(tmp_path)]) == 1
         assert previous.read_text() == "previous"
         assert list(tmp_path.glob(".sdod.svg.*")) == []
 
+    def test_out_below_a_file_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["plot", "sdod", *common_args(), "--out", str(blocker / "sub")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ruviz: ")
+
 
 class TestReport:
+    def test_out_is_a_file_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["report", *common_args(), "--out", str(blocker)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ruviz: ")
+
     def test_artifact_inventory(self, tmp_path, capsys):
         out = tmp_path / "report"
         code = main(["report", *common_args(), "--out", str(out)])
@@ -210,3 +223,4 @@ class TestReport:
                      "--data", str(DATA / "measures.csv")])
         assert code == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
+
