@@ -42,9 +42,6 @@ from .multivariate import (
 )
 from .ordering import Dendrogram, hclust
 from .pareto import (
-    CompositeFront,
-    DominanceResult,
-    KneePoint,
     ParetoResult,
     Ray,
     composite_front,

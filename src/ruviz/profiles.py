@@ -9,7 +9,6 @@ exactly 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

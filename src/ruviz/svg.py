@@ -9,9 +9,9 @@ identical inputs yield byte-identical SVG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 from xml.sax.saxutils import escape
 
 
