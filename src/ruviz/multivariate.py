@@ -8,7 +8,6 @@ z-scoring is applied before decomposition.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -16,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import AnalysisError
 from .geometry import convex_hull
@@ -286,6 +285,12 @@ class SdOdDiagnostics:
     components_used: int
 
 
+def _chi2_ppf(q: float, df: int) -> float:
+    """Chi-square quantile, computed as `scipy.stats.chi2.ppf` does, without
+    importing `scipy.stats` (about half of the CLI's start-up)."""
+    return 2.0 * float(special.gammaincinv(df / 2, q))
+
+
 def _madn(x: np.ndarray) -> float:
     med = float(np.median(x))
     return 1.4826 * float(np.median(np.abs(x - med)))
@@ -332,8 +337,8 @@ def sd_od(
     resid = X - model.center - scores @ model.loadings.T
     od = np.linalg.norm(resid, axis=1)
 
-    z975 = float(stats.norm.ppf(0.975))
-    sd_cut = float(np.sqrt(stats.chi2.ppf(0.975, df=n_usable)))
+    z975 = float(special.ndtri(0.975))
+    sd_cut = float(np.sqrt(_chi2_ppf(0.975, n_usable)))
     if od_cut_mode == "hubert":
         od23 = od ** (2.0 / 3.0)
         od_cut = float((np.median(od23) + _madn(od23) * z975) ** 1.5)
@@ -358,26 +363,25 @@ def sd_od(
 def _stahel_donoho_outlyingness(
     Y: np.ndarray, pairs: Iterable[tuple[int, int]]
 ) -> np.ndarray:
-    n = Y.shape[0]
-    out = np.zeros(n)
-    used = 0
+    # One product per direction: a single matrix product would round
+    # differently and could reorder tied observations.
+    projections = []
     for i, j in pairs:
         d = Y[i] - Y[j]
         norm = float(np.linalg.norm(d))
         if norm < 1e-12:
             continue
-        z = Y @ (d / norm)
-        med = float(np.median(z))
-        mad = _madn(z)
-        if mad < 1e-12:
-            continue
-        used += 1
-        out = np.maximum(out, np.abs(z - med) / mad)
-    if used == 0:
-        raise AnalysisError(
-            "outlyingness undefined: every projection direction was degenerate"
-        )
-    return out
+        projections.append(Y @ (d / norm))
+    if projections:
+        z = np.stack(projections, axis=1)  # (n, directions)
+        dev = np.abs(z - np.median(z, axis=0))
+        mad = 1.4826 * np.median(dev, axis=0)
+        usable = ~(mad < 1e-12)
+        if usable.any():
+            return np.max(dev[:, usable] / mad[usable], axis=1)
+    raise AnalysisError(
+        "outlyingness undefined: every projection direction was degenerate"
+    )
 
 
 def _direction_pairs(n: int, seed: int) -> list[tuple[int, int]]:
@@ -444,6 +448,14 @@ class AcceptancePolygon:
     thresholds: dict[str, float]
 
 
+def _corner_bits(p: int) -> np.ndarray:
+    """(2^p, p) bool table; row k is k in binary, most significant bit first,
+    so True picks the upper end and rows follow `itertools.product` order."""
+    shifts = np.arange(p - 1, -1, -1, dtype=np.uint16)
+    codes = np.arange(1 << p, dtype=np.uint16)[:, None]
+    return ((codes >> shifts) & 1).astype(bool)
+
+
 def project_acceptance_region(
     model: PcaModel,
     specs: Sequence[MeasureSpec],
@@ -481,7 +493,7 @@ def project_acceptance_region(
     los = np.array([iv[0] for iv in intervals])
     his = np.array([iv[1] for iv in intervals])
     if p <= 16:
-        corners = np.array(list(itertools.product(*intervals)), dtype=float)
+        centred = np.where(_corner_bits(p), his - model.center, los - model.center)
     else:
         rng = np.random.default_rng(seed)
         picks = rng.integers(0, 2, size=(4096, p))
@@ -492,9 +504,9 @@ def project_acceptance_region(
                 v = base.copy()
                 v[dim] = his[dim] if base is los else los[dim]
                 flips.append(v)
-        corners = np.vstack([corners, np.array(flips)])
+        centred = np.vstack([corners, np.array(flips)]) - model.center
 
-    projected = (corners - model.center) @ model.loadings[:, :2]
+    projected = centred @ model.loadings[:, :2]
     return AcceptancePolygon(vertices=convex_hull(projected), thresholds=resolved)
 
 
@@ -532,7 +544,7 @@ def group_summaries(
     pts = pts[:, :2]
     if len(groups) != pts.shape[0]:
         raise ValueError("one group label per score row required")
-    chi2_2 = float(stats.chi2.ppf(0.95, df=2))
+    chi2_2 = _chi2_ppf(0.95, 2)
     out = []
     for g in sorted(set(groups)):
         members = pts[np.array([lbl == g for lbl in groups], dtype=bool)]

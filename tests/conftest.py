@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ruviz.config import StudyConfig
+from ruviz.errors import AnalysisError
 from ruviz.model import (
     ApproachRecord,
     Block,
@@ -213,6 +214,62 @@ def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> b
         if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -tol:
             return False
     return True
+
+
+def oracle_monotone_chain(points: np.ndarray) -> np.ndarray:
+    """Monotone chain over every input point, counter-clockwise, with no
+    interior prefilter (reference for `geometry.convex_hull`)."""
+    pts = np.asarray(points, dtype=float)
+    uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
+    if len(uniq) <= 2:
+        return np.array(uniq, dtype=float).reshape(-1, 2)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[float, float]] = []
+    for p in uniq:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(uniq):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:  # all points collinear
+        return np.array([uniq[0], uniq[-1]], dtype=float)
+    return np.array(hull, dtype=float)
+
+
+def oracle_outlyingness(Y: np.ndarray, pairs) -> np.ndarray:
+    """Stahel-Donoho outlyingness one direction at a time (reference for
+    `multivariate._stahel_donoho_outlyingness`)."""
+
+    def madn(x):
+        med = float(np.median(x))
+        return 1.4826 * float(np.median(np.abs(x - med)))
+
+    out = np.zeros(Y.shape[0])
+    used = 0
+    for i, j in pairs:
+        d = Y[i] - Y[j]
+        norm = float(np.linalg.norm(d))
+        if norm < 1e-12:
+            continue
+        z = Y @ (d / norm)
+        med = float(np.median(z))
+        mad = madn(z)
+        if mad < 1e-12:
+            continue
+        used += 1
+        out = np.maximum(out, np.abs(z - med) / mad)
+    if used == 0:
+        raise AnalysisError(
+            "outlyingness undefined: every projection direction was degenerate"
+        )
+    return out
 
 
 def gift_wrap_hull(points: np.ndarray) -> set[tuple[float, float]]:

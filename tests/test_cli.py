@@ -1,11 +1,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import ruviz
 from ruviz.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -224,3 +227,12 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "from_config" / "manifest.json").exists()
 
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats is about half of the CLI's start-up time
+    src = Path(ruviz.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, ruviz.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 from ruviz.errors import AnalysisError
 from ruviz import multivariate
@@ -19,7 +22,10 @@ from ruviz.multivariate import (
     pca_fit,
     project_acceptance_region,
     robust_pca,
+    _chi2_ppf,
+    _corner_bits,
     _direction_pairs,
+    _stahel_donoho_outlyingness,
     sd_od,
 )
 
@@ -28,6 +34,7 @@ from conftest import (
     gift_wrap_hull,
     make_nm,
     make_specs,
+    oracle_outlyingness,
     point_in_convex_polygon,
     sample_with_exact_cov,
 )
@@ -316,6 +323,50 @@ def _rank2_cloud_with_outlier(seed: int, n: int = 30):
     return clean, np.vstack([clean, outlier])
 
 
+class TestQuantiles:
+    def test_special_functions_equal_scipy_stats(self):
+        assert special.ndtri(0.975) == stats.norm.ppf(0.975)
+        assert _chi2_ppf(0.95, 2) == stats.chi2.ppf(0.95, df=2)
+        for df in range(1, 40):
+            assert _chi2_ppf(0.975, df) == stats.chi2.ppf(0.975, df=df)
+
+
+class TestOutlyingness:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(4, 70),
+        dims=st.integers(1, 4),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_direction_at_a_time(self, n, dims, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:  # many tied projections and zero-MAD directions
+            Y = rng.integers(-2, 3, size=(n, dims)).astype(float)
+        else:
+            Y = rng.standard_normal((n, dims))
+        pairs = _direction_pairs(n, seed)
+        try:
+            expected = oracle_outlyingness(Y, pairs)
+        except AnalysisError as exc:
+            with pytest.raises(AnalysisError, match=str(exc)):
+                _stahel_donoho_outlyingness(Y, pairs)
+            return
+        got = _stahel_donoho_outlyingness(Y, pairs)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("Y", [
+        np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [4.0, 5.0]]),  # zero MAD
+        np.ones((5, 2)),  # no direction at all
+    ])
+    def test_all_degenerate_raises_like_oracle(self, Y):
+        pairs = _direction_pairs(len(Y), 0)
+        with pytest.raises(AnalysisError, match="every projection direction"):
+            oracle_outlyingness(Y, pairs)
+        with pytest.raises(AnalysisError, match="every projection direction"):
+            _stahel_donoho_outlyingness(Y, pairs)
+
+
 class TestRobustPca:
     def test_resists_gross_outlier(self):
         hits = 0
@@ -416,6 +467,11 @@ class TestRobustPca:
 
 
 class TestAcceptanceRegion:
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_corner_table_in_product_order(self, p):
+        expected = np.array(list(itertools.product((False, True), repeat=p)))
+        np.testing.assert_array_equal(_corner_bits(p), expected)
+
     def _fit_model(self, seed=2, n=9, n_risk=2, n_util=3):
         rng = np.random.default_rng(seed)
         vals = rng.random((n, n_risk + n_util))
