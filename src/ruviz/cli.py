@@ -2,8 +2,13 @@
 
 Subcommands: validate, normalize, pareto, composite, pca, profiles,
 plot <kind>, report. Analysis subcommands print JSON to stdout; `plot` and
-`report` write files. The CLI is stateless: every invocation runs the
-pipeline end to end from --config and --data.
+`report` write files. The CLI is stateless: every invocation starts from
+--config and --data, and computes only the stages its output needs (`report`
+computes all of them). So on a 3-row study `normalize`, `pareto`,
+`composite`, `profiles` and `plot heatmap` succeed, while `pca` and
+`plot biplot` exit 2 because the joint PCA needs at least 4 fitted rows. The
+`warnings` that `normalize` prints come from the stages it ran; the report's
+`normalized.json` lists those of every stage.
 
 Exit codes: 0 success, 1 validation or write error, 2 analysis error.
 """
@@ -20,8 +25,9 @@ from .config import LINKAGES, OD_CUT_MODES, StudyConfig, load_thresholds
 from .errors import AnalysisError, ValidationError
 from .model import Block, ingest
 from .pipeline import (
+    JSON_BUILDERS,
+    StudyResult,
     _atomic_write,
-    artifact_jsons,
     render_plot,
     run_study,
     write_report,
@@ -122,7 +128,7 @@ def _load(args) -> tuple[StudyConfig, "object"]:
         opts.robust = True
     if args.thresholds is not None:
         opts.thresholds = load_thresholds(args.thresholds)
-    opts.validate()
+    config.validate()
 
     data_path = Path(args.data)
     try:
@@ -152,17 +158,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analysis(args) -> int:
     config, matrix = _load(args)
-    result = run_study(matrix, config)
-    docs = artifact_jsons(result)
     key = {"normalize": "normalized"}.get(args.command, args.command)
-    _print_json(docs[key])
+    _print_json(JSON_BUILDERS[key](StudyResult(matrix, config)))
     return 0
 
 
 def _cmd_plot(args) -> int:
     config, matrix = _load(args)
-    result = run_study(matrix, config)
-    doc = render_plot(result, args.kind)
+    doc = render_plot(StudyResult(matrix, config), args.kind)
     out = Path(args.out if args.out is not None else config.options.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.kind}.svg"

@@ -85,7 +85,7 @@ class StudyConfig:
         _validate_specs(self.measures)
         if not self.reference_id:
             raise ValidationError("config.reference: required")
-        self.options.validate()
+        self.validate()
         risk = tuple(s for s in self.measures if s.block is Block.RISK)
         util = tuple(s for s in self.measures if s.block is Block.UTILITY)
         self.measures = risk + util
@@ -93,6 +93,16 @@ class StudyConfig:
     @property
     def measure_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.measures)
+
+    def validate(self) -> None:
+        """Check the options, and that every threshold names a declared measure."""
+        self.options.validate()
+        if self.options.thresholds is not None:
+            unknown = sorted(set(self.options.thresholds) - set(self.measure_ids))
+            if unknown:
+                raise ValidationError(
+                    f"options.thresholds: unknown measure id(s) {unknown}"
+                )
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":

@@ -1,20 +1,23 @@
 """End-to-end study runner: analysis, JSON artifacts, SVG rendering, manifest.
 
-`run_study` computes every analysis product from a measure matrix and a
-configuration; `write_report` serializes them to an output directory with a
-manifest of content hashes. All outputs are deterministic for fixed inputs
+A `StudyResult` computes each analysis product of a measure matrix and a
+configuration the first time it is read; `run_study` computes them all, and
+`write_report` serializes them to an output directory with a manifest of
+content hashes. All outputs are deterministic for fixed inputs
 and seed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -64,58 +67,77 @@ from .render import (
 from .svg import PlotDocument, PlotKind
 
 SVG_ARTIFACTS = tuple(k.value for k in PlotKind if k is not PlotKind.RAYS)
-JSON_ARTIFACTS = ("normalized", "pareto", "composite", "pca", "profiles")
 
 
-@dataclass
+def _stage(compute):
+    """A product computed on first read; its own warnings are kept by name.
+
+    A stage that reads another product computes that stage inside its own
+    `catch_warnings` block, which keeps the inner warnings and restores the
+    outer block on exit.
+    """
+
+    @functools.wraps(compute)
+    def run(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = compute(self)
+        self._warnings[compute.__name__] = tuple(str(w.message) for w in caught)
+        return value
+
+    return functools.cached_property(run)
+
+
 class StudyResult:
-    """Every analysis product of one study run."""
+    """Every analysis product of one study, each computed on first read.
 
-    config: StudyConfig
-    matrix: MeasureMatrix
-    nm: NormalizedMatrix
-    scores: CompositeScores
-    reliability: ReliabilityReport
-    pareto: ParetoResult
-    dendrogram: Dendrogram
-    column_order: tuple[int, ...] | None
-    pca_labels: tuple[str, ...]
-    pca: PcaModel
-    align: AlignmentReport
-    diagnostics: SdOdDiagnostics
-    blockwise: BlockwisePca
-    profiles: tuple[RadialProfile, ...]
-    areas: AreaTable
-    pcp: PcpLines
-    groups: tuple | None
-    acceptance: AcceptancePolygon | None
-    warnings: tuple[str, ...]
+    The products are defined below in the order `run_study` computes them,
+    which is also the order of `warnings`.
+    """
+
+    def __init__(self, matrix: MeasureMatrix, config: StudyConfig) -> None:
+        config.validate()
+        self.config = config
+        self.matrix = matrix
+        self._warnings: dict[str, tuple[str, ...]] = {}
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The warnings of the stages computed so far, in stage order."""
+        return tuple(w for name in STAGES for w in self._warnings.get(name, ()))
 
     @property
     def reference_labels(self) -> frozenset[str]:
         return frozenset(r.label for r in self.nm.rows if r.is_reference)
 
+    @property
+    def _fit_idx(self) -> list[int]:
+        if self.config.options.pca_exclude_reference:
+            return [i for i, r in enumerate(self.nm.rows) if not r.is_reference]
+        return list(range(len(self.nm.rows)))
 
-def _candidate_points(nm: NormalizedMatrix, scores: CompositeScores):
-    return [
-        (row.label, float(scores.utility[i]), float(scores.risk[i]))
-        for i, row in enumerate(nm.rows)
-        if not row.is_reference
-    ]
+    @property
+    def pca_labels(self) -> tuple[str, ...]:
+        return tuple(self.nm.rows[i].label for i in self._fit_idx)
 
-
-def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
-    """Run the full analysis pipeline over an ingested measure matrix."""
-    opts = config.options
-    collected: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        nm = harmonize_and_normalize(
-            matrix, exclude_reference_from_range=opts.exclude_reference_from_range
+    @_stage
+    def nm(self) -> NormalizedMatrix:
+        return harmonize_and_normalize(
+            self.matrix,
+            exclude_reference_from_range=self.config.options.exclude_reference_from_range,
         )
-        scores = composite_scores(nm)
-        reliability = reliability_report(nm)
 
+    @_stage
+    def scores(self) -> CompositeScores:
+        return composite_scores(self.nm)
+
+    @_stage
+    def reliability(self) -> ReliabilityReport:
+        return reliability_report(self.nm)
+
+    @_stage
+    def pareto(self) -> ParetoResult:
+        nm, scores = self.nm, self.scores
         dom = pareto_set(nm, exclude_reference=True)
         points = _candidate_points(nm, scores)
         front = composite_front(points)
@@ -136,31 +158,36 @@ def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
                 ]
                 ray_parts.extend(rays_to_reference(same_ds, (u0, r0)))
             rays = tuple(ray_parts)
-        pareto = ParetoResult(
+        return ParetoResult(
             dominance=dom, front=front, knee=knee, rays=rays,
             reference_label=reference_label,
         )
 
-        dendrogram = hclust(nm.values, linkage=opts.linkage)
-        column_order = None
-        if opts.cluster_columns:
-            # cluster measures within each block; blocks keep their
-            # risk-then-utility order
-            column_order = []
-            for block in (Block.RISK, Block.UTILITY):
-                idx = list(nm.block_indices(block))
-                if len(idx) < 2:
-                    column_order.extend(idx)
-                    continue
-                sub = hclust(nm.values[:, idx].T, linkage=opts.linkage)
-                column_order.extend(idx[i] for i in sub.leaf_order)
+    @_stage
+    def dendrogram(self) -> Dendrogram:
+        return hclust(self.nm.values, linkage=self.config.options.linkage)
 
-        if opts.pca_exclude_reference:
-            fit_idx = [i for i, r in enumerate(nm.rows) if not r.is_reference]
-        else:
-            fit_idx = list(range(len(nm.rows)))
-        pca_labels = tuple(nm.rows[i].label for i in fit_idx)
-        fit_values = nm.values[fit_idx]
+    @_stage
+    def column_order(self) -> tuple[int, ...] | None:
+        if not self.config.options.cluster_columns:
+            return None
+        # cluster measures within each block; blocks keep their
+        # risk-then-utility order
+        nm = self.nm
+        column_order = []
+        for block in (Block.RISK, Block.UTILITY):
+            idx = list(nm.block_indices(block))
+            if len(idx) < 2:
+                column_order.extend(idx)
+                continue
+            sub = hclust(nm.values[:, idx].T, linkage=self.config.options.linkage)
+            column_order.extend(idx[i] for i in sub.leaf_order)
+        return tuple(column_order)
+
+    @_stage
+    def pca(self) -> PcaModel:
+        fit_idx = self._fit_idx
+        fit_values = self.nm.values[fit_idx]
         n_fit, p = fit_values.shape
         if n_fit < 4 or p < 2:
             raise AnalysisError(
@@ -173,72 +200,89 @@ def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
                 "joint PCA found only one usable component; the biplot and "
                 "diagnostics need rank >= 2 data"
             )
-        util_fit = scores.utility[fit_idx]
-        risk_fit = scores.risk[fit_idx]
-        model = orient(model, util_fit, risk_fit, enabled=opts.orient)
-        align = alignment(model, util_fit, risk_fit)
+        return orient(model, self.scores.utility[fit_idx], self.scores.risk[fit_idx],
+                      enabled=self.config.options.orient)
 
+    @_stage
+    def align(self) -> AlignmentReport:
+        fit_idx = self._fit_idx
+        return alignment(self.pca, self.scores.utility[fit_idx],
+                         self.scores.risk[fit_idx])
+
+    @_stage
+    def diagnostics(self) -> SdOdDiagnostics:
+        opts = self.config.options
+        # the joint fit's row and rank checks hold for the robust model too
+        diag_model = self.pca
+        fit_values = self.nm.values[self._fit_idx]
         if opts.robust:
             diag_model = robust_pca(fit_values, k=2, seed=opts.seed)
-        else:
-            diag_model = model
-        diagnostics = sd_od(diag_model, fit_values, od_cut_mode=opts.od_cut_mode,
-                            labels=pca_labels)
+        return sd_od(diag_model, fit_values, od_cut_mode=opts.od_cut_mode,
+                     labels=self.pca_labels)
 
-        bw = blockwise_pca(nm)
-        if len(nm.specs) >= 3:
-            profs = origami_profiles(nm, r_aux=opts.r_aux)
-            areas = ranked_areas(profs)
-        else:
-            warnings.warn(
-                "radial profiles skipped: they need at least 3 measures",
-                UserWarning,
-            )
-            profs = ()
-            areas = ranked_areas(())
-        pcp = build_pcp(nm, front.ids)
+    @_stage
+    def blockwise(self) -> BlockwisePca:
+        return blockwise_pca(self.nm)
 
-        datasets = {r.dataset for i, r in enumerate(nm.rows) if i in set(fit_idx)}
-        groups = None
-        if len(datasets) > 1:
-            fit_rows = [nm.rows[i] for i in fit_idx]
-            groups = group_summaries(
-                model.scores[:, :2], [r.dataset or "" for r in fit_rows]
-            )
+    @_stage
+    def profiles(self) -> tuple[RadialProfile, ...]:
+        if len(self.nm.specs) >= 3:
+            return origami_profiles(self.nm, r_aux=self.config.options.r_aux)
+        warnings.warn(
+            "radial profiles skipped: they need at least 3 measures",
+            UserWarning,
+        )
+        return ()
 
-        acceptance = None
-        if opts.thresholds is not None:
-            unknown = sorted(set(opts.thresholds) - set(config.measure_ids))
-            if unknown:
-                raise ValidationError(
-                    f"options.thresholds: unknown measure id(s) {unknown}"
-                )
-            acceptance = project_acceptance_region(
-                model, nm.specs, opts.thresholds, seed=opts.seed
-            )
-        collected = [str(w.message) for w in caught]
+    @_stage
+    def areas(self) -> AreaTable:
+        return ranked_areas(self.profiles)
 
-    return StudyResult(
-        config=config,
-        matrix=matrix,
-        nm=nm,
-        scores=scores,
-        reliability=reliability,
-        pareto=pareto,
-        dendrogram=dendrogram,
-        column_order=tuple(column_order) if column_order is not None else None,
-        pca_labels=pca_labels,
-        pca=model,
-        align=align,
-        diagnostics=diagnostics,
-        blockwise=bw,
-        profiles=profs,
-        areas=areas,
-        pcp=pcp,
-        groups=groups,
-        acceptance=acceptance,
-        warnings=tuple(collected),
-    )
+    @_stage
+    def pcp(self) -> PcpLines:
+        return build_pcp(self.nm, self.pareto.front.ids)
+
+    @_stage
+    def groups(self) -> tuple | None:
+        fit_rows = [self.nm.rows[i] for i in self._fit_idx]
+        if len({r.dataset for r in fit_rows}) < 2:
+            return None
+        return group_summaries(
+            self.pca.scores[:, :2], [r.dataset or "" for r in fit_rows]
+        )
+
+    @_stage
+    def acceptance(self) -> AcceptancePolygon | None:
+        opts = self.config.options
+        if opts.thresholds is None:
+            return None
+        return project_acceptance_region(
+            self.pca, self.nm.specs, opts.thresholds, seed=opts.seed
+        )
+
+
+STAGES = tuple(name for name, attr in vars(StudyResult).items()
+               if isinstance(attr, functools.cached_property))
+
+
+def _candidate_points(nm: NormalizedMatrix, scores: CompositeScores):
+    return [
+        (row.label, float(scores.utility[i]), float(scores.risk[i]))
+        for i, row in enumerate(nm.rows)
+        if not row.is_reference
+    ]
+
+
+def _compute_all(result: StudyResult) -> None:
+    for name in STAGES:
+        getattr(result, name)
+
+
+def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
+    """Run the full analysis pipeline over an ingested measure matrix."""
+    result = StudyResult(matrix, config)
+    _compute_all(result)
+    return result
 
 
 def _jsonable(value: Any) -> Any:
@@ -248,7 +292,7 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
@@ -468,14 +512,18 @@ def profiles_json(result: StudyResult) -> dict:
     }
 
 
+# the JSON artifacts by name; each builder reads only the products it prints
+JSON_BUILDERS = {
+    "normalized": normalized_json,
+    "pareto": pareto_json,
+    "composite": composite_json,
+    "pca": pca_json,
+    "profiles": profiles_json,
+}
+
+
 def artifact_jsons(result: StudyResult) -> dict[str, dict]:
-    return {
-        "normalized": normalized_json(result),
-        "pareto": pareto_json(result),
-        "composite": composite_json(result),
-        "pca": pca_json(result),
-        "profiles": profiles_json(result),
-    }
+    return {name: build(result) for name, build in JSON_BUILDERS.items()}
 
 
 def default_origami_panels(result: StudyResult) -> list[tuple[str, ...]]:
@@ -514,10 +562,9 @@ def render_rays_plot(result: StudyResult) -> PlotDocument:
 
 
 def _figure_builders(result: StudyResult) -> dict:
-    front_ids = result.pareto.front.ids
     return {
         PlotKind.HEATMAP: lambda: render_heatmap(
-            result.nm, result.dendrogram, front_ids,
+            result.nm, result.dendrogram, result.pareto.front.ids,
             column_order=result.column_order),
         PlotKind.DOTPLOT: lambda: render_dotplot(result.nm),
         PlotKind.COMPOSITE_RU: lambda: render_composite_ru(
@@ -533,7 +580,7 @@ def _figure_builders(result: StudyResult) -> dict:
             result.pca,
             result.nm.specs,
             result.pca_labels,
-            pareto_ids=front_ids,
+            pareto_ids=result.pareto.front.ids,
             reference_labels=result.reference_labels,
             acceptance=result.acceptance,
             groups=result.groups,
@@ -542,7 +589,7 @@ def _figure_builders(result: StudyResult) -> dict:
         PlotKind.BLOCKWISE_RU: lambda: render_blockwise(
             result.blockwise,
             result.nm.labels,
-            pareto_ids=front_ids,
+            pareto_ids=result.pareto.front.ids,
             reference_labels=result.reference_labels,
         ),
         PlotKind.RAYS: lambda: render_rays_plot(result),
@@ -595,6 +642,8 @@ def _options_doc(config: StudyConfig) -> dict:
 
 def write_report(result: StudyResult, out_dir: str | Path) -> dict:
     """Write all JSON artifacts and the eight SVGs, plus a hash manifest."""
+    # every stage runs first, so normalized.json lists all of their warnings
+    _compute_all(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     contents: dict[str, str] = {}

@@ -63,6 +63,7 @@ class TestValidate:
         ("out_dir", 5),
         ("r_aux", "0.1"),
         ("thresholds", [1]),
+        ("thresholds", {"nope": 0.5}),
     ])
     def test_mistyped_config_option_exit_1(self, tmp_path, capsys, field, value):
         cfg = json.loads((DATA / "study.json").read_text())
@@ -73,6 +74,67 @@ class TestValidate:
                      "--data", str(DATA / "measures.csv")])
         assert code == 1
         assert f"options.{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["validate", "pareto", "report"])
+    def test_unknown_threshold_id_exit_1(self, tmp_path, capsys, cmd):
+        tfile = tmp_path / "thresholds.json"
+        tfile.write_text(json.dumps({"nope": 0.5}))
+        out = tmp_path / "out"
+        argv = [cmd, *common_args(), "--thresholds", str(tfile)]
+        code = main(argv + (["--out", str(out)] if cmd == "report" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "options.thresholds: unknown measure id(s) ['nope']" in err
+        assert not out.exists()
+
+
+def three_measure_args(tmp_path, n_rows):
+    """Files of a study with two risk and one utility measure, `n_rows` rows."""
+    cfg = {"measures": [{"id": "r0", "block": "risk", "direction": "lower"},
+                        {"id": "r1", "block": "risk", "direction": "lower"},
+                        {"id": "u0", "block": "utility", "direction": "higher"}],
+           "reference": "orig"}
+    rows = ["approach,r0,r1,u0", "orig,1.0,1.0,1.0"]
+    rows += [f"m{i},{0.1 + 0.17 * i:.2f},{0.9 - 0.13 * i:.2f},{0.2 + 0.3 * (i % 3):.2f}"
+             for i in range(n_rows - 1)]
+    (tmp_path / "study.json").write_text(json.dumps(cfg))
+    (tmp_path / "measures.csv").write_text("\n".join(rows) + "\n")
+    return ["--config", str(tmp_path / "study.json"),
+            "--data", str(tmp_path / "measures.csv")]
+
+
+class TestStagedCommands:
+    """Each subcommand computes only the stages its output needs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize"], ["pareto"], ["composite"], ["profiles"],
+        ["plot", "heatmap"],
+    ])
+    def test_three_rows_suffice_without_pca(self, tmp_path, capsys, argv):
+        args = three_measure_args(tmp_path, n_rows=3)
+        out = ["--out", str(tmp_path)] if argv[0] == "plot" else []
+        assert main([*argv, *args, *out]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["pca"], ["plot", "biplot"]])
+    def test_three_rows_fail_the_pca(self, tmp_path, capsys, argv):
+        args = three_measure_args(tmp_path, n_rows=3)
+        out = ["--out", str(tmp_path)] if argv[0] == "plot" else []
+        assert main([*argv, *args, *out]) == 2
+        assert "at least 4 fitted rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["pareto", "composite", "normalize"])
+    def test_unprinted_stages_do_not_run(self, tmp_path, capsys, monkeypatch, cmd):
+        def fail(*args, **kwargs):
+            raise AssertionError("stage ran although its output is not printed")
+
+        monkeypatch.setattr("ruviz.pipeline.robust_pca", fail)
+        monkeypatch.setattr("ruviz.pipeline.project_acceptance_region", fail)
+        tfile = tmp_path / "thresholds.json"
+        tfile.write_text(json.dumps({"RepU": 0.5}))
+        argv = [cmd, *common_args(), "--robust", "--thresholds", str(tfile)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestAnalysisCommands:

@@ -1,13 +1,16 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ruviz.cli import main
 from ruviz.config import StudyConfig
 from ruviz.errors import AnalysisError
 from ruviz.model import ingest
 from ruviz.pipeline import (
+    StudyResult,
     artifact_jsons,
     render_all,
     render_plot,
@@ -16,17 +19,32 @@ from ruviz.pipeline import (
 )
 from ruviz.svg import Line, Rect, Text
 
+DATA = Path(__file__).parent / "data"
 
-def multi_dataset_inputs():
-    config = StudyConfig.from_json(json.dumps({
-        "measures": [
-            {"id": "r0", "block": "risk", "direction": "lower"},
-            {"id": "r1", "block": "risk", "direction": "lower"},
-            {"id": "u0", "block": "utility", "direction": "lower"},
-            {"id": "u1", "block": "utility", "direction": "lower"},
-        ],
-        "reference": "orig",
-    }))
+
+FOUR_MEASURES = {
+    "measures": [
+        {"id": "r0", "block": "risk", "direction": "lower"},
+        {"id": "r1", "block": "risk", "direction": "lower"},
+        {"id": "u0", "block": "utility", "direction": "lower"},
+        {"id": "u1", "block": "utility", "direction": "lower"},
+    ],
+    "reference": "orig",
+}
+
+# thresholds, column clustering, robust PCA and orientation all on
+MULTI_DATASET_OPTIONS = {
+    "thresholds": {"r0": 0.8, "r1": 0.7, "u0": 0.4, "u1": 0.3},
+    "cluster_columns": True, "robust": True, "orient": True,
+}
+
+
+def _inputs(config_doc, csv):
+    config = StudyConfig.from_json(json.dumps(config_doc))
+    return ingest(csv, config), config
+
+
+def multi_dataset_csv():
     rng = np.random.default_rng(12)
     lines = ["approach,dataset,r0,r1,u0,u1"]
     for ds in ("d1", "d2"):
@@ -34,21 +52,15 @@ def multi_dataset_inputs():
         for name in ("m1", "m2", "m3", "m4"):
             vals = rng.uniform(0.1, 0.9, 4)
             lines.append(f"{name},{ds}," + ",".join(f"{v:.4f}" for v in vals))
-    return ingest("\n".join(lines) + "\n", config), config
+    return "\n".join(lines) + "\n"
 
 
-def two_reference_inputs():
-    """Two datasets whose reference rows differ, so their rays do too."""
-    config = StudyConfig.from_json(json.dumps({
-        "measures": [
-            {"id": "r0", "block": "risk", "direction": "lower"},
-            {"id": "r1", "block": "risk", "direction": "lower"},
-            {"id": "u0", "block": "utility", "direction": "lower"},
-            {"id": "u1", "block": "utility", "direction": "lower"},
-        ],
-        "reference": "orig",
-    }))
-    csv = """approach,dataset,r0,r1,u0,u1
+def multi_dataset_inputs():
+    return _inputs(FOUR_MEASURES, multi_dataset_csv())
+
+
+# two datasets whose reference rows differ, so their rays do too
+TWO_REFERENCE_CSV = """approach,dataset,r0,r1,u0,u1
 orig,d1,1.0,1.0,0.0,0.0
 m1,d1,0.5,0.6,0.3,0.2
 m2,d1,0.3,0.2,0.6,0.5
@@ -58,7 +70,29 @@ m1,d2,0.4,0.3,0.4,0.5
 m2,d2,0.2,0.1,0.8,0.7
 m3,d2,0.6,0.4,0.3,0.35
 """
-    return ingest(csv, config), config
+
+
+def two_reference_inputs():
+    return _inputs(FOUR_MEASURES, TWO_REFERENCE_CSV)
+
+
+TWO_MEASURES = {
+    "measures": [
+        {"id": "r0", "block": "risk", "direction": "lower"},
+        {"id": "u0", "block": "utility", "direction": "higher"},
+    ],
+    "reference": "orig",
+}
+
+
+def two_measure_csv():
+    rng = np.random.default_rng(7)
+    lines = ["approach,r0,u0"]
+    lines.append("orig,1.0,1.0")
+    for i in range(5):
+        v = rng.uniform(0.0, 0.9, 2)
+        lines.append(f"m{i},{v[0]:.3f},{v[1]:.3f}")
+    return "\n".join(lines) + "\n"
 
 
 class TestMultiDataset:
@@ -197,20 +231,7 @@ class TestOptions:
         assert any("constant" in w for w in doc["warnings"])
 
     def test_two_measure_study_degrades_cleanly(self, tmp_path):
-        config = StudyConfig.from_json(json.dumps({
-            "measures": [
-                {"id": "r0", "block": "risk", "direction": "lower"},
-                {"id": "u0", "block": "utility", "direction": "higher"},
-            ],
-            "reference": "orig",
-        }))
-        rng = np.random.default_rng(7)
-        lines = ["approach,r0,u0"]
-        lines.append("orig,1.0,1.0")
-        for i in range(5):
-            v = rng.uniform(0.0, 0.9, 2)
-            lines.append(f"m{i},{v[0]:.3f},{v[1]:.3f}")
-        matrix = ingest("\n".join(lines) + "\n", config)
+        matrix, config = _inputs(TWO_MEASURES, two_measure_csv())
         result = run_study(matrix, config)
         # radial profiles are undefined below 3 measures but everything else
         # stays available
@@ -223,6 +244,16 @@ class TestOptions:
             render_plot(result, "origami")
         with pytest.raises(AnalysisError, match="origami"):
             render_all(result)
+
+    def test_warnings_follow_stage_order_not_read_order(self):
+        matrix, config = _inputs(TWO_MEASURES, two_measure_csv())
+        lazy = StudyResult(matrix, config)
+        assert lazy.profiles == ()
+        assert lazy.warnings == (
+            "radial profiles skipped: they need at least 3 measures",)
+        lazy.blockwise  # an earlier stage, read later
+        assert lazy.warnings == run_study(matrix, config).warnings
+        assert len(lazy.warnings) == 3
 
     def test_too_few_rows_is_analysis_error(self):
         config = StudyConfig.from_json(json.dumps({
@@ -293,10 +324,8 @@ class TestArtifacts:
         assert _artifact_hashes(result, tmp_path) == FIXTURE_SHA256
 
     def test_multi_dataset_report_matches_pinned_hashes(self, tmp_path):
-        matrix, config = multi_dataset_inputs()
-        opts = config.options
-        opts.thresholds = {"r0": 0.8, "r1": 0.7, "u0": 0.4, "u1": 0.3}
-        opts.cluster_columns = opts.robust = opts.orient = True
+        matrix, config = _inputs({**FOUR_MEASURES, "options": MULTI_DATASET_OPTIONS},
+                                 multi_dataset_csv())
         result = run_study(matrix, config)
         assert result.acceptance is not None and result.groups is not None
         assert _artifact_hashes(result, tmp_path) == MULTI_DATASET_SHA256
@@ -373,3 +402,71 @@ class TestArtifacts:
         result = run_study(matrix, study_config)
         manifest = write_report(result, tmp_path)
         assert "out_dir" not in manifest["options"]
+
+
+# the report file each analysis subcommand prints
+PRINTED = {"normalize": "normalized.json", "pareto": "pareto.json",
+           "composite": "composite.json", "pca": "pca.json",
+           "profiles": "profiles.json"}
+
+
+def _study_args(tmp_path, config_doc, csv):
+    (tmp_path / "study.json").write_text(json.dumps(config_doc))
+    (tmp_path / "measures.csv").write_text(csv)
+    return ["--config", str(tmp_path / "study.json"),
+            "--data", str(tmp_path / "measures.csv")]
+
+
+class TestPrintedDocuments:
+    @pytest.mark.parametrize("study", ["fixture", "two_reference", "multi_dataset"])
+    def test_each_subcommand_prints_its_report_file(self, tmp_path, capsys, study):
+        if study == "fixture":
+            args = ["--config", str(DATA / "study.json"),
+                    "--data", str(DATA / "measures.csv")]
+            pinned = FIXTURE_SHA256
+        elif study == "two_reference":
+            args = _study_args(tmp_path, FOUR_MEASURES, TWO_REFERENCE_CSV)
+            pinned = None
+        else:
+            args = _study_args(tmp_path, {**FOUR_MEASURES, "options": MULTI_DATASET_OPTIONS},
+                               multi_dataset_csv())
+            pinned = MULTI_DATASET_SHA256
+        out = tmp_path / "out"
+        assert main(["report", *args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        if pinned is not None:
+            assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in pinned} == pinned
+        for cmd, name in PRINTED.items():
+            assert main([cmd, *args]) == 0
+            assert capsys.readouterr().out.encode("utf-8") == (out / name).read_bytes()
+
+    def test_subcommand_prints_only_the_warnings_of_its_stages(self, tmp_path, capsys):
+        args = _study_args(tmp_path, TWO_MEASURES, two_measure_csv())
+        assert main(["normalize", *args]) == 0
+        printed = json.loads(capsys.readouterr().out)["warnings"]
+        assert not any("radial profiles skipped" in w for w in printed)
+        matrix, config = _inputs(TWO_MEASURES, two_measure_csv())
+        reported = artifact_jsons(run_study(matrix, config))["normalized"]["warnings"]
+        assert any("radial profiles skipped" in w for w in reported)
+
+    def test_report_lists_every_warning_however_the_result_was_made(self, tmp_path):
+        # the single utility measure warns only in the blockwise PCA stage
+        config_doc = {
+            "measures": [
+                {"id": "r0", "block": "risk", "direction": "lower"},
+                {"id": "r1", "block": "risk", "direction": "lower"},
+                {"id": "u0", "block": "utility", "direction": "higher"},
+            ],
+            "reference": "orig",
+        }
+        csv = ("approach,r0,r1,u0\norig,1,1,1\nm0,.2,.8,.3\nm1,.5,.4,.9\n"
+               "m2,.7,.3,.6\nm3,.4,.6,.2\nm4,.9,.1,.5\n")
+        matrix, config = _inputs(config_doc, csv)
+        lazy = StudyResult(matrix, config)
+        assert lazy.nm is not None and lazy.warnings == ()
+        write_report(lazy, tmp_path / "lazy")
+        write_report(run_study(matrix, config), tmp_path / "full")
+        doc = (tmp_path / "lazy" / "normalized.json").read_bytes()
+        assert doc == (tmp_path / "full" / "normalized.json").read_bytes()
+        assert "utility block has a single measure" in doc.decode()
