@@ -5,10 +5,10 @@ plot <kind>, report. Analysis subcommands print JSON to stdout; `plot` and
 `report` write files. The CLI is stateless: every invocation starts from
 --config and --data, and computes only the stages its output needs (`report`
 computes all of them). So on a 3-row study `normalize`, `pareto`,
-`composite`, `profiles` and `plot heatmap` succeed, while `pca` and
-`plot biplot` exit 2 because the joint PCA needs at least 4 fitted rows. The
-`warnings` that `normalize` prints come from the stages it ran; the report's
-`normalized.json` lists those of every stage.
+`composite`, `profiles` and every plot but `biplot` and `sdod` succeed, while
+`pca`, `plot biplot`, `plot sdod` and `report` exit 2: the joint PCA needs at
+least 4 fitted rows. The `warnings` that `normalize` prints come from the
+stages it ran; the report's `normalized.json` lists those of every stage.
 
 Exit codes: 0 success, 1 validation or write error, 2 analysis error.
 """

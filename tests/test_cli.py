@@ -116,7 +116,9 @@ class TestStagedCommands:
         assert main([*argv, *args, *out]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("argv", [["pca"], ["plot", "biplot"]])
+    @pytest.mark.parametrize("argv", [
+        ["pca"], ["plot", "biplot"], ["plot", "sdod", "--robust"],
+    ])
     def test_three_rows_fail_the_pca(self, tmp_path, capsys, argv):
         args = three_measure_args(tmp_path, n_rows=3)
         out = ["--out", str(tmp_path)] if argv[0] == "plot" else []
