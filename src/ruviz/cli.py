@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation or write error, 2 analysis error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .pipeline import (
     JSON_BUILDERS,
     StudyResult,
     _atomic_write,
+    _dump_json,
     render_plot,
     run_study,
     write_report,
@@ -140,7 +140,7 @@ def _load(args) -> tuple[StudyConfig, "object"]:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False))
+    sys.stdout.write(_dump_json(doc))
 
 
 def _cmd_validate(args) -> int:

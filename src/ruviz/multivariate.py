@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import AnalysisError
 from .geometry import convex_hull
@@ -285,10 +284,22 @@ class SdOdDiagnostics:
     components_used: int
 
 
+# The quantiles import `scipy.special` at first call and never `scipy.stats`,
+# so the subcommands that need no quantile start on numpy alone.
+
+
+def _normal_ppf(q: float) -> float:
+    """Standard normal quantile, as `scipy.stats.norm.ppf` computes it."""
+    from scipy.special import ndtri
+
+    return float(ndtri(q))
+
+
 def _chi2_ppf(q: float, df: int) -> float:
-    """Chi-square quantile, computed as `scipy.stats.chi2.ppf` does, without
-    importing `scipy.stats` (about half of the CLI's start-up)."""
-    return 2.0 * float(special.gammaincinv(df / 2, q))
+    """Chi-square quantile, as `scipy.stats.chi2.ppf` computes it."""
+    from scipy.special import gammaincinv
+
+    return 2.0 * float(gammaincinv(df / 2, q))
 
 
 def _madn(x: np.ndarray) -> float:
@@ -337,7 +348,7 @@ def sd_od(
     resid = X - model.center - scores @ model.loadings.T
     od = np.linalg.norm(resid, axis=1)
 
-    z975 = float(special.ndtri(0.975))
+    z975 = _normal_ppf(0.975)
     sd_cut = float(np.sqrt(_chi2_ppf(0.975, n_usable)))
     if od_cut_mode == "hubert":
         od23 = od ** (2.0 / 3.0)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage as scipy_linkage
 
 LINKAGES = ("complete", "average", "single")
 
@@ -60,6 +59,10 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
     that visits the shallower subtree first, smaller index first at equal
     heights.
     """
+    # imported here: scipy.cluster loads scipy.spatial, most of a cold start
+    # for the subcommands that never cluster
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got '{linkage}'")
     X = np.asarray(points, dtype=float)

@@ -18,6 +18,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import asdict
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
@@ -286,7 +287,11 @@ def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
 
 
 def _jsonable(value: Any) -> Any:
+    """`value` as plain lists and scalars, with each non-finite float as None."""
     if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -613,9 +618,54 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
     return builders[kind]()
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
-                      allow_nan=False) + "\n"
+# exact types only: a subclass (bool, numpy float64) needs the encoder's repr
+_NUMBER = frozenset((int, float))
+# the C encoder, used for one scalar at a time
+_encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+
+
+def _dump_json(doc: Any) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
+    allow_nan=False) + "\\n"`, byte for byte.
+
+    With `indent` set, the stdlib encodes in pure Python, one call per
+    element. Here a plain int or float is its `repr`, as in the stdlib, a
+    list of them is one join, and every other scalar goes through the C
+    encoder. NaN and infinity raise `ValueError`. Every key must be a `str`
+    (the stdlib also converts number, bool and None keys; here they raise
+    `TypeError`).
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """One value in the indented layout; `newline` ends at its own indent."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            f"{encode_basestring(key)}: {_encode(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if _NUMBER.issuperset(map(type, value)):
+            body = ("," + inner).join(map(repr, value))
+            if "n" in body:  # only nan and inf have an "n": the encoder raises
+                _encode_scalar(value)
+        else:
+            body = ("," + inner).join([_encode(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if type(value) in _NUMBER:
+        text = repr(value)
+        if "n" not in text:
+            return text
+    return _encode_scalar(value)
+
 
 
 def _atomic_write(path: Path, content: str) -> None:

@@ -63,10 +63,18 @@ APPROACH_LEGEND = (
 )
 
 
-def _interp(c0: str, c1: str, t: float) -> str:
+def _rgb(color: str) -> tuple[int, int, int]:
+    return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
+
+
+# the ramp ends, parsed once instead of at every heatmap cell
+WHITE_RGB = _rgb("#ffffff")
+BLOCK_RGB = {block: _rgb(color) for block, color in BLOCK_COLOR.items()}
+
+
+def _interp(c0: tuple[int, int, int], c1: tuple[int, int, int], t: float) -> str:
     t = min(max(t, 0.0), 1.0)
-    r0, g0, b0 = int(c0[1:3], 16), int(c0[3:5], 16), int(c0[5:7], 16)
-    r1, g1, b1 = int(c1[1:3], 16), int(c1[3:5], 16), int(c1[5:7], 16)
+    (r0, g0, b0), (r1, g1, b1) = c0, c1
     return "#{:02x}{:02x}{:02x}".format(
         int(round(r0 + t * (r1 - r0))),
         int(round(g0 + t * (g1 - g0))),
@@ -75,7 +83,7 @@ def _interp(c0: str, c1: str, t: float) -> str:
 
 
 def block_ramp(block: Block, t: float) -> str:
-    return _interp("#ffffff", BLOCK_COLOR[block], t)
+    return _interp(WHITE_RGB, BLOCK_RGB[block], t)
 
 
 def _short(s: str, n: int = 16) -> str:
@@ -276,6 +284,8 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
         color = BLOCK_COLOR[block]
         idx = nm.block_indices(block)
         k = len(idx)
+        block_values = nm.block_values(block)
+        medians = np.median(block_values, axis=1)
         doc.add(Text(fx + facet_w / 2, top - 12, block.value, size=12,
                      anchor="middle", fill=color, weight="bold"))
         doc.add(Line(fx, top + plot_h, fx + facet_w, top + plot_h,
@@ -287,8 +297,8 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
         for ridx, row in enumerate(nm.rows):
             cy = top + (ridx + 0.5) * band
             doc.add(Line(fx, cy, fx + facet_w, cy, stroke="#eeeeee"))
-            vals = [float(nm.values[ridx, j]) for j in idx]
-            med = float(np.median(vals))
+            vals = block_values[ridx].tolist()
+            med = float(medians[ridx])
             mx = fx + med * facet_w
             doc.add(Line(mx, cy - band * 0.32, mx, cy + band * 0.32,
                          stroke="#888888", stroke_width=1.2), z=1)

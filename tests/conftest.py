@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -299,3 +300,23 @@ def gift_wrap_hull(points: np.ndarray) -> set[tuple[float, float]]:
         if point == start:
             break
     return set(hull)
+
+
+def oracle_dump_json(doc) -> str:
+    """The stdlib's indented layout (oracle for `pipeline._dump_json`)."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
+                      allow_nan=False) + "\n"
+
+
+def oracle_jsonable(value):
+    """Element-by-element walk of arrays and sequences, each non-finite float
+    as None (oracle for `pipeline._jsonable`)."""
+    if isinstance(value, np.ndarray):
+        return oracle_jsonable(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [oracle_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value

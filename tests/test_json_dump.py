@@ -1,0 +1,133 @@
+"""The report's JSON writer and array conversion against the stdlib oracles."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ruviz.pipeline import _dump_json, _jsonable
+
+from conftest import oracle_dump_json, oracle_jsonable
+
+# characters the string encoder must escape or pass through untouched
+SPECIAL_CHARS = '"\\,:\n\t\r\x00\x1f\x7f é€ü\u2028\U0001d11e'
+
+keys = st.text(st.one_of(st.sampled_from(SPECIAL_CHARS), st.characters()),
+               max_size=6)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    finite_floats,
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, 5e-324, -1.7976931348623157e308]),
+)
+scalars = st.one_of(
+    numbers,
+    st.booleans(),
+    st.none(),
+    keys,
+    finite_floats.map(np.float64),
+)
+documents = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(numbers, max_size=6),
+        st.dictionaries(keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_equals_stdlib_indent_layout(self, doc):
+        assert _dump_json(doc) == oracle_dump_json(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(keys, st.lists(st.lists(numbers, max_size=4), max_size=4),
+                           max_size=4))
+    def test_equals_stdlib_on_numeric_matrices(self, doc):
+        assert _dump_json(doc) == oracle_dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        [True, False, 1, 0.5],
+        "top-level string",
+        -0.0,
+    ])
+    def test_equals_stdlib_on_edge_documents(self, doc):
+        assert _dump_json(doc) == oracle_dump_json(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x,
+        lambda x: [1.0, x, 2.0],
+        lambda x: [1, x],
+        lambda x: {"a": [[0.5], [x]]},
+        lambda x: {"a": x},
+        lambda x: [np.float64(x)],
+        lambda x: [None, x],
+    ])
+    def test_non_finite_raises_like_stdlib(self, bad, wrap):
+        doc = wrap(bad)
+        with pytest.raises(ValueError):
+            oracle_dump_json(doc)
+        with pytest.raises(ValueError):
+            _dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [np.int64(1)],
+        {"a": np.bool_(True)},
+        {(1, 2): "tuple key"},
+        [np.array([1.0])],
+        {"a": 1, 2: "mixed keys cannot be sorted"},
+    ])
+    def test_unsupported_values_raise_like_stdlib(self, doc):
+        with pytest.raises(TypeError):
+            oracle_dump_json(doc)
+        with pytest.raises(TypeError):
+            _dump_json(doc)
+
+    @pytest.mark.parametrize("key", [2, 1.5, True, None])
+    def test_non_string_key_raises(self, key):
+        with pytest.raises(TypeError):
+            _dump_json({key: "value"})
+
+
+any_floats = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+
+
+class TestJsonable:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        hnp.arrays(np.float64, shapes, elements=any_floats),
+        hnp.arrays(np.float32, shapes,
+                   elements=st.floats(width=32, allow_nan=True, allow_infinity=True)),
+        hnp.arrays(np.int64, shapes),
+        hnp.arrays(np.uint8, shapes),
+        hnp.arrays(np.bool_, shapes),
+    ))
+    def test_equals_element_walk(self, array):
+        got = _jsonable(array)
+        assert got == oracle_jsonable(array)
+        assert oracle_dump_json(got) == oracle_dump_json(oracle_jsonable(array))
+
+    def test_object_array_is_walked(self):
+        array = np.array([1.5, None, math.nan, "x"], dtype=object)
+        assert _jsonable(array) == oracle_jsonable(array) == [1.5, None, None, "x"]
+
+    def test_scalars_and_sequences(self):
+        value = (np.float64(math.inf), [np.int32(3), math.nan], np.float32(0.5))
+        assert _jsonable(value) == oracle_jsonable(value) == [None, [3, None], 0.5]
