@@ -667,7 +667,6 @@ def _encode(value: Any, newline: str) -> str:
     return _encode_scalar(value)
 
 
-
 def _atomic_write(path: Path, content: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:

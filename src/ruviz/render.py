@@ -72,18 +72,15 @@ WHITE_RGB = _rgb("#ffffff")
 BLOCK_RGB = {block: _rgb(color) for block, color in BLOCK_COLOR.items()}
 
 
-def _interp(c0: tuple[int, int, int], c1: tuple[int, int, int], t: float) -> str:
+def block_ramp(block: Block, t: float) -> str:
+    """White at t = 0 to the block's colour at t = 1, t clamped to [0, 1]."""
     t = min(max(t, 0.0), 1.0)
-    (r0, g0, b0), (r1, g1, b1) = c0, c1
+    (r0, g0, b0), (r1, g1, b1) = WHITE_RGB, BLOCK_RGB[block]
     return "#{:02x}{:02x}{:02x}".format(
         int(round(r0 + t * (r1 - r0))),
         int(round(g0 + t * (g1 - g0))),
         int(round(b0 + t * (b1 - b0))),
     )
-
-
-def block_ramp(block: Block, t: float) -> str:
-    return _interp(WHITE_RGB, BLOCK_RGB[block], t)
 
 
 def _short(s: str, n: int = 16) -> str:
