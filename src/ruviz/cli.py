@@ -139,10 +139,6 @@ def _load(args) -> tuple[StudyConfig, "object"]:
     return config, matrix
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(_dump_json(doc))
-
-
 def _cmd_validate(args) -> int:
     config, matrix = _load(args)
     n_risk = len(matrix.block_indices(Block.RISK))
@@ -159,7 +155,7 @@ def _cmd_validate(args) -> int:
 def _cmd_analysis(args) -> int:
     config, matrix = _load(args)
     key = {"normalize": "normalized"}.get(args.command, args.command)
-    _print_json(JSON_BUILDERS[key](StudyResult(matrix, config)))
+    sys.stdout.write(_dump_json(JSON_BUILDERS[key](StudyResult(matrix, config))))
     return 0
 
 
