@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .__about__ import NAME, VERSION
@@ -71,7 +72,7 @@ def _build_parser() -> _Parser:
             help="sign-fix PC1 toward utility and PC2 toward low risk",
         )
         p.add_argument("--od-cut", choices=OD_CUT_MODES, default=None,
-                       help="orthogonal-distance cutoff mode")
+                       dest="od_cut_mode", help="orthogonal-distance cutoff mode")
         p.add_argument("--r-aux", type=float, default=None,
                        help="auxiliary spoke radius for radial profiles")
         p.add_argument("--linkage", choices=LINKAGES, default=None,
@@ -112,21 +113,11 @@ def _build_parser() -> _Parser:
 def _load(args) -> tuple[StudyConfig, "object"]:
     config = StudyConfig.from_file(args.config)
     opts = config.options
-    if args.exclude_reference_from_range is not None:
-        opts.exclude_reference_from_range = True
-    if args.orient is not None:
-        opts.orient = True
-    if args.od_cut is not None:
-        opts.od_cut_mode = args.od_cut
-    if args.r_aux is not None:
-        opts.r_aux = args.r_aux
-    if args.linkage is not None:
-        opts.linkage = args.linkage
-    if args.seed is not None:
-        opts.seed = args.seed
-    if args.robust is not None:
-        opts.robust = True
-    if args.thresholds is not None:
+    for f in fields(opts):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(opts, f.name, value)
+    if args.thresholds is not None:  # the flag names a file of cutoffs
         opts.thresholds = load_thresholds(args.thresholds)
     config.validate()
 

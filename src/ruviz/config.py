@@ -26,7 +26,8 @@ def _check_thresholds(doc, where: str) -> None:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: must be an object {{measure id: cutoff}}")
     for mid, c in doc.items():
-        if not _has_type(c, float) or not 0.0 <= float(c) <= 1.0:
+        # compare before converting: float() overflows on a huge JSON integer
+        if not _has_type(c, float) or not 0.0 <= c <= 1.0:
             raise ValidationError(f"{where}['{mid}']: must be in [0, 1], got {c!r}")
 
 
@@ -108,7 +109,7 @@ class StudyConfig:
     def from_json(cls, text: str) -> "StudyConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of more than 4,300 digits
             raise ValidationError(f"config: invalid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ValidationError("config: top-level value must be an object")
@@ -176,7 +177,7 @@ def load_thresholds(path: str | Path) -> dict[str, float]:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"thresholds: cannot read '{p}' ({exc})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more than 4,300 digits
         raise ValidationError(f"thresholds: invalid JSON ({exc})") from None
     _check_thresholds(doc, "thresholds")
     return {str(mid): float(c) for mid, c in doc.items()}

@@ -15,16 +15,15 @@ def shoelace_area(xy: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-# Support points in these directions span the hull that prunes interior
-# points; the margin keeps every point the chain's rounding could still keep.
-_PREFILTER_ANGLES = np.arange(16) * (2.0 * np.pi / 16)
-_PREFILTER_DIRECTIONS = np.column_stack(
-    [np.cos(_PREFILTER_ANGLES), np.sin(_PREFILTER_ANGLES)]
-)
-_PREFILTER_MARGIN = 1e-9
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull of 2-D points via the monotone chain, counter-clockwise.
 
-
-def _monotone_chain(pts: np.ndarray) -> np.ndarray:
+    Collinear points on hull edges are dropped. Degenerate inputs return
+    fewer than 3 vertices (a point or a segment).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("expected an (n, 2) array of points")
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float).reshape(-1, 2)
@@ -46,41 +45,6 @@ def _monotone_chain(pts: np.ndarray) -> np.ndarray:
     if len(hull) < 3:  # all points collinear
         return np.array([uniq[0], uniq[-1]], dtype=float)
     return np.array(hull, dtype=float)
-
-
-def _drop_interior(pts: np.ndarray) -> np.ndarray:
-    """Points not strictly inside the hull of the fixed-direction support
-    points by the margin, in input order."""
-    support = np.unique(np.argmax(_PREFILTER_DIRECTIONS @ pts.T, axis=1))
-    inner = _monotone_chain(pts[support])
-    if len(inner) < 3:
-        return pts
-    tol = _PREFILTER_MARGIN * float(np.abs(pts).max())
-    x = pts[:, 0]
-    y = pts[:, 1]
-    inside = np.ones(len(pts), dtype=bool)
-    for (ax, ay), (bx, by) in zip(inner, np.roll(inner, -1, axis=0)):
-        ex = bx - ax
-        ey = by - ay
-        inside &= ex * (y - ay) - ey * (x - ax) > tol * np.hypot(ex, ey)
-    return pts[~inside]
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull of 2-D points via the monotone chain, counter-clockwise.
-
-    Interior points are pruned before the chain: every point that lies inside
-    the hull of the support points in 16 fixed directions, by more than 1e-9
-    of the largest absolute coordinate, is dropped. The chain decides every
-    vertex among the rest. Collinear points on hull edges are dropped.
-    Degenerate inputs return fewer than 3 vertices (a point or a segment).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array of points")
-    if len(pts):
-        pts = _drop_interior(pts)
-    return _monotone_chain(pts)
 
 
 def ellipse_points(center, axis1, axis2, n: int = 64) -> np.ndarray:

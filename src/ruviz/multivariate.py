@@ -459,35 +459,26 @@ class AcceptancePolygon:
     thresholds: dict[str, float]
 
 
-def _corner_bits(p: int) -> np.ndarray:
-    """(2^p, p) bool table; row k is k in binary, most significant bit first,
-    so True picks the upper end and rows follow `itertools.product` order."""
-    shifts = np.arange(p - 1, -1, -1, dtype=np.uint16)
-    codes = np.arange(1 << p, dtype=np.uint16)[:, None]
-    return ((codes >> shifts) & 1).astype(bool)
-
-
 def project_acceptance_region(
     model: PcaModel,
     specs: Sequence[MeasureSpec],
     thresholds: Mapping[str, float],
-    seed: int = 42,
 ) -> AcceptancePolygon:
     """Project the axis-aligned feasibility box into the first two components.
 
     Per measure the acceptable interval in normalized units is [0, c] for
-    risk and [c, 1] for utility. All 2^p corners are projected when p <= 16;
-    up to 30 dimensions a seeded sample of 4096 corners plus every
-    single-coordinate flip of the two extreme corners is used. Larger p is
-    rejected.
+    risk and [c, 1] for utility. The projected box is a zonotope with one
+    generator (hi - lo) * loadings[j, :2] per measure, so at most 2p corners
+    are vertices (Ziegler, *Lectures on Polytopes*, ch. 7). With every
+    generator turned into the upper half-plane, they are the corners that
+    switch the generators on, then off, one at a time in order of angle. The
+    polygon is exact for any number of measures.
     """
     p = len(specs)
     if model.p != p:
         raise ValueError("model dimension does not match the number of measures")
     if model.k < 2:
         raise ValueError("acceptance projection requires a k >= 2 model")
-    if p > 30:
-        raise ValueError("acceptance region rejected: more than 30 measures")
     ids = [s.id for s in specs]
     unknown = sorted(set(thresholds) - set(ids))
     if unknown:
@@ -503,20 +494,16 @@ def project_acceptance_region(
 
     los = np.array([iv[0] for iv in intervals])
     his = np.array([iv[1] for iv in intervals])
-    if p <= 16:
-        centred = np.where(_corner_bits(p), his - model.center, los - model.center)
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(0, 2, size=(4096, p))
-        corners = np.where(picks == 0, los[None, :], his[None, :])
-        flips = [los, his]
-        for dim in range(p):
-            for base in (los, his):
-                v = base.copy()
-                v[dim] = his[dim] if base is los else los[dim]
-                flips.append(v)
-        centred = np.vstack([corners, np.array(flips)]) - model.center
-
+    gens = (his - los)[:, None] * model.loadings[:, :2]
+    flip = (gens[:, 1] < 0.0) | ((gens[:, 1] == 0.0) & (gens[:, 0] < 0.0))
+    gens[flip] = -gens[flip]
+    order = np.argsort(np.arctan2(gens[:, 1], gens[:, 0]), kind="stable")
+    # row k switches on the first k generators by angle; True picks the upper
+    # end of the interval, which a flipped generator switches off
+    steps = np.zeros((p, p), dtype=bool)
+    steps[:, order] = np.tri(p, k=-1, dtype=bool)
+    bits = np.vstack([steps, ~steps]) ^ flip
+    centred = np.where(bits, his - model.center, los - model.center)
     projected = centred @ model.loadings[:, :2]
     return AcceptancePolygon(vertices=convex_hull(projected), thresholds=resolved)
 

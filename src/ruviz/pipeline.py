@@ -3,8 +3,9 @@
 A `StudyResult` computes each analysis product of a measure matrix and a
 configuration the first time it is read; `run_study` computes them all, and
 `write_report` serializes them to an output directory with a manifest of
-content hashes. All outputs are deterministic for fixed inputs
-and seed.
+content hashes. All outputs are deterministic for fixed inputs and seed;
+the seed only picks the direction pairs of a robust PCA fit on more than
+50 rows.
 """
 
 from __future__ import annotations
@@ -254,12 +255,10 @@ class StudyResult:
 
     @_stage
     def acceptance(self) -> AcceptancePolygon | None:
-        opts = self.config.options
-        if opts.thresholds is None:
+        thresholds = self.config.options.thresholds
+        if thresholds is None:
             return None
-        return project_acceptance_region(
-            self.pca, self.nm.specs, opts.thresholds, seed=opts.seed
-        )
+        return project_acceptance_region(self.pca, self.nm.specs, thresholds)
 
 
 STAGES = tuple(name for name, attr in vars(StudyResult).items()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -218,8 +219,8 @@ def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> b
 
 
 def oracle_monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Monotone chain over every input point, counter-clockwise, with no
-    interior prefilter (reference for `geometry.convex_hull`)."""
+    """Monotone chain over every input point, counter-clockwise (the byte
+    reference for `geometry.convex_hull`)."""
     pts = np.asarray(points, dtype=float)
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
     if len(uniq) <= 2:
@@ -242,6 +243,19 @@ def oracle_monotone_chain(points: np.ndarray) -> np.ndarray:
     if len(hull) < 3:  # all points collinear
         return np.array([uniq[0], uniq[-1]], dtype=float)
     return np.array(hull, dtype=float)
+
+
+def oracle_acceptance_vertices(model, specs, thresholds) -> np.ndarray:
+    """Monotone chain over all 2^p projected corners of the acceptance box,
+    for p <= 12 (reference for `multivariate.project_acceptance_region`)."""
+    if len(specs) > 12:
+        raise ValueError("the corner enumeration is for at most 12 measures")
+    intervals = []
+    for spec in specs:
+        c = float(thresholds.get(spec.id, 1.0 if spec.block is Block.RISK else 0.0))
+        intervals.append((0.0, c) if spec.block is Block.RISK else (c, 1.0))
+    corners = np.array(list(itertools.product(*intervals)))
+    return oracle_monotone_chain((corners - model.center) @ model.loadings[:, :2])
 
 
 def oracle_outlyingness(Y: np.ndarray, pairs) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import ruviz
+from ruviz import cli
 from ruviz.cli import main
+from ruviz.config import StudyOptions
 
 DATA = Path(__file__).parent / "data"
 
@@ -303,3 +306,70 @@ def test_cli_import_skips_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# argparse lays help out differently from one Python minor version to the next
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help pages pinned under Python 3.11")
+def test_help_pages_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in ([], ["validate"], ["normalize"], ["pareto"], ["composite"],
+                 ["pca"], ["profiles"], ["plot"], ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        pages.append(f"==> ruviz {' '.join([*argv, '--help'])} <==\n"
+                     + capsys.readouterr().out)
+    assert "".join(pages) == (DATA / "cli_help.txt").read_text()
+
+
+@pytest.mark.parametrize("flag,field,value", [
+    (["--exclude-reference-from-range"], "exclude_reference_from_range", True),
+    (["--orient"], "orient", True),
+    (["--od-cut", "literal"], "od_cut_mode", "literal"),
+    (["--r-aux", "0.25"], "r_aux", 0.25),
+    (["--linkage", "average"], "linkage", "average"),
+    (["--seed", "7"], "seed", 7),
+    (["--robust"], "robust", True),
+    (["--thresholds", "THRESHOLDS"], "thresholds", {"RepU": 0.5}),
+])
+def test_flag_sets_option(tmp_path, flag, field, value):
+    tfile = tmp_path / "thresholds.json"
+    tfile.write_text(json.dumps({"RepU": 0.5}))
+    flag = [str(tfile) if a == "THRESHOLDS" else a for a in flag]
+    args = cli._build_parser().parse_args(["validate", *common_args(), *flag])
+    config, _ = cli._load(args)
+    default = StudyOptions()
+    assert getattr(default, field) != value
+    assert getattr(config.options, field) == value
+    for other in dataclasses.fields(StudyOptions):
+        if other.name != field:
+            assert getattr(config.options, other.name) == getattr(default, other.name)
+
+
+# float() of a 400-digit JSON integer overflows; Python parses no integer
+# of more than 4,300 digits
+@pytest.mark.parametrize("digits,message", [
+    (400, "thresholds['RepU']: must be in [0, 1]"),
+    (5000, "thresholds: invalid JSON"),
+])
+def test_huge_threshold_in_file_exit_1(tmp_path, capsys, digits, message):
+    tfile = tmp_path / "thresholds.json"
+    tfile.write_text('{"RepU": 1' + "0" * digits + "}")
+    assert main(["pca", *common_args(), "--thresholds", str(tfile)]) == 1
+    assert capsys.readouterr().err.startswith(f"ruviz: {message}")
+
+
+@pytest.mark.parametrize("digits,message", [
+    (400, "options.thresholds['RepU']: must be in [0, 1]"),
+    (5000, "config: invalid JSON"),
+])
+def test_huge_threshold_in_options_exit_1(tmp_path, capsys, digits, message):
+    cfg_text = (DATA / "study.json").read_text().replace(
+        '"options": {}', '"options": {"thresholds": {"RepU": 1' + "0" * digits + "}}")
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(cfg_text)
+    assert main(["pca", "--config", str(cfg_path),
+                 "--data", str(DATA / "measures.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"ruviz: {message}")

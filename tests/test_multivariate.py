@@ -23,7 +23,6 @@ from ruviz.multivariate import (
     project_acceptance_region,
     robust_pca,
     _chi2_ppf,
-    _corner_bits,
     _direction_pairs,
     _normal_ppf,
     _stahel_donoho_outlyingness,
@@ -35,6 +34,7 @@ from conftest import (
     gift_wrap_hull,
     make_nm,
     make_specs,
+    oracle_acceptance_vertices,
     oracle_outlyingness,
     point_in_convex_polygon,
     sample_with_exact_cov,
@@ -468,11 +468,6 @@ class TestRobustPca:
 
 
 class TestAcceptanceRegion:
-    @pytest.mark.parametrize("p", range(1, 17))
-    def test_corner_table_in_product_order(self, p):
-        expected = np.array(list(itertools.product((False, True), repeat=p)))
-        np.testing.assert_array_equal(_corner_bits(p), expected)
-
     def _fit_model(self, seed=2, n=9, n_risk=2, n_util=3):
         rng = np.random.default_rng(seed)
         vals = rng.random((n, n_risk + n_util))
@@ -543,21 +538,21 @@ class TestAcceptanceRegion:
             t = (x - model.center) @ model.loadings[:, :2]
             assert point_in_convex_polygon(t, poly.vertices, tol=1e-7)
 
-    def test_too_many_measures_rejected(self):
+    def test_more_than_30_measures_accepted(self):
         rng = np.random.default_rng(0)
         vals = rng.random((40, 31))
         model = pca_fit(vals, 2)
         specs = make_specs(16, 15)
-        with pytest.raises(ValueError, match="more than 30"):
-            project_acceptance_region(model, specs, {})
+        poly = project_acceptance_region(model, specs, {})
+        assert 3 <= len(poly.vertices) <= 2 * 31
 
-    def test_large_p_sampling_contains_feasible_points(self):
+    def test_large_p_contains_feasible_points(self):
         rng = np.random.default_rng(14)
         vals = rng.random((40, 18))
         model = pca_fit(vals, 2)
         specs = make_specs(9, 9)
         thresholds = {s.id: 0.7 if s.block is Block.RISK else 0.2 for s in specs}
-        poly = project_acceptance_region(model, specs, thresholds, seed=4)
+        poly = project_acceptance_region(model, specs, thresholds)
         intervals = [
             (0.0, 0.7) if s.block is Block.RISK else (0.2, 1.0) for s in specs
         ]
@@ -565,6 +560,55 @@ class TestAcceptanceRegion:
             x = np.array([rng.uniform(lo, hi) for lo, hi in intervals])
             t = (x - model.center) @ model.loadings[:, :2]
             assert point_in_convex_polygon(t, poly.vertices, tol=1e-6)
+
+    @pytest.mark.parametrize("p", [17, 20, 24, 30, 40])
+    def test_support_matches_box_for_any_p(self, p):
+        # the polygon reaches as far as the box in every direction
+        rng = np.random.default_rng(p)
+        model = pca_fit(rng.random((40, p)), 2)
+        specs = make_specs(p // 2, p - p // 2)
+        thresholds = {s.id: float(rng.uniform(0.3, 0.7)) for s in specs}
+        poly = project_acceptance_region(model, specs, thresholds)
+        risk = np.array([s.block is Block.RISK for s in specs])
+        cut = np.array([thresholds[s.id] for s in specs])
+        lo = np.where(risk, 0.0, cut) - model.center
+        hi = np.where(risk, cut, 1.0) - model.center
+        for t in np.arange(64) * (2.0 * np.pi / 64):
+            u = np.array([math.cos(t), math.sin(t)])
+            au = model.loadings[:, :2] @ u
+            support = float(np.maximum(lo * au, hi * au).sum())
+            assert abs(float(np.max(poly.vertices @ u)) - support) < 1e-12
+        assert len(poly.vertices) == 2 * p
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        data=st.data(),
+        zero_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_corner_enumeration_oracle(self, p, data, zero_row, seed):
+        # cutoffs on a tied grid; risk 0 and utility 1 give zero-width intervals
+        n_risk = data.draw(st.integers(0, p))
+        specs = make_specs(n_risk, p - n_risk)
+        grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        thresholds = {s.id: data.draw(grid) for s in specs}
+        rng = np.random.default_rng(seed)
+        loadings = rng.normal(size=(p, 2))
+        if zero_row:
+            loadings[rng.integers(p)] = 0.0
+        model = PcaModel(
+            center=rng.random(p),
+            loadings=loadings,
+            eigenvalues=np.array([1.0, 0.5]),
+            explained_variance_ratio=np.array([2 / 3, 1 / 3]),
+            scores=np.zeros((2, 2)),
+            total_variance=1.5,
+        )
+        got = project_acceptance_region(model, specs, thresholds).vertices
+        expected = oracle_acceptance_vertices(model, specs, thresholds)
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_unknown_threshold_id(self):
         model, nm = self._fit_model()
