@@ -17,6 +17,9 @@ from .errors import AnalysisError, ConvergenceError
 from .model import Block, NormalizedMatrix
 
 ALPHA_THRESHOLD = 0.70
+# principal-axis factoring stops when no communality moves by _PAF_TOL
+_PAF_TOL = 1e-8
+_PAF_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,7 @@ def cronbach_alpha(block: np.ndarray) -> float:
     return float(k * (1.0 - item_vars.sum() / total_var) / (k - 1))
 
 
-def one_factor_loadings(
-    corr: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-) -> np.ndarray:
+def one_factor_loadings(corr: np.ndarray) -> np.ndarray:
     """Standardized loadings of a one-factor model by iterated principal-axis
     factoring.
 
@@ -85,7 +86,7 @@ def one_factor_loadings(
     1 (Heywood cases) are clamped with a warning.
 
     Raises:
-        ConvergenceError: communalities did not stabilize within `max_iter`.
+        ConvergenceError: communalities did not stabilize within 200 passes.
     """
     R = np.asarray(corr, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 2:
@@ -106,7 +107,7 @@ def one_factor_loadings(
 
     heywood = False
     loadings = np.zeros(k)
-    for _ in range(max_iter):
+    for _ in range(_PAF_MAX_ITER):
         reduced = R.copy()
         np.fill_diagonal(reduced, h)
         eigvals, eigvecs = np.linalg.eigh(reduced)
@@ -119,13 +120,13 @@ def one_factor_loadings(
         if np.any(h_new > 1.0 + 1e-12):
             heywood = True
         h_new = np.clip(h_new, 0.0, 1.0)
-        if np.max(np.abs(h_new - h)) < tol:
+        if np.max(np.abs(h_new - h)) < _PAF_TOL:
             h = h_new
             break
         h = h_new
     else:
         raise ConvergenceError(
-            f"principal-axis factoring did not converge in {max_iter} iterations"
+            f"principal-axis factoring did not converge in {_PAF_MAX_ITER} iterations"
         )
     if heywood:
         warnings.warn(
@@ -137,7 +138,7 @@ def one_factor_loadings(
     return loadings
 
 
-def mcdonald_omega(block: np.ndarray, tol: float = 1e-8, max_iter: int = 200) -> float:
+def mcdonald_omega(block: np.ndarray) -> float:
     """McDonald's omega from a one-factor fit of the item correlation matrix.
 
     omega = (sum lambda)^2 / ((sum lambda)^2 + sum(1 - lambda^2)) on
@@ -150,7 +151,7 @@ def mcdonald_omega(block: np.ndarray, tol: float = 1e-8, max_iter: int = 200) ->
         raise ValueError("omega requires >= 3 rows")
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.corrcoef(items, rowvar=False)
-    loadings = one_factor_loadings(corr, tol=tol, max_iter=max_iter)
+    loadings = one_factor_loadings(corr)
     s = float(loadings.sum())
     uniqueness = float(np.clip(1.0 - loadings**2, 0.0, None).sum())
     denom = s * s + uniqueness

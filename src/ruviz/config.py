@@ -8,9 +8,9 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .model import Block, Direction, MeasureSpec, _validate_specs
+from .multivariate import OD_CUT_MODES
 from .ordering import LINKAGES
 
-OD_CUT_MODES = ("hubert", "literal")
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string"}
 
@@ -164,8 +164,8 @@ class StudyConfig:
     def from_file(cls, path: str | Path) -> "StudyConfig":
         p = Path(path)
         try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
+            text = p.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"config: cannot read '{p}' ({exc})") from None
         return cls.from_json(text)
 

@@ -94,8 +94,22 @@ def _validate_rows(rows: Sequence[ApproachRecord]) -> None:
             raise ValidationError(f"data: more than one reference row{where}")
 
 
+class _Table:
+    """Row labels and block columns of a matrix over `rows` x `specs`."""
+
+    specs: tuple[MeasureSpec, ...]
+    rows: tuple[ApproachRecord, ...]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(r.label for r in self.rows)
+
+    def block_indices(self, block: Block) -> tuple[int, ...]:
+        return tuple(j for j, s in enumerate(self.specs) if s.block is block)
+
+
 @dataclass(frozen=True)
-class MeasureMatrix:
+class MeasureMatrix(_Table):
     """Raw measure values, rows = approaches, columns = declared measures."""
 
     specs: tuple[MeasureSpec, ...]
@@ -120,13 +134,6 @@ class MeasureMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
-
-    def block_indices(self, block: Block) -> tuple[int, ...]:
-        return tuple(j for j, s in enumerate(self.specs) if s.block is block)
-
 
 @dataclass(frozen=True)
 class ColumnScale:
@@ -139,7 +146,7 @@ class ColumnScale:
 
 
 @dataclass(frozen=True)
-class NormalizedMatrix:
+class NormalizedMatrix(_Table):
     """Min-max scaled, direction-harmonized values in [0, 1]."""
 
     specs: tuple[MeasureSpec, ...]
@@ -160,18 +167,8 @@ class NormalizedMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
-
-    def block_indices(self, block: Block) -> tuple[int, ...]:
-        return tuple(j for j, s in enumerate(self.specs) if s.block is block)
-
     def block_values(self, block: Block) -> np.ndarray:
         return self.values[:, list(self.block_indices(block))]
-
-    def reference_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.rows) if r.is_reference)
 
 
 def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
@@ -183,10 +180,14 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
 
     Raises:
         ValidationError: missing or undeclared columns, non-numeric or
-            non-finite cells, duplicate rows, fewer than two rows, or a
-            missing reference row.
+            non-finite cells, duplicate rows, fewer than two rows, a
+            missing reference row, or bytes that are not UTF-8 (a leading
+            byte-order mark is skipped).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"data: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text))
     raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not raw_rows:

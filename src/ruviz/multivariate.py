@@ -21,6 +21,7 @@ from .geometry import convex_hull
 from .model import Block, MeasureSpec, NormalizedMatrix
 
 _EIGEN_EPS = 1e-12
+OD_CUT_MODES = ("hubert", "literal")
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,19 @@ class PcaModel:
         return self.center + np.asarray(scores, dtype=float) @ self.loadings.T
 
 
+def _centred_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Column means, centred data, singular values, right singular vectors
+    and numerical rank of an n x p matrix."""
+    n, p = X.shape
+    mu = X.mean(axis=0)
+    Xc = X - mu
+    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        raise AnalysisError("PCA undefined: data matrix has no variation")
+    rank = int(np.sum(s > max(n, p) * np.finfo(float).eps * s[0]))
+    return mu, Xc, s, vt, rank
+
+
 def pca_fit(data: np.ndarray, k: int) -> PcaModel:
     """Classical PCA of an already-normalized matrix via SVD.
 
@@ -73,12 +87,7 @@ def pca_fit(data: np.ndarray, k: int) -> PcaModel:
     k_max = min(n - 1, p)
     if not 1 <= k <= k_max:
         raise ValueError(f"k must be in 1..{k_max}, got {k}")
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise AnalysisError("PCA undefined: data matrix has no variation")
-    rank = int(np.sum(s > max(n, p) * np.finfo(float).eps * s[0]))
+    mu, Xc, s, vt, rank = _centred_svd(X)
     if k > rank:
         warnings.warn(
             f"rank-deficient input: usable components reduced from {k} to {rank}",
@@ -327,7 +336,7 @@ def sd_od(
 
     Components with eigenvalue below 1e-12 are dropped from SD with a warning.
     """
-    if od_cut_mode not in ("hubert", "literal"):
+    if od_cut_mode not in OD_CUT_MODES:
         raise ValueError(f"unknown od_cut_mode '{od_cut_mode}'")
     X = np.asarray(data, dtype=float)
     scores = model.transform(X)
@@ -426,14 +435,8 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     if n < 4:
         raise ValueError("robust PCA requires at least 4 rows")
 
-    mu0 = X.mean(axis=0)
-    Xc = X - mu0
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        raise AnalysisError("robust PCA undefined: data matrix has no variation")
-    rank = int(np.sum(s > max(n, p) * np.finfo(float).eps * s[0]))
-    basis = vt[:rank].T
-    Y = Xc @ basis
+    _, Xc, _, vt, rank = _centred_svd(X)
+    Y = Xc @ vt[:rank].T
 
     outlyingness = _stahel_donoho_outlyingness(Y, _direction_pairs(n, seed))
 

@@ -25,7 +25,6 @@ class Merge:
 
 @dataclass(frozen=True)
 class Dendrogram:
-    n_leaves: int
     merges: tuple[Merge, ...]
     leaf_order: tuple[int, ...]
     linkage: str
@@ -79,9 +78,5 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
         Merge(left=int(a), right=int(b), height=float(h), size=int(s))
         for a, b, h, s in Z
     )
-    return Dendrogram(
-        n_leaves=n,
-        merges=merges,
-        leaf_order=_leaf_order(n, merges),
-        linkage=linkage,
-    )
+    return Dendrogram(merges=merges, leaf_order=_leaf_order(n, merges),
+                      linkage=linkage)

@@ -44,7 +44,6 @@ class DominanceResult:
     labels: tuple[str, ...]
     matrix: np.ndarray  # matrix[i, j] == True iff row i dominates row j
     pareto_ids: frozenset[str]
-    candidate_labels: tuple[str, ...]
 
 
 def pareto_set(nm: NormalizedMatrix, exclude_reference: bool = True) -> DominanceResult:
@@ -68,12 +67,7 @@ def pareto_set(nm: NormalizedMatrix, exclude_reference: bool = True) -> Dominanc
     dominated = matrix[np.ix_(candidates, candidates)].any(axis=0)
     pareto = frozenset(labels[i] for i, d in zip(candidates, dominated) if not d)
     matrix.setflags(write=False)
-    return DominanceResult(
-        labels=labels,
-        matrix=matrix,
-        pareto_ids=pareto,
-        candidate_labels=tuple(labels[i] for i in candidates),
-    )
+    return DominanceResult(labels=labels, matrix=matrix, pareto_ids=pareto)
 
 
 @dataclass(frozen=True)
@@ -148,10 +142,7 @@ class KneePoint:
     concave: bool
 
 
-def knee_point(
-    front: CompositeFront | Sequence[FrontPoint],
-    min_distance: float = _KNEE_MIN_DISTANCE,
-) -> KneePoint | None:
+def knee_point(front: CompositeFront | Sequence[FrontPoint]) -> KneePoint | None:
     """Knee of a 2-D front; None for fewer than 3 points or near-flat fronts."""
     pts = list(front.points if isinstance(front, CompositeFront) else front)
     pts.sort(key=lambda p: (p.utility, p.risk, p.id))
@@ -174,7 +165,7 @@ def knee_point(
             best_cross = cross
     assert best is not None
     distance = -best[0]
-    if distance < min_distance:
+    if distance < _KNEE_MIN_DISTANCE:
         return None
     # cross > 0 puts the point on the high-risk side of the low-to-high chord
     return KneePoint(id=best[2], distance=distance, concave=best_cross < 0.0)
@@ -210,10 +201,22 @@ def rays_to_reference(
 
 @dataclass(frozen=True)
 class ParetoResult:
-    """Aggregate of the full-vector set, composite front, knee, and rays."""
+    """Aggregate of the full-vector set, composite front, knee, and rays.
+
+    `rays_by_reference` pairs each reference row's (label, utility, risk),
+    in row order, with the rays of its dataset's candidates.
+    """
 
     dominance: DominanceResult
     front: CompositeFront
     knee: KneePoint | None
-    rays: tuple[Ray, ...]
-    reference_label: str | None
+    rays_by_reference: tuple[tuple[tuple[str, float, float], tuple[Ray, ...]], ...]
+
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        return tuple(ray for _, rays in self.rays_by_reference for ray in rays)
+
+    @property
+    def reference_label(self) -> str | None:
+        """The first reference's label; None when the study has no reference."""
+        return self.rays_by_reference[0][0][0] if self.rays_by_reference else None

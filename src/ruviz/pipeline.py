@@ -48,7 +48,6 @@ from .multivariate import (
 from .ordering import Dendrogram, hclust
 from .pareto import (
     ParetoResult,
-    Ray,
     composite_front,
     knee_point,
     pareto_set,
@@ -144,26 +143,17 @@ class StudyResult:
         points = _candidate_points(nm, scores)
         front = composite_front(points)
         knee = knee_point(front)
-
-        ref_rows = [r for r in nm.rows if r.is_reference]
-        rays: tuple[Ray, ...] = ()
-        reference_label = None
-        if ref_rows:
-            reference_label = ref_rows[0].label
-            candidate_rows = [r for r in nm.rows if not r.is_reference]
-            ray_parts = []
-            for ref in ref_rows:
-                u0, r0 = scores.point(ref.label)
-                same_ds = [
-                    p for p, row in zip(points, candidate_rows)
-                    if row.dataset == ref.dataset
-                ]
-                ray_parts.extend(rays_to_reference(same_ds, (u0, r0)))
-            rays = tuple(ray_parts)
-        return ParetoResult(
-            dominance=dom, front=front, knee=knee, rays=rays,
-            reference_label=reference_label,
-        )
+        # each candidate is measured against its own dataset's reference
+        candidate_rows = [r for r in nm.rows if not r.is_reference]
+        rays_by_reference = []
+        for ref in (r for r in nm.rows if r.is_reference):
+            u0, r0 = scores.point(ref.label)
+            same_ds = [p for p, row in zip(points, candidate_rows)
+                       if row.dataset == ref.dataset]
+            rays_by_reference.append(
+                ((ref.label, u0, r0), rays_to_reference(same_ds, (u0, r0))))
+        return ParetoResult(dominance=dom, front=front, knee=knee,
+                            rays_by_reference=tuple(rays_by_reference))
 
     @_stage
     def dendrogram(self) -> Dendrogram:
@@ -552,17 +542,10 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
 
 
 def render_rays_plot(result: StudyResult) -> PlotDocument:
-    if not result.pareto.rays or result.pareto.reference_label is None:
+    if not result.pareto.rays:
         raise AnalysisError("rays plot unavailable: no reference row")
-    # run_study measures each candidate against its own dataset's reference
-    dataset_of = {row.label: row.dataset for row in result.nm.rows}
-    rays_by_reference = []
-    for ref in (row for row in result.nm.rows if row.is_reference):
-        u0, r0 = result.scores.point(ref.label)
-        rays = [ray for ray in result.pareto.rays
-                if dataset_of[ray.id] == ref.dataset]
-        rays_by_reference.append(((ref.label, u0, r0), rays))
-    return render_rays(rays_by_reference, pareto_ids=result.pareto.front.ids)
+    return render_rays(result.pareto.rays_by_reference,
+                       pareto_ids=result.pareto.front.ids)
 
 
 def _figure_builders(result: StudyResult) -> dict:

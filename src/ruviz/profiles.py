@@ -42,12 +42,10 @@ def build_origami(
     values: Sequence[float],
     measure_ids: Sequence[str],
     r_aux: float = 0.1,
-    weights: Sequence[float] | None = None,
 ) -> RadialProfile:
     """Build one radial profile from normalized values.
 
-    Requires at least 3 measures and 0 < r_aux < 1. Optional per-measure
-    weights in (0, 1] scale the radii before the polygon is formed.
+    Requires at least 3 measures and 0 < r_aux < 1.
     """
     vals = np.asarray(values, dtype=float)
     m = vals.shape[0]
@@ -59,14 +57,6 @@ def build_origami(
         raise ValueError(f"r_aux must be in (0, 1), got {r_aux}")
     if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
         raise ValueError("profile values must be normalized to [0, 1]")
-    if weights is None:
-        w = np.ones(m)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (m,):
-            raise ValueError("one weight per measure required")
-        if np.any(w <= 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in (0, 1]")
 
     def polygon(radii_main: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
@@ -76,9 +66,9 @@ def build_origami(
         xy = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         return angles, radii, xy
 
-    angles, radii, xy = polygon(np.clip(vals, 0.0, 1.0) * w)
+    angles, radii, xy = polygon(np.clip(vals, 0.0, 1.0))
     area_raw = shoelace_area(xy)
-    _, _, ones_xy = polygon(np.ones(m) * w)
+    _, _, ones_xy = polygon(np.ones(m))
     ones_area = shoelace_area(ones_xy)
     return RadialProfile(
         id=str(profile_id),
@@ -92,15 +82,11 @@ def build_origami(
     )
 
 
-def origami_profiles(
-    nm: NormalizedMatrix,
-    r_aux: float = 0.1,
-    weights: Sequence[float] | None = None,
-) -> tuple[RadialProfile, ...]:
+def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> tuple[RadialProfile, ...]:
     """One radial profile per approach, axes in declared measure order."""
     ids = tuple(s.id for s in nm.specs)
     return tuple(
-        build_origami(row.label, nm.values[i], ids, r_aux=r_aux, weights=weights)
+        build_origami(row.label, nm.values[i], ids, r_aux=r_aux)
         for i, row in enumerate(nm.rows)
     )
 

@@ -33,7 +33,6 @@ from .svg import (
     LegendEntry,
     Line,
     PlotDocument,
-    PlotKind,
     Polygon,
     Polyline,
     Rect,
@@ -107,9 +106,9 @@ class Frame:
         return self.y0 + self.h - (v - self.ymin) / (self.ymax - self.ymin) * self.h
 
 
-def _document(kind: PlotKind, title: str) -> PlotDocument:
-    """An empty chart of `kind` with its title drawn."""
-    doc = PlotDocument(kind, title)
+def _document(title: str) -> PlotDocument:
+    """An empty chart with its title drawn."""
+    doc = PlotDocument()
     doc.add(Text(doc.width / 2, 24, title, size=14, anchor="middle", weight="bold"))
     return doc
 
@@ -211,7 +210,7 @@ def render_heatmap(
     `column_order` optionally permutes the measure columns (the declared
     order is kept by default).
     """
-    doc = _document(PlotKind.HEATMAP, "normalized measures by approach")
+    doc = _document("normalized measures by approach")
     n = len(nm.rows)
     p = len(nm.specs)
     columns = list(column_order) if column_order is not None else list(range(p))
@@ -268,7 +267,7 @@ def render_heatmap(
 
 def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     """Per-approach dots on a shared [0, 1] axis, one facet per block."""
-    doc = _document(PlotKind.DOTPLOT, "measure values by approach")
+    doc = _document("measure values by approach")
     n = len(nm.rows)
     left, top, gap = 150, 70, 50
     bottom = 150
@@ -350,7 +349,7 @@ def render_composite_ru(
     reference_labels: frozenset[str] = frozenset(),
 ) -> PlotDocument:
     """Composite risk vs utility map with the Pareto front and knee marked."""
-    doc = _document(PlotKind.COMPOSITE_RU, "composite risk-utility map")
+    doc = _document("composite risk-utility map")
     fr = _composite_axes(doc, right=260)
 
     front_ids = front.ids
@@ -416,7 +415,7 @@ def render_rays(
     Each item pairs one reference (label, utility, risk) with the rays
     measured against it; a multi-dataset study has one per dataset.
     """
-    doc = _document(PlotKind.RAYS, "marginal trade-off against the reference")
+    doc = _document("marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
     ends = [(ray, fr.sx(u0), fr.sy(r0))
             for (_, u0, r0), rays in rays_by_reference for ray in rays]
@@ -447,7 +446,7 @@ def render_rays(
 
 def render_pcp(pcp: PcpLines) -> PlotDocument:
     """Parallel coordinates with risk and utility in separate facets."""
-    doc = _document(PlotKind.PCP, "parallel coordinates")
+    doc = _document("parallel coordinates")
     left, right, top, bottom, gap = 80, 40, 80, 120, 70
     plot_h = doc.height - top - bottom
 
@@ -532,7 +531,7 @@ def render_origami(
     if not panels:
         raise ValueError("origami rendering needs at least one panel")
 
-    doc = _document(PlotKind.ORIGAMI, "radial measure profiles")
+    doc = _document("radial measure profiles")
     n_panels = len(panels)
     cols = min(3, n_panels)
     rows = math.ceil(n_panels / cols)
@@ -609,7 +608,7 @@ def render_biplot(
     """Joint-PCA biplot: approach scores plus measure loading arrows."""
     if model.k < 2:
         raise ValueError("biplot requires a k >= 2 model")
-    doc = _document(PlotKind.BIPLOT, "joint PCA biplot")
+    doc = _document("joint PCA biplot")
     scores = model.scores[:, :2]
     span = float(np.abs(scores).max()) if scores.size else 1.0
     span = max(span, 1e-9)
@@ -694,7 +693,7 @@ def render_biplot(
 
 def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
     """Score-distance vs orthogonal-distance outlier map with cutoffs."""
-    doc = _document(PlotKind.SD_OD, "PCA outlier map")
+    doc = _document("PCA outlier map")
     sd_max = max(float(diag.sd.max()) if diag.sd.size else 0.0, diag.sd_cutoff)
     od_max = max(float(diag.od.max()) if diag.od.size else 0.0, diag.od_cutoff)
     sd_max = sd_max * 1.15 if sd_max > 0 else 1.0
@@ -770,7 +769,7 @@ def render_blockwise(
     reference_labels: frozenset[str] = frozenset(),
 ) -> PlotDocument:
     """Utility-PC1 vs risk-PC1 scatter with contribution bars per axis."""
-    doc = _document(PlotKind.BLOCKWISE_RU, "blockwise PCA map")
+    doc = _document("blockwise PCA map")
     ux = np.asarray(bw.utility.scores, dtype=float)
     ry = np.asarray(bw.risk.scores, dtype=float)
 

@@ -72,8 +72,6 @@ class Rect:
     fill: str | None = None
     stroke: str | None = None
     stroke_width: float | None = None
-    dash: str | None = None
-    opacity: float | None = None
     title: str | None = None
 
     def coords(self) -> Iterator[tuple[float, float]]:
@@ -84,8 +82,7 @@ class Rect:
         attrs = (
             f'x="{fmt(self.x)}" y="{fmt(self.y)}" '
             f'width="{fmt(self.w)}" height="{fmt(self.h)}"'
-            + _style_attrs(self.fill, self.stroke, self.stroke_width, self.dash,
-                           self.opacity)
+            + _style_attrs(self.fill, self.stroke, self.stroke_width, None, None)
         )
         return _element("rect", attrs, self.title)
 
@@ -99,7 +96,6 @@ class Line:
     stroke: str = "#000000"
     stroke_width: float = 1.0
     dash: str | None = None
-    opacity: float | None = None
 
     def coords(self) -> Iterator[tuple[float, float]]:
         yield (self.x1, self.y1)
@@ -109,8 +105,7 @@ class Line:
         return (
             f'<line x1="{fmt(self.x1)}" y1="{fmt(self.y1)}" '
             f'x2="{fmt(self.x2)}" y2="{fmt(self.y2)}"'
-            + _style_attrs(None, self.stroke, self.stroke_width, self.dash,
-                           self.opacity)
+            + _style_attrs(None, self.stroke, self.stroke_width, self.dash, None)
             + "/>"
         )
 
@@ -210,11 +205,7 @@ class LegendEntry:
 class PlotDocument:
     """One chart: canvas, ordered primitives, legend entries."""
 
-    def __init__(
-        self, kind: PlotKind, title: str = "", width: int = 960, height: int = 640
-    ):
-        self.kind = kind
-        self.title = title
+    def __init__(self, width: int = 960, height: int = 640):
         self.width = width
         self.height = height
         self.legend: list[LegendEntry] = []
@@ -230,20 +221,6 @@ class PlotDocument:
 
     def primitives(self) -> list:
         return [p for _, _, p in sorted(self._items, key=lambda t: (t[0], t[1]))]
-
-    def assert_in_bounds(self, slack: float = 0.5) -> None:
-        for p in self.primitives():
-            for x, y in p.coords():
-                if not (-slack <= x <= self.width + slack):
-                    raise ValueError(
-                        f"{type(p).__name__} x={x:.2f} outside canvas "
-                        f"0..{self.width}"
-                    )
-                if not (-slack <= y <= self.height + slack):
-                    raise ValueError(
-                        f"{type(p).__name__} y={y:.2f} outside canvas "
-                        f"0..{self.height}"
-                    )
 
     def to_svg(self) -> str:
         lines = [

@@ -204,6 +204,20 @@ def sample_with_exact_cov(n: int, cov: np.ndarray, seed: int) -> np.ndarray:
     return math.sqrt(n - 1) * Q[:, :k] @ L.T
 
 
+def assert_in_bounds(doc, slack: float = 0.5) -> None:
+    """Raise ValueError when a primitive of `doc` leaves its canvas."""
+    for p in doc.primitives():
+        for x, y in p.coords():
+            if not (-slack <= x <= doc.width + slack):
+                raise ValueError(
+                    f"{type(p).__name__} x={x:.2f} outside canvas 0..{doc.width}"
+                )
+            if not (-slack <= y <= doc.height + slack):
+                raise ValueError(
+                    f"{type(p).__name__} y={y:.2f} outside canvas 0..{doc.height}"
+                )
+
+
 def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:
     """Membership test for a counter-clockwise convex polygon."""
     verts = np.asarray(vertices, dtype=float)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import ruviz
 from ruviz import cli
 from ruviz.cli import main
 from ruviz.config import StudyOptions
+from test_pipeline import FIXTURE_SHA256
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +91,37 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "options.thresholds: unknown measure id(s) ['nope']" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,name,prefix", [
+        ("--config", "study.json", "config"),
+        ("--data", "measures.csv", "data"),
+    ])
+    def test_utf16_file_exit_1(self, tmp_path, capsys, flag, name, prefix):
+        # UTF-16 text, as some Windows editors save it, starts with bytes ff fe
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + (DATA / name).read_text().encode("utf-16-le"))
+        argv = common_args()
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(["validate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ruviz: {prefix}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--config", "study.json"),
+        ("--data", "measures.csv"),
+    ])
+    def test_byte_order_mark_accepted(self, tmp_path, capsys, flag, name):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        argv = common_args()
+        argv[argv.index(flag) + 1] = str(bom)
+        assert main(["validate", *argv]) == 0
+        out = tmp_path / "report"
+        assert main(["report", *argv, "--out", str(out)]) == 0
+        assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
+                for n in FIXTURE_SHA256} == FIXTURE_SHA256
 
 
 def three_measure_args(tmp_path, n_rows):

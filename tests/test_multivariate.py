@@ -369,6 +369,12 @@ class TestOutlyingness:
 
 
 class TestRobustPca:
+    @pytest.mark.parametrize("fit", [pca_fit, robust_pca])
+    def test_constant_data_has_no_components(self, fit):
+        with pytest.raises(AnalysisError,
+                           match="^PCA undefined: data matrix has no variation$"):
+            fit(np.full((6, 3), 0.5), 2)
+
     def test_resists_gross_outlier(self):
         hits = 0
         for seed in range(30):

@@ -46,7 +46,6 @@ class TestParetoSet:
         nm = make_nm(np.array([[0.2, 0.6], [0.9, 0.9]]), 1, reference_index=1)
         res = pareto_set(nm)
         assert res.pareto_ids == {"a0"}
-        assert res.candidate_labels == ("a0",)
 
     def test_totally_dominated_row_excluded(self):
         vals = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])  # risk, utility

@@ -19,6 +19,8 @@ from ruviz.pipeline import (
 )
 from ruviz.svg import Line, Rect, Text
 
+from conftest import assert_in_bounds
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -118,7 +120,7 @@ class TestMultiDataset:
         matrix, config = two_reference_inputs()
         result = run_study(matrix, config)
         doc = render_plot(result, "rays")
-        doc.assert_in_bounds()
+        assert_in_bounds(doc)
         prims = doc.primitives()
         refs = {p.title: (p.x + p.w / 2, p.y + p.h / 2) for p in prims
                 if isinstance(p, Rect) and p.title}
@@ -132,11 +134,23 @@ class TestMultiDataset:
                     for ray in result.pareto.rays]
         assert ends == [pytest.approx(e) for e in expected]
 
+    def test_reference_only_dataset_has_an_empty_ray_group(self, tmp_path):
+        # d2 holds its reference row and no candidates
+        matrix, config = _inputs(FOUR_MEASURES, TWO_REFERENCE_CSV.split("m1,d2")[0])
+        result = run_study(matrix, config)
+        groups = [(ref[0], len(rays)) for ref, rays in result.pareto.rays_by_reference]
+        assert groups == [("orig@d1", 3), ("orig@d2", 0)]
+        doc = render_plot(result, "rays")
+        assert "orig@d2" in {p.title for p in doc.primitives() if isinstance(p, Rect)}
+        write_report(result, tmp_path)
+        assert hashlib.sha256((tmp_path / "pareto.json").read_bytes()).hexdigest() == (
+            "e681c6b7e283fbd79175ae6917994e4f62d98e072d6791a0362bb38c5307e8e0")
+
     def test_biplot_renders_with_groups(self):
         matrix, config = multi_dataset_inputs()
         result = run_study(matrix, config)
         doc = render_all(result)["biplot"]
-        doc.assert_in_bounds()
+        assert_in_bounds(doc)
 
 
 class TestOptions:
@@ -198,7 +212,7 @@ class TestOptions:
         assert set(ordered_ids[:5]) == risk_ids
         doc = artifact_jsons(result)["normalized"]
         assert doc["column_order"] == ordered_ids
-        render_plot(result, "heatmap").assert_in_bounds()
+        assert_in_bounds(render_plot(result, "heatmap"))
 
     def test_columns_in_declared_order_by_default(self, study_config,
                                                   study_csv_bytes):
@@ -238,8 +252,8 @@ class TestOptions:
         assert result.profiles == ()
         assert any("radial profiles skipped" in w for w in result.warnings)
         assert len(result.pareto.front.ids) >= 1
-        render_plot(result, "heatmap").assert_in_bounds()
-        render_plot(result, "pcp").assert_in_bounds()
+        assert_in_bounds(render_plot(result, "heatmap"))
+        assert_in_bounds(render_plot(result, "pcp"))
         with pytest.raises(AnalysisError, match="origami"):
             render_plot(result, "origami")
         with pytest.raises(AnalysisError, match="origami"):

@@ -64,19 +64,6 @@ class TestBuildOrigami:
             with pytest.raises(ValueError, match="r_aux"):
                 build_origami("x", np.ones(3), ("a", "b", "c"), r_aux=bad)
 
-    def test_weights_scale_area(self):
-        vals = np.array([0.5, 0.5, 0.5, 0.5])
-        ids = tuple("abcd")
-        w = np.array([1.0, 0.5, 1.0, 0.5])
-        prof = build_origami("x", vals, ids, weights=w)
-        # normalized area is the weighted mean of the values
-        assert prof.area_normalized == pytest.approx(0.5, abs=1e-12)
-
-    def test_bad_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            build_origami("x", np.ones(3), ("a", "b", "c"),
-                          weights=np.array([1.0, 2.0, 1.0]))
-
 
 class TestAreaInvariances:
     @settings(max_examples=80, deadline=None)

@@ -23,7 +23,7 @@ from ruviz.render import (
 )
 from ruviz.svg import Circle, Polygon, Polyline, Rect, Text
 
-from conftest import make_nm
+from conftest import assert_in_bounds, make_nm
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def study(study_config):
 
 def well_formed(doc) -> None:
     ET.fromstring(doc.to_svg())
-    doc.assert_in_bounds()
+    assert_in_bounds(doc)
 
 
 def texts(doc) -> list[str]:
