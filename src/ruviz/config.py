@@ -162,21 +162,23 @@ class StudyConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StudyConfig":
-        p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"config: cannot read '{p}' ({exc})") from None
-        return cls.from_json(text)
+        return cls.from_json(_read_text(path, "config"))
+
+
+def _read_text(path: str | Path, where: str) -> str:
+    """A UTF-8 text file, with or without a byte-order mark."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{where}: cannot read '{p}' ({exc})") from None
 
 
 def load_thresholds(path: str | Path) -> dict[str, float]:
     """Read a per-measure acceptance-threshold file ({measure id: cutoff})."""
-    p = Path(path)
+    text = _read_text(path, "thresholds")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"thresholds: cannot read '{p}' ({exc})") from None
+        doc = json.loads(text)
     except ValueError as exc:  # also an integer of more than 4,300 digits
         raise ValidationError(f"thresholds: invalid JSON ({exc})") from None
     _check_thresholds(doc, "thresholds")

@@ -10,6 +10,7 @@ the seed only picks the direction pairs of a robust PCA fit on more than
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -18,7 +19,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import asdict
+from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
@@ -275,8 +276,22 @@ def run_study(matrix: MeasureMatrix, config: StudyConfig) -> StudyResult:
     return result
 
 
+@functools.cache
+def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in drop)
+
+
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def _jsonable(value: Any) -> Any:
-    """`value` as plain lists and scalars, with each non-finite float as None."""
+    """`value` as plain dicts, lists and scalars in new containers: a
+    dataclass as the dict of its fields, an enum as its value and each
+    non-finite float as None."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, float):  # also a numpy float64
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         kind = value.dtype.kind
         if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
@@ -284,53 +299,41 @@ def _jsonable(value: Any) -> Any:
         return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return _fields(value)
     if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+        return _jsonable(value.item())
     return value
+
+
+def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
+    """Dataclass `obj` as JSON: its fields under their own names, less
+    `drop`, plus the keys of `extra`."""
+    doc = {name: _jsonable(getattr(obj, name)) for name in _field_names(type(obj), drop)}
+    for key, value in extra.items():
+        doc[key] = _jsonable(value)
+    return doc
+
+
+def _rows(ids, **columns) -> list[dict]:
+    """Equal-length columns as one row per id: `{"id": id, column: value}`."""
+    keys = ("id", *columns)
+    values = [_jsonable(column) for column in columns.values()]
+    return [dict(zip(keys, row)) for row in zip(ids, *values)]
 
 
 def normalized_json(result: StudyResult) -> dict:
     nm = result.nm
     return {
-        "approaches": [
-            {
-                "id": r.id,
-                "dataset": r.dataset,
-                "is_reference": r.is_reference,
-                "label": r.label,
-            }
-            for r in nm.rows
-        ],
-        "measures": [
-            {
-                "id": s.id,
-                "display_name": s.display_name,
-                "block": s.block.value,
-                "direction": s.direction.value,
-            }
-            for s in nm.specs
-        ],
+        "approaches": [_fields(r, label=r.label) for r in nm.rows],
+        "measures": _jsonable(nm.specs),
         "values": _jsonable(nm.values),
-        "scales": {
-            s.id: {
-                "raw_min": sc.raw_min,
-                "raw_max": sc.raw_max,
-                "flipped": sc.flipped,
-                "constant": sc.constant,
-            }
-            for s, sc in zip(nm.specs, nm.scales)
-        },
-        "row_order": {
-            "linkage": result.dendrogram.linkage,
-            "leaf_order": list(result.dendrogram.leaf_order),
-            "merges": [
-                {"left": m.left, "right": m.right, "height": m.height,
-                 "size": m.size}
-                for m in result.dendrogram.merges
-            ],
-        },
+        "scales": {s.id: _fields(sc) for s, sc in zip(nm.specs, nm.scales)},
+        "row_order": _fields(result.dendrogram),
         "column_order": (
             None if result.column_order is None
             else [nm.specs[j].id for j in result.column_order]
@@ -341,145 +344,56 @@ def normalized_json(result: StudyResult) -> dict:
 
 def pareto_json(result: StudyResult) -> dict:
     pr = result.pareto
+    dom = pr.dominance
     return {
-        "pareto_full": sorted(pr.dominance.pareto_ids),
+        "pareto_full": sorted(dom.pareto_ids),
         "pareto_composite": sorted(pr.front.ids),
-        "front": [
-            {"id": p.id, "utility": p.utility, "risk": p.risk}
-            for p in pr.front.points
-        ],
+        "front": _jsonable(pr.front.points),
         "knee": None if pr.knee is None else pr.knee.id,
         "knee_distance": None if pr.knee is None else pr.knee.distance,
         "knee_concave": None if pr.knee is None else pr.knee.concave,
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "d_utility": e.d_utility,
-                "d_risk": e.d_risk,
-                "slope": e.slope,
-            }
-            for e in pr.front.edges
-        ],
-        "rays": [
-            {
-                "id": ray.id,
-                "utility": ray.utility,
-                "risk": ray.risk,
-                "slope": ray.slope,
-                "slope_defined": ray.slope is not None,
-                "l2": ray.l2,
-            }
-            for ray in pr.rays
-        ],
+        "edges": [_fields(e, "src", "dst", **{"from": e.src, "to": e.dst})
+                  for e in pr.front.edges],
+        "rays": [_fields(ray, slope_defined=ray.slope is not None) for ray in pr.rays],
         "reference": pr.reference_label,
-        "dominance": {
-            "labels": list(pr.dominance.labels),
-            "matrix": _jsonable(pr.dominance.matrix.astype(int)),
-        },
+        "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.astype(int)),
     }
 
 
 def composite_json(result: StudyResult) -> dict:
     sc = result.scores
-
-    def block_doc(rel):
-        return {
-            "alpha": _jsonable(rel.alpha),
-            "omega": rel.omega,
-            "n_items": rel.n_items,
-            "verdict": rel.verdict,
-            "note": rel.note,
-        }
-
     return {
-        "scores": [
-            {
-                "id": label,
-                "utility": float(sc.utility[i]),
-                "risk": float(sc.risk[i]),
-                "utility_sd": float(sc.utility_sd[i]),
-                "risk_sd": float(sc.risk_sd[i]),
-            }
-            for i, label in enumerate(sc.labels)
-        ],
-        "reliability": {
-            "risk": block_doc(result.reliability.risk),
-            "utility": block_doc(result.reliability.utility),
-            "caveat": result.reliability.caveat,
-        },
+        "scores": _rows(sc.labels, **_fields(sc, "labels")),
+        "reliability": _fields(result.reliability),
     }
 
 
 def pca_json(result: StudyResult) -> dict:
     model = result.pca
     diag = result.diagnostics
+    align = result.align
+    opts = result.config.options
     bw = result.blockwise
-
-    def axis_doc(axis):
-        return {
-            "measure_ids": list(axis.measure_ids),
-            "loadings": _jsonable(axis.loadings),
-            "contributions": _jsonable(axis.contributions),
-            "scores": _jsonable(axis.scores),
-            "explained_variance_ratio": axis.explained_variance_ratio,
-            "fallback_single_measure": axis.fallback,
-        }
-
     doc = {
         "labels": list(result.pca_labels),
-        "model": {
-            "center": _jsonable(model.center),
-            "loadings": _jsonable(model.loadings),
-            "eigenvalues": _jsonable(model.eigenvalues),
-            "explained_variance_ratio": _jsonable(model.explained_variance_ratio),
-            "total_variance": model.total_variance,
-            "k": model.k,
-        },
+        "model": _fields(model, "scores", k=model.k),
         "scores": _jsonable(model.scores),
-        "alignment": {
-            "corr_utility": _jsonable(result.align.corr_utility),
-            "corr_risk": _jsonable(result.align.corr_risk),
-            "r2_utility": _jsonable(result.align.r2_utility),
-            "r2_risk": _jsonable(result.align.r2_risk),
-            "r2_joint": _jsonable(result.align.r2_joint),
-            "pc1_explained_variance_ratio": result.align.pc1_explained_variance_ratio,
-            "collinear_composites": result.align.collinear,
-            "includes_reference": not result.config.options.pca_exclude_reference,
+        "alignment": _fields(align, "collinear", collinear_composites=align.collinear,
+                             includes_reference=not opts.pca_exclude_reference),
+        "sd_od": _fields(diag, "labels", "sd", "od", "flags", robust=opts.robust,
+                         rows=_rows(diag.labels, sd=diag.sd, od=diag.od,
+                                    flag=diag.flags)),
+        # each axis sits under its block's name
+        "blockwise": {
+            axis.block.value: _fields(axis, "block", "fallback",
+                                      fallback_single_measure=axis.fallback)
+            for axis in (bw.utility, bw.risk)
         },
-        "sd_od": {
-            "mode": diag.mode,
-            "sd_cutoff": diag.sd_cutoff,
-            "od_cutoff": diag.od_cutoff,
-            "components_used": diag.components_used,
-            "robust": result.config.options.robust,
-            "rows": [
-                {"id": lbl, "sd": float(s), "od": float(o), "flag": flag.value}
-                for lbl, s, o, flag in zip(
-                    diag.labels or result.pca_labels, diag.sd, diag.od, diag.flags
-                )
-            ],
-        },
-        "blockwise": {"utility": axis_doc(bw.utility), "risk": axis_doc(bw.risk)},
     }
     if result.acceptance is not None:
-        doc["acceptance_polygon"] = {
-            "vertices": _jsonable(result.acceptance.vertices),
-            "thresholds": result.acceptance.thresholds,
-        }
+        doc["acceptance_polygon"] = _fields(result.acceptance)
     if result.groups is not None:
-        doc["groups"] = [
-            {
-                "label": g.label,
-                "centroid": _jsonable(g.centroid),
-                "kind": g.kind,
-                "ellipse_axes": _jsonable(g.ellipse_axes)
-                if g.ellipse_axes is not None
-                else None,
-                "hull": _jsonable(g.hull) if g.hull is not None else None,
-            }
-            for g in result.groups
-        ]
+        doc["groups"] = [_fields(g, kind=g.kind) for g in result.groups]
     return doc
 
 
@@ -487,22 +401,8 @@ def profiles_json(result: StudyResult) -> dict:
     return {
         "r_aux": result.config.options.r_aux,
         "axis_order": [s.id for s in result.nm.specs],
-        "profiles": [
-            {
-                "id": p.id,
-                "angles": _jsonable(p.angles),
-                "radii": _jsonable(p.radii),
-                "vertices": _jsonable(p.vertices),
-                "area_raw": p.area_raw,
-                "area_normalized": p.area_normalized,
-            }
-            for p in result.profiles
-        ],
-        "areas": [
-            {"id": e.id, "area": e.area, "display": e.display}
-            for e in result.areas.entries
-        ],
-        "caveat": result.areas.caveat,
+        "profiles": [_fields(p, "measure_ids", "r_aux") for p in result.profiles],
+        **_fields(result.areas, "entries", areas=result.areas.entries),
     }
 
 
@@ -543,7 +443,7 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
 
 def render_rays_plot(result: StudyResult) -> PlotDocument:
     if not result.pareto.rays:
-        raise AnalysisError("rays plot unavailable: no reference row")
+        raise AnalysisError("rays plot unavailable: no candidate rows")
     return render_rays(result.pareto.rays_by_reference,
                        pareto_ids=result.pareto.front.ids)
 
@@ -662,13 +562,10 @@ def _atomic_write(path: Path, content: str) -> None:
 
 
 def _options_doc(config: StudyConfig) -> dict:
-    doc = asdict(config.options)
     # the manifest must not depend on where it is written, so two runs into
     # different directories stay byte-comparable
-    doc.pop("out_dir", None)
-    doc["reference"] = config.reference_id
-    doc["measure_ids"] = list(config.measure_ids)
-    return doc
+    return _fields(config.options, "out_dir", reference=config.reference_id,
+                   measure_ids=config.measure_ids)
 
 
 def write_report(result: StudyResult, out_dir: str | Path) -> dict:

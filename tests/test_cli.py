@@ -28,6 +28,24 @@ def common_args(tmp_path=None):
     return ["--config", str(DATA / "study.json"), "--data", str(DATA / "measures.csv")]
 
 
+# a thresholds file with one cutoff; the fixture has no thresholds file
+THRESHOLDS_BYTES = b'{"RepU": 0.35}\n'
+
+
+def input_bytes(name):
+    """The bytes of one input file: the fixture's, or the thresholds above."""
+    return THRESHOLDS_BYTES if name == "thresholds.json" else (DATA / name).read_bytes()
+
+
+def args_with_file(flag, path):
+    """The fixture's arguments with `flag` naming `path`."""
+    argv = common_args()
+    if flag not in argv:
+        return [*argv, flag, str(path)]
+    argv[argv.index(flag) + 1] = str(path)
+    return argv
+
+
 class TestValidate:
     def test_ok(self, capsys):
         assert main(["validate", *common_args()]) == 0
@@ -95,13 +113,13 @@ class TestValidate:
     @pytest.mark.parametrize("flag,name,prefix", [
         ("--config", "study.json", "config"),
         ("--data", "measures.csv", "data"),
+        ("--thresholds", "thresholds.json", "thresholds"),
     ])
     def test_utf16_file_exit_1(self, tmp_path, capsys, flag, name, prefix):
         # UTF-16 text, as some Windows editors save it, starts with bytes ff fe
         bad = tmp_path / name
-        bad.write_bytes(b"\xff\xfe" + (DATA / name).read_text().encode("utf-16-le"))
-        argv = common_args()
-        argv[argv.index(flag) + 1] = str(bad)
+        bad.write_bytes(b"\xff\xfe" + input_bytes(name).decode().encode("utf-16-le"))
+        argv = args_with_file(flag, bad)
         assert main(["validate", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"ruviz: {prefix}: ")
@@ -110,14 +128,20 @@ class TestValidate:
     @pytest.mark.parametrize("flag,name", [
         ("--config", "study.json"),
         ("--data", "measures.csv"),
+        ("--thresholds", "thresholds.json"),
     ])
     def test_byte_order_mark_accepted(self, tmp_path, capsys, flag, name):
         # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
         bom = tmp_path / name
-        bom.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
-        argv = common_args()
-        argv[argv.index(flag) + 1] = str(bom)
+        bom.write_bytes(b"\xef\xbb\xbf" + input_bytes(name))
+        argv = args_with_file(flag, bom)
         assert main(["validate", *argv]) == 0
+        if flag == "--thresholds":
+            capsys.readouterr()
+            assert main(["pca", *argv]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["acceptance_polygon"]["thresholds"]["RepU"] == 0.35
+            return
         out = tmp_path / "report"
         assert main(["report", *argv, "--out", str(out)]) == 0
         assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
@@ -185,8 +209,10 @@ class TestAnalysisCommands:
     ])
     def test_emits_json_with_key(self, capsys, cmd, key):
         assert main([cmd, *common_args()]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert key in doc
+        out = capsys.readouterr().out
+        assert key in json.loads(out)
+        name = {"normalize": "normalized"}.get(cmd, cmd) + ".json"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIXTURE_SHA256[name]
 
     def test_pareto_schema(self, capsys):
         main(["pareto", *common_args()])
@@ -242,6 +268,18 @@ class TestPlot:
         assert code == 0
         svg = (tmp_path / f"{kind}.svg").read_text()
         ET.fromstring(svg)
+
+    def test_rays_without_candidates_exit_2(self, tmp_path, capsys):
+        # each dataset holds its reference row and nothing else
+        header, reference = (DATA / "measures.csv").read_text().splitlines()[:2]
+        name, values = reference.split(",", 1)
+        csv = tmp_path / "measures.csv"
+        csv.write_text(f"approach,dataset,{header.split(',', 1)[1]}\n"
+                       f"{name},d1,{values}\n{name},d2,{values}\n")
+        argv = args_with_file("--data", csv)
+        assert main(["plot", "rays", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ruviz: analysis error: rays plot unavailable: no candidate rows\n"
 
     def test_plot_runs_pipeline_implicitly(self, tmp_path):
         # no prior normalize/report step is needed

@@ -1,6 +1,8 @@
 """The report's JSON writer and array conversion against the stdlib oracles."""
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -131,3 +133,43 @@ class TestJsonable:
     def test_scalars_and_sequences(self):
         value = (np.float64(math.inf), [np.int32(3), math.nan], np.float32(0.5))
         assert _jsonable(value) == oracle_jsonable(value) == [None, [3, None], 0.5]
+
+
+class Colour(str, Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class Leaf:
+    name: str
+    weight: float
+
+
+@dataclass(frozen=True)
+class Tree:
+    colour: Colour
+    ratio: float
+    values: np.ndarray
+    leaves: tuple[Leaf, ...]
+    cutoffs: dict[str, float]
+    note: str | None = None
+
+
+class TestDataclasses:
+    def test_dataclass_is_plain_dict_with_nulls(self):
+        tree = Tree(colour=Colour.RED, ratio=math.nan,
+                    values=np.array([[0.5, math.inf], [-1.0, 2.0]]),
+                    leaves=(Leaf("a", 1.5), Leaf("b", np.float64(-math.inf))),
+                    cutoffs={"a": 0.5, "b": math.nan})
+        doc = _jsonable(tree)
+        assert doc == {
+            "colour": "red",
+            "ratio": None,
+            "values": [[0.5, None], [-1.0, 2.0]],
+            "leaves": [{"name": "a", "weight": 1.5}, {"name": "b", "weight": None}],
+            "cutoffs": {"a": 0.5, "b": None},
+            "note": None,
+        }
+        assert type(doc["colour"]) is str
+        assert doc["cutoffs"] is not tree.cutoffs
+        assert _dump_json(doc) == oracle_dump_json(doc)

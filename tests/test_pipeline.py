@@ -11,6 +11,7 @@ from ruviz.errors import AnalysisError
 from ruviz.model import ingest
 from ruviz.pipeline import (
     StudyResult,
+    _dump_json,
     artifact_jsons,
     render_all,
     render_plot,
@@ -321,6 +322,28 @@ MULTI_DATASET_SHA256 = {
 }
 
 
+# A two-measure study whose documents reach the branches that neither study
+# above reaches: single-item blocks (null alpha, omega and explained variance,
+# the blockwise fallback), no radial profiles, no knee, and a candidate whose
+# utility equals its reference's, so its ray has no slope.
+DEGENERATE_CSV = """approach,r0,u0
+orig,1.0,0.5
+m0,0.2,0.5
+m1,0.5,0.8
+m2,0.3,0.3
+m3,0.7,0.6
+m4,0.9,0.1
+"""
+
+DEGENERATE_SHA256 = {
+    "normalized": "6d0b01778efad8356df390c3033a005a3ae335522d988937872f59d6635bfee7",
+    "pareto": "75ce02faa76ebd4242cb7aba8a4339f7a6480b9e8625ccd61b088b16f242ab50",
+    "composite": "7003e16efb7b9ad31e9b30c766e13abe402a2806b46c96f6711477563e86d74f",
+    "pca": "ae5dbe7e70607ede7fc7740d3203a16857db0dee7c7046eb966eb363070499db",
+    "profiles": "e6619b825f41059644359d670391207570575bc558585952f0939bc1e39a3680",
+}
+
+
 def _artifact_hashes(result, out_dir):
     manifest = write_report(result, out_dir)
     listed = {e["name"]: e["sha256"] for e in manifest["artifacts"]}
@@ -343,6 +366,19 @@ class TestArtifacts:
         result = run_study(matrix, config)
         assert result.acceptance is not None and result.groups is not None
         assert _artifact_hashes(result, tmp_path) == MULTI_DATASET_SHA256
+
+    def test_degenerate_study_documents_match_pinned_hashes(self):
+        matrix, config = _inputs(TWO_MEASURES, DEGENERATE_CSV)
+        result = run_study(matrix, config)
+        docs = artifact_jsons(result)
+        risk = docs["composite"]["reliability"]["risk"]
+        assert risk["alpha"] is risk["omega"] is None
+        assert docs["pca"]["blockwise"]["utility"]["fallback_single_measure"] is True
+        assert docs["profiles"]["profiles"] == []
+        assert docs["pareto"]["knee"] is None
+        assert [r["slope_defined"] for r in docs["pareto"]["rays"]].count(False) == 1
+        assert {name: hashlib.sha256(_dump_json(doc).encode("utf-8")).hexdigest()
+                for name, doc in docs.items()} == DEGENERATE_SHA256
 
     def test_report_writes_manifest_and_files(self, tmp_path, study_config,
                                               study_csv_bytes):
