@@ -293,12 +293,22 @@ class SdOdDiagnostics:
     components_used: int
 
 
-# The quantiles import `scipy.special` at first call and never `scipy.stats`,
-# so the subcommands that need no quantile start on numpy alone.
+# The pipeline fits k = 2 components, so it needs only these quantiles; they
+# are scipy.stats 1.17's values, and the report runs on numpy alone. Other
+# arguments, reached only through `sd_od` with 3 or more components, import
+# `scipy.special` at first call (never `scipy.stats`).
+_NORMAL_PPF = {0.975: 1.959963984540054}
+_CHI2_PPF = {
+    (0.95, 2): 5.991464547107979,
+    (0.975, 1): 5.023886187314888,
+    (0.975, 2): 7.377758908227871,
+}
 
 
 def _normal_ppf(q: float) -> float:
     """Standard normal quantile, as `scipy.stats.norm.ppf` computes it."""
+    if q in _NORMAL_PPF:
+        return _NORMAL_PPF[q]
     from scipy.special import ndtri
 
     return float(ndtri(q))
@@ -306,6 +316,8 @@ def _normal_ppf(q: float) -> float:
 
 def _chi2_ppf(q: float, df: int) -> float:
     """Chi-square quantile, as `scipy.stats.chi2.ppf` computes it."""
+    if (q, df) in _CHI2_PPF:
+        return _CHI2_PPF[q, df]
     from scipy.special import gammaincinv
 
     return 2.0 * float(gammaincinv(df / 2, q))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
-from xml.sax.saxutils import escape
 
 
 class PlotKind(str, Enum):
@@ -53,8 +52,14 @@ def _style_attrs(
     return "".join(parts)
 
 
+def _escape(text: str) -> str:
+    """`&`, `<` and `>` as XML entities, as `xml.sax.saxutils.escape` writes
+    them, without importing `xml.sax`, which loads `urllib.request`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _title_child(title: str | None) -> str:
-    return f"<title>{escape(title)}</title>" if title else ""
+    return f"<title>{_escape(title)}</title>" if title else ""
 
 
 def _element(tag: str, attrs: str, title: str | None) -> str:
@@ -192,7 +197,7 @@ class Text:
                 f' transform="rotate({fmt(self.rotate)},{fmt(self.x)},'
                 f'{fmt(self.y)})"'
             )
-        return f"<text {attrs}>{escape(self.content)}{_title_child(self.title)}</text>"
+        return f"<text {attrs}>{_escape(self.content)}{_title_child(self.title)}</text>"
 
 
 @dataclass(frozen=True)

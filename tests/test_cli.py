@@ -367,9 +367,9 @@ class TestReport:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats is about half of the CLI's start-up time; scipy.cluster and
-    # scipy.special load at first clustering or quantile, so `validate`,
-    # `pareto` and `composite` run on numpy alone
+    # scipy.stats is about half of the CLI's start-up time; the CLI clusters
+    # without scipy and reads the report's quantiles from a table, so only a
+    # quantile at other arguments loads scipy.special
     src = Path(ruviz.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys, ruviz.cli; print(sorted(m for m in sys.modules if m in "
@@ -377,6 +377,21 @@ def test_cli_import_skips_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):
+    # a cold `report` clusters, computes every quantile and writes every
+    # figure: all of it on numpy and the standard library's cheap modules
+    src = Path(ruviz.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from ruviz.cli import main; "
+            f"assert main(sys.argv[1:]) == 0; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('xml.sax')))")
+    argv = ["report", *common_args(), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"  # after the report's summary
+    assert len(list((tmp_path / "out").iterdir())) == 14
 
 
 # argparse lays help out differently from one Python minor version to the next

@@ -1,9 +1,10 @@
 """Cross-checks against established third-party implementations.
 
-These complement the hand-rolled oracles. `hclust` delegates to scipy's
-linkage, so the linkage checks guard the translation of scipy's output into
-merges; scikit-learn's PCA was written independently, so agreement there
-guards against a shared blind spot between `pca_fit` and its test oracle.
+These complement the hand-rolled oracles. `hclust` is a numpy port of
+scipy's linkage and no longer calls it, so scipy here is an independent
+oracle for the merges; scikit-learn's PCA was written independently, so
+agreement there guards against a shared blind spot between `pca_fit` and its
+test oracle.
 """
 
 import numpy as np

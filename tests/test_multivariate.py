@@ -331,6 +331,14 @@ class TestQuantiles:
         for df in range(1, 40):
             assert _chi2_ppf(0.975, df) == stats.chi2.ppf(0.975, df=df)
 
+    def test_pinned_quantiles_equal_scipy_stats(self):
+        # the four quantiles the k = 2 pipeline uses, kept as literals
+        assert multivariate._NORMAL_PPF == {0.975: stats.norm.ppf(0.975)}
+        assert multivariate._CHI2_PPF == {
+            (q, df): stats.chi2.ppf(q, df=df)
+            for q, df in [(0.95, 2), (0.975, 1), (0.975, 2)]
+        }
+
 
 class TestOutlyingness:
     @settings(max_examples=80, deadline=None)

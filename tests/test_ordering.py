@@ -1,8 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import pdist
 
-from ruviz.ordering import Merge, _leaf_order, hclust
+from ruviz.ordering import Merge, _label, _leaf_order, hclust
 
 from conftest import oracle_hclust
 
@@ -96,6 +101,51 @@ class TestHclust:
         expected = [Merge(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
         assert list(hclust(X, linkage).merges) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                      min_size=1, max_size=10),
+        p=st.integers(1, 3),
+        copies=st.lists(st.integers(0, 9), max_size=6),
+        linkage=st.sampled_from(["complete", "average", "single"]),
+    )
+    def test_equals_scipy_linkage_with_duplicate_rows(self, rows, p, copies,
+                                                      linkage):
+        # integer coordinates give exact squared distances, so scipy's own
+        # pdist yields the same distances and the comparison can be bitwise
+        X = np.array(rows, dtype=float)[:, :p]
+        X = np.vstack([X, X[[c % len(X) for c in copies]]])
+        if len(X) < 2:
+            X = np.vstack([X, X])
+        Z = scipy_linkage(pdist(X), method=linkage)
+        merges = hclust(X, linkage).merges
+        assert [(m.left, m.right, m.size) for m in merges] == [
+            (int(a), int(b), int(s)) for a, b, _, s in Z]
+        assert np.array([m.height for m in merges]).tobytes() == Z[:, 2].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_distances_raise(self, value):
+        # 1e200 is finite, but its distance to -1e200 overflows to inf
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [value, -value]])
+        with pytest.raises(ValueError, match="finite"):
+            hclust(X, "complete")
+
+    @pytest.mark.parametrize("linkage", ["complete", "average", "single"])
+    def test_long_monotone_chain(self, linkage):
+        # points 0, 1, 3, 6, ... on a line, each gap one longer than the
+        # last: single linkage joins each point to the cluster built so far,
+        # a dendrogram 1,099 merges deep, past the default recursion limit
+        n = 1100
+        t = np.arange(n, dtype=float)
+        X = (t * (t + 1) / 2)[:, None]
+        Z = scipy_linkage(X, method=linkage)
+        expected = [Merge(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
+        assert list(hclust(X, linkage).merges) == expected
+        if linkage == "single":
+            assert expected[1:] == [Merge(k + 1, n + k - 1, float(k + 1), k + 2)
+                                    for k in range(1, n - 1)]
+
     def test_unknown_linkage(self):
         with pytest.raises(ValueError, match="linkage"):
             hclust(np.eye(3), "ward")
@@ -115,3 +165,31 @@ class TestLeafOrder:
             Merge(t + 1, n + t - 1, float(t), t + 2) for t in range(1, n - 1)
         )
         assert _leaf_order(n, merges) == tuple(range(n - 1, 1, -1)) + (0, 1)
+
+
+def test_relabelling_a_deep_chain_is_linear():
+    # every merge joins the cluster held in slot n - 1, so the cluster's
+    # union-find path grows by one each merge; without path compression
+    # relabelling would walk about n^2 / 2 parent links
+    n = 1100
+    Z = np.array([(t, n - 1, float(t)) for t in range(n - 1)])
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def trace_find(frame, event, arg):
+        return count_lines if frame.f_code.co_name == "find" else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_find)
+    try:
+        merges = _label(Z, n)
+    finally:
+        sys.settrace(previous)
+    assert merges[0] == Merge(0, n - 1, 0.0, 2)
+    assert merges[1:] == [Merge(t, n + t - 1, float(t), t + 2)
+                          for t in range(1, n - 1)]
+    assert lines < 30 * n

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -62,6 +63,18 @@ class TestPlotDocument:
         svg = doc.to_svg()
         ET.fromstring(svg)
         assert "a&lt;b &amp; c&gt;" in svg
+
+    @pytest.mark.parametrize("raw", [
+        "a<b & c>\"d\" 'e'", "&amp;", "<<&>>", "\"'", "&lt;&#39;", "plain", "",
+    ])
+    def test_escapes_as_saxutils(self, raw):
+        label = raw or "x"  # an empty title is left out, so give it a text
+        doc = PlotDocument()
+        doc.add(Text(10, 10, raw, title=label))
+        doc.add(Rect(1, 1, 2, 2, fill="#000000", title=label))
+        svg = doc.to_svg()
+        assert f">{escape(raw)}<title>{escape(label)}</title></text>" in svg
+        assert f"><title>{escape(label)}</title></rect>" in svg
 
     def test_shape_titles_escaped(self):
         doc = PlotDocument()
