@@ -149,14 +149,13 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
         raise ValueError("clustering requires an n x p matrix with n >= 2")
     n = X.shape[0]
 
-    # the upper triangle one row at a time, so memory stays O(n^2), not
-    # O(n^2 p), with the same arithmetic as an all-pairs difference array;
-    # the minimum with the transpose mirrors it and leaves inf on the diagonal
-    D = np.full((n, n), np.inf)
+    # one row of pairs at a time, so memory stays O(n^2), not O(n^2 p), with
+    # the same arithmetic as an all-pairs difference array
+    D = np.empty((n, n))
     for a in range(n - 1):
         d = X[a] - X[a + 1:]
-        D[a, a + 1:] = np.sqrt(np.vecdot(d, d))
-    D = np.minimum(D, D.T)
+        D[a, a + 1:] = D[a + 1:, a] = np.sqrt(np.vecdot(d, d))
+    np.fill_diagonal(D, np.inf)
     if np.count_nonzero(np.isfinite(D)) != n * (n - 1):
         raise ValueError("clustering requires finite distances between rows")
     Z = _mst_single(D) if linkage == "single" else _nn_chain(D, linkage)
