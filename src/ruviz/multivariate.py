@@ -295,8 +295,8 @@ class SdOdDiagnostics:
 
 # The pipeline fits k = 2 components, so it needs only these quantiles; they
 # are scipy.stats 1.17's values, and the report runs on numpy alone. Other
-# arguments, reached only through `sd_od` with 3 or more components, import
-# `scipy.special` at first call (never `scipy.stats`).
+# chi-square arguments, reached only through `sd_od` with 3 or more
+# components, import `scipy.special` at first call (never `scipy.stats`).
 _NORMAL_PPF = {0.975: 1.959963984540054}
 _CHI2_PPF = {
     (0.95, 2): 5.991464547107979,
@@ -306,12 +306,9 @@ _CHI2_PPF = {
 
 
 def _normal_ppf(q: float) -> float:
-    """Standard normal quantile, as `scipy.stats.norm.ppf` computes it."""
-    if q in _NORMAL_PPF:
-        return _NORMAL_PPF[q]
-    from scipy.special import ndtri
-
-    return float(ndtri(q))
+    """Standard normal quantile, as `scipy.stats.norm.ppf` computes it, at
+    the one level the OD cutoffs use."""
+    return _NORMAL_PPF[q]
 
 
 def _chi2_ppf(q: float, df: int) -> float:
