@@ -74,6 +74,40 @@ def make_nm(
     return NormalizedMatrix(specs=specs, rows=rows, values=values, scales=scales)
 
 
+def generated_study(n_rows: int = 60, seed: int = 2026) -> tuple[str, dict]:
+    """CSV text and config document of a seeded single-dataset study.
+
+    Three risk and four utility measures (two of them flipped by their
+    direction), a reference row and `n_rows - 1` candidates. Each candidate
+    has a privacy level p: its risk and utility fall with p, each measure
+    with its own noise, so the study has a real trade-off and a Pareto set
+    of several rows. Min-max scaling puts every column's extremes at exactly
+    0 and 1. One label holds `&`, `<` and `>` and is longer than the
+    figures' label width.
+    """
+    config = {
+        "measures": [
+            *({"id": f"r{j}", "display_name": f"risk <{j}> & more",
+               "block": "risk", "direction": "lower"} for j in range(3)),
+            {"id": "u0", "block": "utility", "direction": "higher"},
+            {"id": "u1", "block": "utility", "direction": "higher"},
+            {"id": "u2", "block": "utility", "direction": "lower"},
+            {"id": "u3", "block": "utility", "direction": "lower"},
+        ],
+        "reference": "orig",
+    }
+    rng = np.random.default_rng(seed)
+    lines = ["approach,r0,r1,r2,u0,u1,u2,u3", "orig,1,1,1,1,1,0,0"]
+    for i in range(1, n_rows):
+        p = rng.uniform(0.05, 0.95)
+        noise = rng.uniform(0.7, 1.0, 7)
+        keep = (1.0 - p) * noise
+        vals = [*keep[:5], *(p * noise[5:])]
+        label = "k-anon & <l-div> t-close" if i == 7 else f"m{i:02d}"
+        lines.append(label + "," + ",".join(f"{v:.4f}" for v in vals))
+    return "\n".join(lines) + "\n", config
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ruviz.pipeline import (
 )
 from ruviz.svg import Line, Rect, Text
 
-from conftest import assert_in_bounds
+from conftest import assert_in_bounds, generated_study
 
 DATA = Path(__file__).parent / "data"
 
@@ -322,6 +322,22 @@ MULTI_DATASET_SHA256 = {
 }
 
 
+# The same for the eight figures and profiles.json of the 60-row generated
+# study (conftest.generated_study): enough rows that the figures' per-row
+# marks, their escaping and the profiles' arrays are pinned at a size the
+# fixture does not reach.
+GENERATED_SHA256 = {
+    "biplot.svg": "9700fdc8d79cd21d13db12e468eb31e01a8204460b70c318d5dd386e5053624f",
+    "blockwise.svg": "efda2f847f02c50fea331319d378ad1d649d4a79bedd43ea998a5aaf39585f37",
+    "composite_ru.svg": "d8837361444894c284a2898e3937600928e9f5c1212c0997b330e0c53afcb692",
+    "dotplot.svg": "42eb1e43e01d0e7f3fbb9d78ba74057ddd9f960ff2a29152c3fd4688745f7398",
+    "heatmap.svg": "0fcdb5a53d9406ee03ab33bd8c25c65da0e8d090678c8009f9a1e8a7c51fdf5d",
+    "origami.svg": "8e9b92bc072042282a11846564002a8c5e72ddb52b4c0c8eca9b3c43435ec9e2",
+    "pcp.svg": "3ce3eef14eb3b7ac553acd33f2bf11ab73169feea2f1d362f9f70191937849cb",
+    "profiles.json": "54ab450937b57ef82e846270e96727238e818ff56c6ed05eb9db5cf7bd45a969",
+    "sdod.svg": "bcc26a1ebaf42468471bf50bea3ea10a4e3413ac3a30cb71ef815d49df908454",
+}
+
 # A two-measure study whose documents reach the branches that neither study
 # above reaches: single-item blocks (null alpha, omega and explained variance,
 # the blockwise fallback), no radial profiles, no knee, and a candidate whose
@@ -366,6 +382,12 @@ class TestArtifacts:
         result = run_study(matrix, config)
         assert result.acceptance is not None and result.groups is not None
         assert _artifact_hashes(result, tmp_path) == MULTI_DATASET_SHA256
+
+    def test_generated_study_figures_match_pinned_hashes(self, tmp_path):
+        csv, config_doc = generated_study()
+        matrix, config = _inputs(config_doc, csv)
+        hashes = _artifact_hashes(run_study(matrix, config), tmp_path)
+        assert {name: hashes[name] for name in GENERATED_SHA256} == GENERATED_SHA256
 
     def test_degenerate_study_documents_match_pinned_hashes(self):
         matrix, config = _inputs(TWO_MEASURES, DEGENERATE_CSV)
