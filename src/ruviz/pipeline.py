@@ -293,10 +293,13 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, float):  # also a numpy float64
         return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
+        items = value.tolist()
         kind = value.dtype.kind
-        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
-            return value.tolist()
-        return _jsonable(value.tolist())
+        # the sum of the items is finite if every item is; an overflow only
+        # sends a finite array through the walk
+        if kind in "biu" or (kind == "f" and math.isfinite(sum(value.ravel().tolist()))):
+            return items
+        return _jsonable(items)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

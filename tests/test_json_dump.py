@@ -126,6 +126,18 @@ class TestJsonable:
         assert got == oracle_jsonable(array)
         assert oracle_dump_json(got) == oracle_dump_json(oracle_jsonable(array))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_of_a_vertex_array_becomes_null(self, bad):
+        vertices = np.arange(12.0).reshape(6, 2)
+        vertices[4, 1] = bad
+        got = _jsonable(vertices)
+        assert got[4] == [8.0, None] and got[:4] == vertices[:4].tolist()
+        assert _dump_json(got) == oracle_dump_json(oracle_jsonable(vertices))
+
+    def test_finite_array_whose_sum_overflows_is_kept(self):
+        array = np.array([1e308, 1e308, -5.0])
+        assert _jsonable(array) == [1e308, 1e308, -5.0]
+
     def test_object_array_is_walked(self):
         array = np.array([1.5, None, math.nan, "x"], dtype=object)
         assert _jsonable(array) == oracle_jsonable(array) == [1.5, None, None, "x"]
