@@ -1,18 +1,8 @@
-"""Small planar geometry helpers: polygon area, convex hull, ellipse sampling."""
+"""Small planar geometry helpers: convex hull, ellipse sampling."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def shoelace_area(xy: np.ndarray) -> float:
-    """Absolute area of a closed polygon given as an (n, 2) vertex array."""
-    pts = np.asarray(xy, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array of vertices")
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import shoelace_area
 from .model import Block, NormalizedMatrix
 
 AREA_CAVEAT = (
@@ -37,18 +36,15 @@ class RadialProfile:
     area_normalized: float
 
 
-def build_origami(
-    profile_id: str,
-    values: Sequence[float],
-    measure_ids: Sequence[str],
-    r_aux: float = 0.1,
-) -> RadialProfile:
-    """Build one radial profile from normalized values.
+def _profiles(ids: Sequence[str], values, measure_ids: Sequence[str],
+              r_aux: float) -> tuple[RadialProfile, ...]:
+    """One radial profile per row of `values`, all rows computed at once.
 
-    Requires at least 3 measures and 0 < r_aux < 1.
+    The profiles share one read-only `angles` array. Each area is the
+    shoelace formula, with the vector products of `np.dot` row by row.
     """
     vals = np.asarray(values, dtype=float)
-    m = vals.shape[0]
+    m = vals.shape[1]
     if m < 3:
         raise ValueError("a radial profile needs at least 3 measures")
     if len(measure_ids) != m:
@@ -58,37 +54,41 @@ def build_origami(
     if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
         raise ValueError("profile values must be normalized to [0, 1]")
 
-    def polygon(radii_main: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
-        radii = np.empty(2 * m)
-        radii[0::2] = radii_main
-        radii[1::2] = r_aux
-        xy = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-        return angles, radii, xy
+    angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
+    angles.flags.writeable = False
 
-    angles, radii, xy = polygon(np.clip(vals, 0.0, 1.0))
-    area_raw = shoelace_area(xy)
-    _, _, ones_xy = polygon(np.ones(m))
-    ones_area = shoelace_area(ones_xy)
-    return RadialProfile(
-        id=str(profile_id),
-        measure_ids=tuple(measure_ids),
-        angles=angles,
-        radii=radii,
-        vertices=xy,
-        r_aux=float(r_aux),
-        area_raw=float(area_raw),
-        area_normalized=float(area_raw / ones_area),
+    def polygons(radii_main: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        radii = np.empty((len(radii_main), 2 * m))
+        radii[:, 0::2] = radii_main
+        radii[:, 1::2] = r_aux
+        xy = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+        x, y = xy[..., 0], xy[..., 1]
+        # a stack of (1, 2m) @ (2m, 1) products runs np.dot's kernel per row
+        cross = (x[:, None, :] @ np.roll(y, -1, axis=1)[:, :, None]
+                 - y[:, None, :] @ np.roll(x, -1, axis=1)[:, :, None])
+        return radii, xy, 0.5 * np.abs(cross[:, 0, 0])
+
+    radii, xy, areas = polygons(np.clip(vals, 0.0, 1.0))
+    ones_area = float(polygons(np.ones((1, m)))[2][0])
+    axes = tuple(measure_ids)
+    return tuple(
+        RadialProfile(id=str(pid), measure_ids=axes, angles=angles, radii=radii[i],
+                      vertices=xy[i], r_aux=float(r_aux), area_raw=area,
+                      area_normalized=area / ones_area)
+        for i, (pid, area) in enumerate(zip(ids, areas.tolist()))
     )
+
+
+def build_origami(profile_id: str, values: Sequence[float],
+                  measure_ids: Sequence[str], r_aux: float = 0.1) -> RadialProfile:
+    """One radial profile from normalized values; requires at least 3
+    measures and 0 < r_aux < 1."""
+    return _profiles((profile_id,), np.reshape(values, (1, -1)), measure_ids, r_aux)[0]
 
 
 def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> tuple[RadialProfile, ...]:
     """One radial profile per approach, axes in declared measure order."""
-    ids = tuple(s.id for s in nm.specs)
-    return tuple(
-        build_origami(row.label, nm.values[i], ids, r_aux=r_aux)
-        for i, row in enumerate(nm.rows)
-    )
+    return _profiles(nm.labels, nm.values, tuple(s.id for s in nm.specs), r_aux)
 
 
 @dataclass(frozen=True)

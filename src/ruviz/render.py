@@ -8,6 +8,7 @@ saturated blue, the reference black.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,6 +30,7 @@ from .ordering import Dendrogram
 from .pareto import CompositeFront, KneePoint, Ray
 from .profiles import PcpLines, RadialProfile
 from .svg import (
+    Batch,
     Circle,
     LegendEntry,
     Line,
@@ -54,7 +56,7 @@ FLAG_COLORS = {
     OutlierFlag.BAD_LEVERAGE: "#b2182b",
 }
 UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
-# legend entries for the markers that `_approach` draws
+# legend entries for the markers that `_approaches` draws
 APPROACH_LEGEND = (
     LegendEntry("composite Pareto-optimal", PARETO_COLOR),
     LegendEntry("other approaches", NEUTRAL_COLOR),
@@ -66,20 +68,21 @@ def _rgb(color: str) -> tuple[int, int, int]:
     return int(color[1:3], 16), int(color[3:5], 16), int(color[5:7], 16)
 
 
-# the ramp ends, parsed once instead of at every heatmap cell
-WHITE_RGB = _rgb("#ffffff")
-BLOCK_RGB = {block: _rgb(color) for block, color in BLOCK_COLOR.items()}
+# the ramp ends, parsed once instead of at every call
+WHITE_RGB = np.array(_rgb("#ffffff"))
+BLOCK_RGB = {block: np.array(_rgb(color)) for block, color in BLOCK_COLOR.items()}
 
 
-def block_ramp(block: Block, t: float) -> str:
-    """White at t = 0 to the block's colour at t = 1, t clamped to [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    (r0, g0, b0), (r1, g1, b1) = WHITE_RGB, BLOCK_RGB[block]
-    return "#{:02x}{:02x}{:02x}".format(
-        int(round(r0 + t * (r1 - r0))),
-        int(round(g0 + t * (g1 - g0))),
-        int(round(b0 + t * (b1 - b0))),
-    )
+def block_ramp(block: Block, t):
+    """White at t = 0 to the block's colour at t = 1, t clamped to [0, 1].
+
+    A number gives one colour, an array an array of colours of its shape.
+    Each channel rounds half to even, as Python's `round` does.
+    """
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)[..., None]
+    rgb = np.rint(WHITE_RGB + t * (BLOCK_RGB[block] - WHITE_RGB)).astype(int)
+    colors = [f"#{c:06x}" for c in (rgb @ (65536, 256, 1)).ravel().tolist()]
+    return np.array(colors, dtype="<U7").reshape(t.shape[:-1]) if t.ndim > 1 else colors[0]
 
 
 def _short(s: str, n: int = 16) -> str:
@@ -170,32 +173,36 @@ def _legend(doc: PlotDocument, x: float, y: float, cols: int = 1,
         doc.add(Text(xx + 18, yy, _short(entry.label, width), size=10))
 
 
-def _diamond(cx: float, cy: float, r: float, **style) -> Polygon:
-    return Polygon(
-        points=((cx, cy - r), (cx + r, cy), (cx, cy + r), (cx - r, cy)), **style
-    )
+def _point_labels(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
+                  labels: Sequence[str], color: str = "#333333") -> None:
+    """Each label right of its point, or left of it where it would run past
+    the canvas edge."""
+    left = x + 6 + 5.5 * np.array([len(s) for s in labels]) > doc.width - 4
+    doc.add(Batch(Text, np.column_stack([np.where(left, x - 6, x + 6),
+                                         np.maximum(y - 5, 10.0)]),
+                  size=9.0, fill=color, anchor=np.where(left, "end", "start"),
+                  content=labels))
 
 
-def _point_label(doc: PlotDocument, x: float, y: float, s: str,
-                 size: float = 9.0, color: str = "#333333") -> None:
-    if x + 6 + 5.5 * len(s) > doc.width - 4:
-        doc.add(Text(x - 6, max(y - 5, 10.0), s, size=size, anchor="end", fill=color))
-    else:
-        doc.add(Text(x + 6, max(y - 5, 10.0), s, size=size, fill=color))
-
-
-def _approach(doc: PlotDocument, x: float, y: float, label: str,
-              pareto_ids: frozenset[str], reference_labels: frozenset[str],
-              z: int) -> None:
-    """Draw one approach's marker at layer `z`, then its point label."""
-    if label in reference_labels:
-        doc.add(Rect(x - 4.5, y - 4.5, 9, 9, fill=REFERENCE_COLOR, title=label),
-                z=z)
-    elif label in pareto_ids:
-        doc.add(Circle(x, y, 5.0, fill=PARETO_COLOR, title=label), z=z)
-    else:
-        doc.add(Circle(x, y, 4.0, fill=NEUTRAL_COLOR, title=label), z=z)
-    _point_label(doc, x, y, _short(label, 14))
+def _approaches(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
+                labels: Sequence[str], pareto_ids: frozenset[str],
+                reference_labels: frozenset[str], z: int) -> None:
+    """Each approach's marker at layer `z`, then the point labels: a square
+    for a reference, a circle for the others, larger when Pareto-optimal."""
+    is_reference = [label in reference_labels for label in labels]
+    for reference, run in itertools.groupby(range(len(labels)), is_reference.__getitem__):
+        at = list(run)
+        titles = [labels[i] for i in at]
+        if reference:
+            doc.add(Batch(Rect, np.column_stack(np.broadcast_arrays(
+                x[at] - 4.5, y[at] - 4.5, 9.0, 9.0)), fill=REFERENCE_COLOR,
+                title=titles), z=z)
+        else:
+            pareto = np.array([t in pareto_ids for t in titles])
+            doc.add(Batch(Circle, np.column_stack([x[at], y[at], np.where(pareto, 5.0, 4.0)]),
+                          fill=np.where(pareto, PARETO_COLOR, NEUTRAL_COLOR),
+                          title=titles), z=z)
+    _point_labels(doc, x, y, [_short(label, 14) for label in labels])
 
 
 def render_heatmap(
@@ -229,7 +236,16 @@ def render_heatmap(
             Text(cx - 4, top - 10, _short(spec.id, 14), size=10, anchor="start",
                  rotate=-30.0, fill="#222222", title=spec.display_name)
         )
-    for ridx, row_i in enumerate(dendrogram.leaf_order):
+    rows = list(dendrogram.leaf_order)
+    grid = nm.values[np.ix_(rows, columns)]
+    fills = np.empty(grid.shape, dtype="<U7")
+    for block in Block:
+        at = [cidx for cidx, col in enumerate(columns) if nm.specs[col].block is block]
+        fills[:, at] = block_ramp(block, grid[:, at])
+    x = left + np.arange(p) * cell_w
+    y = top + np.arange(n) * cell_h
+    cells = np.stack(np.broadcast_arrays(x, y[:, None], cell_w, cell_h), axis=-1)
+    for ridx, row_i in enumerate(rows):
         row = nm.rows[row_i]
         cy = top + (ridx + 0.5) * cell_h
         label = _short(row.label, 20)
@@ -237,16 +253,13 @@ def render_heatmap(
             label += " *"
         doc.add(Text(left - 8, cy + 4, label, size=11, anchor="end",
                      title=row.label))
-        for cidx, col in enumerate(columns):
-            spec = nm.specs[col]
-            v = float(nm.values[row_i, col])
-            x = left + cidx * cell_w
-            y = top + ridx * cell_h
-            doc.add(Rect(x, y, cell_w, cell_h, fill=block_ramp(spec.block, v),
-                         stroke="#ffffff", stroke_width=1.0))
-            text_color = "#ffffff" if v > 0.55 else "#222222"
-            doc.add(Text(x + cell_w / 2, y + cell_h / 2 + 3, f"{v:.2f}", size=9,
-                         anchor="middle", fill=text_color), z=1)
+        doc.add(Batch(Rect, cells[ridx], fill=fills[ridx], stroke="#ffffff",
+                      stroke_width=1.0))
+    centers = np.broadcast_arrays(x + cell_w / 2, (y + cell_h / 2 + 3)[:, None])
+    doc.add(Batch(Text, np.stack(centers, axis=-1).reshape(-1, 2), size=9,
+                  anchor="middle",
+                  fill=np.where(grid > 0.55, "#ffffff", "#222222").ravel(),
+                  content=[f"{v:.2f}" for v in grid.ravel().tolist()]), z=1)
 
     ly = doc.height - 46
     for block, text_x, ramp_x in ((Block.RISK, 0, 70), (Block.UTILITY, 190, 270)):
@@ -276,12 +289,16 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     band = plot_h / n
 
     facets = ((Block.RISK, left), (Block.UTILITY, left + facet_w + gap))
+    cy = top + (np.arange(n) + 0.5) * band
+    ramps = {}
     for block, fx in facets:
         color = BLOCK_COLOR[block]
         idx = nm.block_indices(block)
         k = len(idx)
         block_values = nm.block_values(block)
-        medians = np.median(block_values, axis=1)
+        mx = fx + np.median(block_values, axis=1) * facet_w
+        # one colour per measure position, shared by the rows and the legend
+        ramps[block] = block_ramp(block, 0.35 + 0.65 * ((np.arange(k) + 1) / (k + 1)))
         doc.add(Text(fx + facet_w / 2, top - 12, block.value, size=12,
                      anchor="middle", fill=color, weight="bold"))
         doc.add(Line(fx, top + plot_h, fx + facet_w, top + plot_h,
@@ -290,44 +307,34 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
             x = fx + t * facet_w
             doc.add(Line(x, top + plot_h, x, top + plot_h + 4, stroke="#333333"))
             doc.add(Text(x, top + plot_h + 16, f"{t:g}", size=10, anchor="middle"))
-        for ridx, row in enumerate(nm.rows):
-            cy = top + (ridx + 0.5) * band
-            doc.add(Line(fx, cy, fx + facet_w, cy, stroke="#eeeeee"))
-            vals = block_values[ridx].tolist()
-            med = float(medians[ridx])
-            mx = fx + med * facet_w
-            doc.add(Line(mx, cy - band * 0.32, mx, cy + band * 0.32,
-                         stroke="#888888", stroke_width=1.2), z=1)
-            doc.add(_diamond(mx, cy, 5.0, fill="#888888", stroke="#444444",
-                             stroke_width=0.8), z=2)
-            for pos, j in enumerate(idx):
-                shade = (pos + 1) / (k + 1)
-                doc.add(
-                    Circle(fx + vals[pos] * facet_w, cy, 4.5,
-                           fill=block_ramp(block, 0.35 + 0.65 * shade),
-                           stroke="#555555", stroke_width=0.6, opacity=0.9,
-                           title=nm.specs[j].id),
-                    z=3,
-                )
-    for ridx, row in enumerate(nm.rows):
-        cy = top + (ridx + 0.5) * band
-        doc.add(Text(left - 10, cy + 4, _short(row.label, 20), size=11,
-                     anchor="end", title=row.label))
+        doc.add(Batch(Line, np.column_stack(np.broadcast_arrays(
+            fx, cy, fx + facet_w, cy)), stroke="#eeeeee"))
+        doc.add(Batch(Line, np.column_stack([
+            mx, cy - band * 0.32, mx, cy + band * 0.32]), stroke="#888888",
+            stroke_width=1.2), z=1)
+        doc.add(Batch(Polygon, np.column_stack([
+            mx, cy - 5.0, mx + 5.0, cy, mx, cy + 5.0, mx - 5.0, cy]),
+            fill="#888888", stroke="#444444", stroke_width=0.8), z=2)
+        dots = np.broadcast_arrays(fx + block_values * facet_w, cy[:, None], 4.5)
+        doc.add(Batch(Circle, np.stack(dots, axis=-1).reshape(-1, 3),
+                      fill=np.tile(ramps[block], n), stroke="#555555",
+                      stroke_width=0.6, opacity=0.9,
+                      title=[nm.specs[j].id for j in idx] * n), z=3)
+    labels = nm.labels
+    doc.add(Batch(Text, np.column_stack(np.broadcast_arrays(left - 10, cy + 4)),
+                  size=11, anchor="end", content=[_short(l, 20) for l in labels],
+                  title=labels))
 
     ly = doc.height - 104
     doc.add(Text(left, ly - 6, "diamond = per-approach median", size=10,
                  fill="#444444"))
     for block, fx in facets:
-        idx = nm.block_indices(block)
-        k = len(idx)
-        for pos, j in enumerate(idx):
+        for pos, j in enumerate(nm.block_indices(block)):
             col = pos % 2
             rowp = pos // 2
             x = fx + col * (facet_w / 2)
             y = ly + 12 + rowp * 14
-            shade = (pos + 1) / (k + 1)
-            doc.add(Circle(x + 5, y - 3, 4.0,
-                           fill=block_ramp(block, 0.35 + 0.65 * shade),
+            doc.add(Circle(x + 5, y - 3, 4.0, fill=ramps[block][pos],
                            stroke="#555555", stroke_width=0.6))
             doc.add(Text(x + 14, y, _short(nm.specs[j].id, 14), size=9))
     doc.legend = [
@@ -352,21 +359,17 @@ def render_composite_ru(
     doc = _document("composite risk-utility map")
     fr = _composite_axes(doc, right=260)
 
-    front_ids = front.ids
-    for i, label in enumerate(scores.labels):
-        u = float(scores.utility[i])
-        r = float(scores.risk[i])
-        x, y = fr.sx(u), fr.sy(r)
-        su = float(scores.utility_sd[i])
-        sr = float(scores.risk_sd[i])
-        if su > 0.0:
-            doc.add(Line(fr.sx(max(u - su, fr.xmin)), y,
-                         fr.sx(min(u + su, fr.xmax)), y,
-                         stroke="#bbbbbb", stroke_width=1.0))
-        if sr > 0.0:
-            doc.add(Line(x, fr.sy(max(r - sr, fr.ymin)), x,
-                         fr.sy(min(r + sr, fr.ymax)),
-                         stroke="#bbbbbb", stroke_width=1.0))
+    u, r, su, sr = scores.utility, scores.risk, scores.utility_sd, scores.risk_sd
+    x, y = fr.sx(u), fr.sy(r)
+    # each approach's horizontal and vertical SD bar, drawn where the SD is > 0
+    bars = np.stack([
+        np.column_stack([fr.sx(np.maximum(u - su, fr.xmin)), y,
+                         fr.sx(np.minimum(u + su, fr.xmax)), y]),
+        np.column_stack([x, fr.sy(np.maximum(r - sr, fr.ymin)),
+                         x, fr.sy(np.minimum(r + sr, fr.ymax))]),
+    ], axis=1)
+    doc.add(Batch(Line, bars[np.column_stack([su > 0.0, sr > 0.0])],
+                  stroke="#bbbbbb", stroke_width=1.0))
 
     pts = [(fr.sx(p.utility), fr.sy(p.risk)) for p in front.points]
     if len(pts) >= 2:
@@ -378,13 +381,13 @@ def render_composite_ru(
         doc.add(Text(mx + 4, my + 10, f"ΔR/ΔU={_slope_text(edge.slope)}",
                      size=9, fill="#555555"), z=2)
 
-    for i, label in enumerate(scores.labels):
-        u, r = float(scores.utility[i]), float(scores.risk[i])
-        x, y = fr.sx(u), fr.sy(r)
-        _approach(doc, x, y, label, front_ids, reference_labels, z=3)
-        if knee is not None and label == knee.id:
-            doc.add(_diamond(x, y, 9.0, fill="none", stroke=KNEE_COLOR,
-                             stroke_width=2.5), z=4)
+    _approaches(doc, x, y, scores.labels, front.ids, reference_labels, z=3)
+    if knee is not None and knee.id in scores.labels:
+        i = scores.labels.index(knee.id)
+        kx, ky = float(x[i]), float(y[i])
+        doc.add(Polygon(points=((kx, ky - 9.0), (kx + 9.0, ky), (kx, ky + 9.0),
+                                (kx - 9.0, ky)),
+                        fill="none", stroke=KNEE_COLOR, stroke_width=2.5), z=4)
 
     ax = doc.width - 240
     doc.add(Text(ax, 70, "composite reliability", size=11, weight="bold"))
@@ -417,25 +420,25 @@ def render_rays(
     """
     doc = _document("marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
-    ends = [(ray, fr.sx(u0), fr.sy(r0))
-            for (_, u0, r0), rays in rays_by_reference for ray in rays]
-    for ray, x0, y0 in ends:
-        x, y = fr.sx(ray.utility), fr.sy(ray.risk)
-        doc.add(Line(x, y, x0, y0, stroke="#c8c8c8", stroke_width=1.0))
-        mx, my = (x + x0) / 2, (y + y0) / 2
-        doc.add(Text(mx + 3, my - 3,
-                     f"s={_slope_text(ray.slope)} d={ray.l2:.2f}", size=8,
-                     fill="#666666"), z=1)
-    for ray, _, _ in ends:
-        x, y = fr.sx(ray.utility), fr.sy(ray.risk)
-        color = PARETO_COLOR if ray.id in pareto_ids else NEUTRAL_COLOR
-        doc.add(Circle(x, y, 4.5, fill=color, title=ray.id), z=2)
-        _point_label(doc, x, y, _short(ray.id, 14))
-    for (label, u0, r0), _ in rays_by_reference:
-        x0, y0 = fr.sx(u0), fr.sy(r0)
-        doc.add(Rect(x0 - 5, y0 - 5, 10, 10, fill=REFERENCE_COLOR, title=label),
-                z=3)
-        _point_label(doc, x0, y0, _short(label, 14), color="#000000")
+    rays = [ray for _, group in rays_by_reference for ray in group]
+    start = np.array([(fr.sx(ray.utility), fr.sy(ray.risk)) for ray in rays]).reshape(-1, 2)
+    refs = np.array([(fr.sx(u0), fr.sy(r0))
+                     for (_, u0, r0), _ in rays_by_reference]).reshape(-1, 2)
+    end = np.repeat(refs, [len(group) for _, group in rays_by_reference], axis=0)
+    doc.add(Batch(Line, np.hstack([start, end]), stroke="#c8c8c8", stroke_width=1.0))
+    doc.add(Batch(Text, (start + end) / 2 + (3, -3), size=8, fill="#666666",
+                  content=[f"s={_slope_text(ray.slope)} d={ray.l2:.2f}"
+                           for ray in rays]), z=1)
+    doc.add(Batch(Circle, np.column_stack([start, np.full(len(rays), 4.5)]),
+                  fill=[PARETO_COLOR if ray.id in pareto_ids else NEUTRAL_COLOR
+                        for ray in rays],
+                  title=[ray.id for ray in rays]), z=2)
+    _point_labels(doc, start[:, 0], start[:, 1], [_short(ray.id, 14) for ray in rays])
+    ref_labels = [label for (label, _, _), _ in rays_by_reference]
+    doc.add(Batch(Rect, np.column_stack([refs - 5, np.full(refs.shape, 10.0)]),
+                  fill=REFERENCE_COLOR, title=ref_labels), z=3)
+    _point_labels(doc, refs[:, 0], refs[:, 1], [_short(l, 14) for l in ref_labels],
+                  color="#000000")
     doc.legend = [
         *APPROACH_LEGEND,
         LegendEntry("s = risk change per utility", "#c8c8c8", marker="line"),
@@ -484,29 +487,30 @@ def render_pcp(pcp: PcpLines) -> PlotDocument:
             doc.add(Text(x + 3, top + plot_h + 26, _short(a.measure_id, 12),
                          size=9, anchor="end", rotate=-30.0))
 
-    def y_of(v: float) -> float:
-        return top + plot_h - v * plot_h
-
+    values = np.array([line.values for line in pcp.lines])
     column = {a.measure_id: j for j, a in enumerate(pcp.axes)}
+
+    def vertices(axes) -> np.ndarray:
+        """Each line's (x, y) on `axes`, doubled when there is one axis."""
+        axes = list(axes) * (2 if len(axes) == 1 else 1)
+        ys = top + plot_h - values[:, [column[a.measure_id] for a in axes]] * plot_h
+        xs = np.array([pos[a.measure_id] for a in axes])
+        return np.stack(np.broadcast_arrays(xs, ys), axis=-1).reshape(len(values), -1)
+
+    points = np.hstack([vertices(risk_axes), vertices(util_axes)])
+    parts = (max(len(risk_axes), 2), max(len(util_axes), 2))
     pareto_labels = sorted(l.id for l in pcp.lines if l.is_pareto)
     color_of = {lbl: PALETTE[i % len(PALETTE)] for i, lbl in enumerate(pareto_labels)}
-    for line in pcp.lines:
-        if line.is_reference:
-            style = dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")
-            z = 2
-        elif line.is_pareto:
-            style = dict(stroke=color_of[line.id], stroke_width=2.2)
-            z = 3
-        else:
-            style = dict(stroke="#c4c4c4", stroke_width=1.2)
-            z = 1
-        for axes in (risk_axes, util_axes):
-            pts = [(pos[a.measure_id], y_of(float(line.values[column[a.measure_id]])))
-                   for a in axes]
-            if len(pts) < 2:
-                pts = pts + pts
-            doc.add(Polyline(points=tuple(pts), fill="none", title=line.id,
-                             **style), z=z)
+    layer = [2 if l.is_reference else 3 if l.is_pareto else 1 for l in pcp.lines]
+    for z, style in ((1, dict(stroke="#c4c4c4", stroke_width=1.2)),
+                     (2, dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")),
+                     (3, dict(stroke_width=2.2))):
+        at = [i for i, zi in enumerate(layer) if zi == z]
+        ids = [pcp.lines[i].id for i in at]
+        if z == 3:
+            style["stroke"] = [color_of[i] for i in ids]
+        doc.add(Batch(Polyline, points[at], parts=parts, fill="none", title=ids,
+                      **style), z=z)
 
     doc.legend = [LegendEntry(lbl, color_of[lbl], marker="line")
                   for lbl in pareto_labels]
@@ -672,9 +676,8 @@ def render_biplot(
                      max(tipy - 4, 12.0), _short(spec.id, 12), size=9,
                      fill=color), z=3)
 
-    for label, srow in zip(labels, scores):
-        _approach(doc, fr.sx(float(srow[0])), fr.sy(float(srow[1])), label,
-                  pareto_ids, reference_labels, z=4)
+    _approaches(doc, fr.sx(scores[:, 0]), fr.sy(scores[:, 1]), labels, pareto_ids,
+                reference_labels, z=4)
 
     doc.legend = [
         *APPROACH_LEGEND,
@@ -718,11 +721,11 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                  fill="#555555"))
 
     labels = diag.labels or tuple(str(i) for i in range(len(diag.sd)))
-    for label, s, o, flag in zip(labels, diag.sd, diag.od, diag.flags):
-        x, y = fr.sx(float(s)), fr.sy(float(o))
-        doc.add(Circle(x, y, 5.0, fill=FLAG_COLORS[flag], stroke="#333333",
-                       stroke_width=0.6, title=label), z=2)
-        _point_label(doc, x, y, _short(label, 14))
+    x, y = fr.sx(np.asarray(diag.sd, dtype=float)), fr.sy(np.asarray(diag.od, dtype=float))
+    doc.add(Batch(Circle, np.column_stack(np.broadcast_arrays(x, y, 5.0)),
+                  fill=[FLAG_COLORS[flag] for flag in diag.flags], stroke="#333333",
+                  stroke_width=0.6, title=labels), z=2)
+    _point_labels(doc, x, y, [_short(label, 14) for label in labels])
 
     doc.legend = [LegendEntry(flag.value.replace("_", " "), color)
                   for flag, color in FLAG_COLORS.items()]
@@ -793,9 +796,7 @@ def render_blockwise(
           tuple(round(xmin + (xmax - xmin) * f, 2) for f in (0.0, 0.5, 1.0)),
           tuple(round(ymin + (ymax - ymin) * f, 2) for f in (0.0, 0.5, 1.0)))
 
-    for label, x_v, y_v in zip(labels, ux, ry):
-        _approach(doc, fr.sx(float(x_v)), fr.sy(float(y_v)), label, pareto_ids,
-                  reference_labels, z=2)
+    _approaches(doc, fr.sx(ux), fr.sy(ry), labels, pareto_ids, reference_labels, z=2)
 
     _stacked_bar_h(doc, bw.utility, fr.x0, doc.height - 84, fr.w, 24)
     doc.add(Text(fr.x0, doc.height - 92, "utility PC1 contributions "

@@ -8,10 +8,14 @@ identical inputs yield byte-identical SVG.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+import numpy as np
 
 
 class PlotKind(str, Enum):
@@ -200,6 +204,94 @@ class Text:
         return f"<text {attrs}>{_escape(self.content)}{_title_child(self.title)}</text>"
 
 
+class _Field:
+    """A number that writes itself as a `str.format` field, so that an
+    element built of these writes the template of its own SVG."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __format__(self, spec: str) -> str:
+        return "{%d:%s}" % (self.index, spec)
+
+
+def _instance(cls: type, numbers: list, style: dict):
+    """An element of `cls` with `numbers` as its leading fields (for a
+    polyline or polygon, its vertices' x0, y0, x1, y1, ...)."""
+    if issubclass(cls, PolyBase):
+        return cls(tuple(zip(numbers[0::2], numbers[1::2])), **style)
+    return cls(*numbers, **style)
+
+
+@functools.lru_cache(maxsize=256)
+def _template(cls: type, k: int, parts: tuple[int, ...], style: tuple) -> str:
+    """One batch row's SVG, with a field for each of its k numbers and each
+    string that `style` gives as a field."""
+    numbers = [_Field(i) for i in range(k)]
+    cuts = itertools.accumulate([2 * c for c in parts] or [k], initial=0)
+    return "\n".join(_instance(cls, numbers[a:b], dict(style)).to_svg()
+                     for a, b in itertools.pairwise(cuts))
+
+
+class Batch:
+    """Many elements of one class, one row of `values` each, written with
+    the bytes that the single elements write.
+
+    A row holds an element's leading numbers (x, y, w, h for a `Rect`), or
+    x0, y0, x1, y1, ... for a polyline or polygon. The keywords are the
+    class's other fields; a sequence under `fill`, `stroke`, `anchor`,
+    `title` or `content` gives one string per row. A polyline or polygon
+    row may stand for several elements, `parts` giving each one's number
+    of vertices.
+    """
+
+    def __init__(self, cls: type, values, parts: tuple[int, ...] = (), **style):
+        self.cls = cls
+        self.values = np.asarray(values, dtype=float)
+        self.parts = parts
+        self.columns = {k: list(v) for k, v in style.items()
+                        if k in ("fill", "stroke", "anchor", "title", "content")
+                        and not isinstance(v, str | None)}
+        self.style = {k: v for k, v in style.items() if k not in self.columns}
+
+    def extents(self) -> np.ndarray:
+        """(m, 2) corners of every element's extent, in `coords()` order."""
+        strings = dict.fromkeys(self.columns, "")
+        element = _instance(self.cls, list(self.values.T), {**self.style, **strings})
+        corners = np.array(list(element.coords()), dtype=float)  # (corner, xy, row)
+        return corners.transpose(2, 0, 1).reshape(-1, 2)
+
+    def coords(self) -> Iterator[tuple[float, float]]:
+        return map(tuple, self.extents().tolist())
+
+    def to_svg(self) -> str:
+        k = self.values.shape[1]
+        fields = {name: "{%d}" % (k + i) for i, name in enumerate(self.columns)}
+        # `fmt` writes the values in (-0.005, -0.0] as 0.00, not -0.00
+        v = self.values
+        rows = np.where((v <= 0.0) & (v > -0.005), 0.0, v).tolist()
+        for name, column in self.columns.items():
+            if name in ("title", "content"):
+                column = [_escape(s) if s else "" for s in column]
+            for row, s in zip(rows, column):
+                row.append(s)
+
+        def template(**strings) -> str:
+            # a shared string is written into the template, braces doubled
+            style = {name: value.replace("{", "{{").replace("}", "}}")
+                     if isinstance(value, str) else value
+                     for name, value in self.style.items()}
+            style.update(fields, **strings)
+            return _template(self.cls, k, self.parts, tuple(sorted(style.items())))
+
+        titled = template()
+        if "title" not in self.columns:
+            return "\n".join([titled.format(*row) for row in rows])
+        plain = template(title=None)  # an element without a title self-closes
+        return "\n".join([(titled if t else plain).format(*row)
+                          for t, row in zip(self.columns["title"], rows)])
+
+
 @dataclass(frozen=True)
 class LegendEntry:
     label: str
@@ -217,11 +309,15 @@ class PlotDocument:
         self._items: list[tuple[int, int, object]] = []
 
     def add(self, primitive, z: int = 0) -> None:
-        for x, y in primitive.coords():
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(
-                    f"non-finite coordinate in {type(primitive).__name__}"
-                )
+        if isinstance(primitive, Batch):
+            if not len(primitive.values):
+                return  # no elements to draw
+            finite = bool(np.isfinite(primitive.extents()).all())
+        else:
+            finite = all(math.isfinite(x) and math.isfinite(y)
+                         for x, y in primitive.coords())
+        if not finite:
+            raise ValueError(f"non-finite coordinate in {type(primitive).__name__}")
         self._items.append((z, len(self._items), primitive))
 
     def primitives(self) -> list:

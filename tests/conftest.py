@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ruviz.model import (
     NormalizedMatrix,
     ingest,
 )
+from ruviz.svg import Batch
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -250,6 +252,31 @@ def assert_in_bounds(doc, slack: float = 0.5) -> None:
                 raise ValueError(
                     f"{type(p).__name__} y={y:.2f} outside canvas 0..{doc.height}"
                 )
+
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def svg_elements(doc, tag: str) -> list[ET.Element]:
+    """The `tag` elements of the document's SVG, in the order it writes them."""
+    return list(ET.fromstring(doc.to_svg()).iter(SVG_NS + tag))
+
+
+def title_of(element: ET.Element) -> str | None:
+    title = element.find(SVG_NS + "title")
+    return None if title is None else title.text
+
+
+def batch_rows(doc, cls, **style) -> list[tuple[list[float], dict]]:
+    """(numbers, string fields) of every row of the `cls` batches in `doc`
+    whose shared fields include `style`, in drawing order."""
+    return [
+        (numbers, {**b.style, **{name: column[i] for name, column in b.columns.items()}})
+        for b in doc.primitives()
+        if isinstance(b, Batch) and b.cls is cls
+        and all(b.style.get(name) == value for name, value in style.items())
+        for i, numbers in enumerate(b.values.tolist())
+    ]
 
 
 def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:

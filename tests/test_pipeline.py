@@ -18,9 +18,9 @@ from ruviz.pipeline import (
     run_study,
     write_report,
 )
-from ruviz.svg import Line, Rect, Text
+from ruviz.svg import Line, Rect
 
-from conftest import assert_in_bounds, generated_study
+from conftest import assert_in_bounds, batch_rows, generated_study, svg_elements, title_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,15 +122,14 @@ class TestMultiDataset:
         result = run_study(matrix, config)
         doc = render_plot(result, "rays")
         assert_in_bounds(doc)
-        prims = doc.primitives()
-        refs = {p.title: (p.x + p.w / 2, p.y + p.h / 2) for p in prims
-                if isinstance(p, Rect) and p.title}
+        refs = {cols["title"]: (v[0] + v[2] / 2, v[1] + v[3] / 2)
+                for v, cols in batch_rows(doc, Rect) if cols.get("title")}
         assert sorted(refs) == ["orig@d1", "orig@d2"]
         assert refs["orig@d1"] != refs["orig@d2"]
-        texts = {p.content for p in prims if isinstance(p, Text)}
+        texts = {e.text for e in svg_elements(doc, "text")}
         assert {"orig@d1", "orig@d2"} <= texts
-        ends = [(p.x2, p.y2) for p in prims if isinstance(p, Line)
-                and p.stroke == "#c8c8c8" and p.stroke_width == 1.0]
+        ends = [(v[2], v[3]) for v, _ in
+                batch_rows(doc, Line, stroke="#c8c8c8", stroke_width=1.0)]
         expected = [refs["orig@" + ray.id.split("@")[1]]
                     for ray in result.pareto.rays]
         assert ends == [pytest.approx(e) for e in expected]
@@ -142,7 +141,7 @@ class TestMultiDataset:
         groups = [(ref[0], len(rays)) for ref, rays in result.pareto.rays_by_reference]
         assert groups == [("orig@d1", 3), ("orig@d2", 0)]
         doc = render_plot(result, "rays")
-        assert "orig@d2" in {p.title for p in doc.primitives() if isinstance(p, Rect)}
+        assert "orig@d2" in {title_of(e) for e in svg_elements(doc, "rect")}
         write_report(result, tmp_path)
         assert hashlib.sha256((tmp_path / "pareto.json").read_bytes()).hexdigest() == (
             "e681c6b7e283fbd79175ae6917994e4f62d98e072d6791a0362bb38c5307e8e0")

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,3 +178,65 @@ def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):
     # the reference row is at the normalized maximum everywhere
     original = next(p for p in profs if p.id == "original")
     assert original.area_normalized == pytest.approx(1.0, abs=1e-12)
+
+
+def shoelace_oracle(values: np.ndarray, r_aux: float) -> float:
+    """One polygon's area, vertex by vertex: the per-row shoelace sum with
+    two `np.dot` products that the profiles' areas reproduce bit for bit."""
+    m = len(values)
+    angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
+    radii = np.empty(2 * m)
+    radii[0::2] = np.clip(values, 0.0, 1.0)
+    radii[1::2] = r_aux
+    xy = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    x, y = xy[:, 0], xy[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+unit_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5]))
+
+
+class TestOrigamiProfilesMatchOneRow:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 9), st.integers(1, 12), st.data(),
+           st.sampled_from([0.1, 0.05, 0.37]))
+    def test_every_row_equals_build_origami(self, m, n, data, r_aux):
+        values = np.array(data.draw(st.lists(
+            st.lists(unit_values, min_size=m, max_size=m), min_size=n, max_size=n)))
+        nm = make_nm(values, 1)
+        profiles = origami_profiles(nm, r_aux=r_aux)
+        ids = tuple(s.id for s in nm.specs)
+        assert [p.id for p in profiles] == list(nm.labels)
+        for prof, row, label in zip(profiles, values, nm.labels):
+            one = build_origami(label, row, ids, r_aux=r_aux)
+            for name in ("angles", "radii", "vertices"):
+                assert np.array_equal(getattr(prof, name), getattr(one, name))
+            assert prof.area_raw == one.area_raw == shoelace_oracle(row, r_aux)
+            assert prof.area_normalized == one.area_normalized
+            assert prof.measure_ids == one.measure_ids and prof.r_aux == one.r_aux
+
+    def test_profiles_share_one_read_only_angles_array(self):
+        profiles = origami_profiles(make_nm(np.full((3, 4), 0.5), 2))
+        assert all(p.angles is profiles[0].angles for p in profiles)
+        with pytest.raises(ValueError):
+            profiles[0].angles[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, 1.0 + 1e-6])
+    def test_out_of_range_value_raises_as_one_row(self, bad):
+        values = np.full((3, 4), 0.5)
+        values[2, 1] = bad
+        # a NormalizedMatrix refuses such values itself, so a stand-in
+        # carries them
+        nm = make_nm(np.full((3, 4), 0.5), 2)
+        stand_in = SimpleNamespace(labels=nm.labels, values=values, specs=nm.specs)
+        with pytest.raises(ValueError, match=r"normalized to \[0, 1\]"):
+            origami_profiles(stand_in)
+        with pytest.raises(ValueError, match=r"normalized to \[0, 1\]"):
+            build_origami("x", values[2], tuple("abcd"))
+
+    def test_fewer_than_three_measures_raises_as_one_row(self):
+        values = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="at least 3"):
+            origami_profiles(make_nm(values, 1))
+        with pytest.raises(ValueError, match="at least 3"):
+            build_origami("x", values[0], ("a", "b"))

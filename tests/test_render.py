@@ -2,6 +2,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruviz.composites import composite_scores, reliability_report
 from ruviz.model import Block, harmonize_and_normalize, ingest
@@ -10,6 +12,7 @@ from ruviz.ordering import hclust
 from ruviz.pareto import composite_front, knee_point, pareto_set, rays_to_reference
 from ruviz.profiles import build_pcp, origami_profiles
 from ruviz.render import (
+    BLOCK_COLOR,
     block_ramp,
     render_biplot,
     render_blockwise,
@@ -23,7 +26,7 @@ from ruviz.render import (
 )
 from ruviz.svg import Circle, Polygon, Polyline, Rect, Text
 
-from conftest import assert_in_bounds, make_nm
+from conftest import assert_in_bounds, batch_rows, make_nm, svg_elements, title_of
 
 
 @pytest.fixture(scope="module")
@@ -52,17 +55,49 @@ def texts(doc) -> list[str]:
     return [p.content for p in doc.primitives() if isinstance(p, Text)]
 
 
+def ramp_oracle(block: Block, t: float) -> str:
+    """One colour with Python's `round` per channel (reference for the
+    array form of `block_ramp`)."""
+    t = min(max(t, 0.0), 1.0)
+    end = BLOCK_COLOR[block]
+    return "#" + "".join(
+        f"{int(round(255 + t * (int(end[i:i + 2], 16) - 255))):02x}" for i in (1, 3, 5))
+
+
+def _half_way_ts() -> list[float]:
+    """Values of t at which a ramp channel is exactly half way between two
+    integers, where rounding half to even decides."""
+    ts = []
+    for color in BLOCK_COLOR.values():
+        for end in (int(color[i:i + 2], 16) for i in (1, 3, 5)):
+            for k in range(end, 255):
+                t = (k + 0.5 - 255) / (end - 255)
+                if 255 + t * (end - 255) == k + 0.5:
+                    ts.append(t)
+    return ts
+
+
+class TestBlockRamp:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-0.5, 1.5, allow_nan=False),
+                              st.sampled_from(_half_way_ts())),
+                    min_size=1, max_size=24))
+    def test_array_equals_rounding_each_value(self, ts):
+        for block in Block:
+            expected = [ramp_oracle(block, t) for t in ts]
+            assert block_ramp(block, np.array(ts)).tolist() == expected
+            assert block_ramp(block, np.array(ts).reshape(-1, 1)).ravel().tolist() == expected
+            assert [block_ramp(block, t) for t in ts] == expected
+
+
 class TestHeatmap:
     def test_two_by_two_cells_and_ramp_endpoints(self):
         nm = make_nm(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
         dend = hclust(nm.values, "complete")
         doc = render_heatmap(nm, dend, frozenset())
-        cells = [
-            p for p in doc.primitives()
-            if isinstance(p, Rect) and p.stroke == "#ffffff"
-        ]
+        cells = [e for e in svg_elements(doc, "rect") if e.get("stroke") == "#ffffff"]
         assert len(cells) == 4
-        fills = {c.fill for c in cells}
+        fills = {c.get("fill") for c in cells}
         assert block_ramp(Block.RISK, 0.0) == "#ffffff"
         assert block_ramp(Block.RISK, 1.0) in fills  # full red
         assert block_ramp(Block.UTILITY, 1.0) in fills  # full blue
@@ -88,21 +123,28 @@ class TestHeatmap:
         nm, _, front = study
         dend = hclust(nm.values, "complete")
         doc = render_heatmap(nm, dend, front.ids)
+        svg_texts = svg_elements(doc, "text")
         cell_values = [
-            t for t in texts(doc)
-            if t.replace(".", "").isdigit() and len(t) == 4
+            e.text for e in svg_texts
+            if e.text.replace(".", "").isdigit() and len(e.text) == 4
         ]
         assert len(cell_values) == len(nm.rows) * len(nm.specs)
+        row_titles = [title_of(e) for e in svg_texts if e.get("font-size") == "11.00"]
+        assert row_titles == [nm.rows[i].label for i in dend.leaf_order]
         well_formed(doc)
 
 
 class TestDotplot:
     @staticmethod
     def _diamond_centers(doc):
-        diamonds = [p for p in doc.primitives() if isinstance(p, Polygon)
-                    and len(p.points) == 4 and p.fill == "#888888"]
-        return [(p.points[0][0], (p.points[0][1] + p.points[2][1]) / 2)
-                for p in diamonds]
+        return [(v[0], (v[1] + v[5]) / 2) for v, _ in batch_rows(doc, Polygon)
+                if len(v) == 8]
+
+    @staticmethod
+    def _dots(doc):
+        """(cx, cy, measure id) of every titled dot."""
+        return [(v[0], v[1], cols["title"]) for v, cols in batch_rows(doc, Circle)
+                if cols.get("title") is not None]
 
     def test_median_marker_positions(self):
         # one approach; risk {0.5}: utility {0.1, 0.5, 0.9} -> median dot at 0.5
@@ -110,14 +152,13 @@ class TestDotplot:
         doc = render_dotplot(nm)
         well_formed(doc)
         centers = self._diamond_centers(doc)
-        dots = [p for p in doc.primitives() if isinstance(p, Circle)
-                and p.title is not None]
+        dots = self._dots(doc)
         assert len(centers) == 4  # 2 rows x 2 facets
         # utility facet of row a0: median x must equal the middle dot's x
-        row0_y = min(d.cy for d in dots)
+        row0_y = min(cy for _, cy, _ in dots)
         row0_util = sorted(
-            c.cx for c in dots
-            if c.title in ("u0", "u1", "u2") and abs(c.cy - row0_y) < 1e-9
+            cx for cx, cy, title in dots
+            if title in ("u0", "u1", "u2") and abs(cy - row0_y) < 1e-9
         )
         assert any(abs(cx - row0_util[1]) < 1e-9 for cx, _ in centers)
 
@@ -125,22 +166,20 @@ class TestDotplot:
         nm = make_nm(np.array([[0.3, 0.2, 0.4], [0.7, 0.6, 0.8]]), 1)
         doc = render_dotplot(nm)
         centers = self._diamond_centers(doc)
-        dots = [p for p in doc.primitives() if isinstance(p, Circle)
-                and p.title in ("u0", "u1")]
+        dots = [d for d in self._dots(doc) if d[2] in ("u0", "u1")]
         # first row utility dots at 0.2 and 0.4 -> diamond at their midpoint
-        row_y = min(d.cy for d in dots)
-        row_dots = sorted(d.cx for d in dots if abs(d.cy - row_y) < 1e-9)
+        row_y = min(cy for _, cy, _ in dots)
+        row_dots = sorted(cx for cx, cy, _ in dots if abs(cy - row_y) < 1e-9)
         mid = sum(row_dots) / 2
         assert any(abs(cx - mid) < 1e-9 for cx, _ in centers)
 
     def test_facet_assignment_matches_blocks(self, study):
         nm, _, _ = study
         doc = render_dotplot(nm)
-        dots = [p for p in doc.primitives() if isinstance(p, Circle)
-                and p.title is not None]
+        dots = self._dots(doc)
         risk_ids = {nm.specs[j].id for j in nm.block_indices(Block.RISK)}
-        risk_x = [d.cx for d in dots if d.title in risk_ids]
-        util_x = [d.cx for d in dots if d.title not in risk_ids]
+        risk_x = [cx for cx, _, title in dots if title in risk_ids]
+        util_x = [cx for cx, _, title in dots if title not in risk_ids]
         assert max(risk_x) < min(util_x)  # risk facet strictly left
         assert len(dots) == len(nm.rows) * len(nm.specs)
 
@@ -169,10 +208,8 @@ class TestCompositeRu:
         front = composite_front([("a0", 0.8, 0.2), ("a1", 0.5, 0.5)])
         rel = reliability_report(nm)
         doc = render_composite_ru(scores, front, None, rel)
-        from ruviz.svg import Line
-
-        bars = [p for p in doc.primitives() if isinstance(p, Line)
-                and p.stroke == "#bbbbbb" and p.stroke_width == 1.0]
+        bars = [e for e in svg_elements(doc, "line") if e.get("stroke") == "#bbbbbb"
+                and e.get("stroke-width") == "1.00"]
         assert bars == []
 
     def test_every_approach_plotted_once(self, study):
@@ -180,17 +217,16 @@ class TestCompositeRu:
         rel = reliability_report(nm)
         doc = render_composite_ru(scores, front, None, rel,
                                   reference_labels=frozenset({"original"}))
-        markers = [p for p in doc.primitives()
-                   if (isinstance(p, Circle) and p.title)
-                   or (isinstance(p, Rect) and p.title)]
-        assert sorted(p.title for p in markers) == sorted(nm.labels)
+        markers = [title_of(e) for e in svg_elements(doc, "circle")
+                   + svg_elements(doc, "rect") if title_of(e)]
+        assert sorted(markers) == sorted(nm.labels)
 
 
 class TestRays:
     def test_undefined_slope_labeled_infinity(self):
         rays = rays_to_reference([("p", 1.0, 0.4)], (1.0, 1.0))
         doc = render_rays([(("orig", 1.0, 1.0), rays)])
-        assert any("s=∞" in t for t in texts(doc))
+        assert any("s=∞" in e.text for e in svg_elements(doc, "text"))
         well_formed(doc)
 
     def test_one_ray_per_approach(self, study):
@@ -203,10 +239,8 @@ class TestRays:
         rays = rays_to_reference(points, (u0, r0))
         doc = render_rays([(("original", u0, r0), rays)],
                           pareto_ids=front.ids)
-        from ruviz.svg import Line
-
-        ray_lines = [p for p in doc.primitives() if isinstance(p, Line)
-                     and p.stroke == "#c8c8c8" and p.stroke_width == 1.0]
+        ray_lines = [e for e in svg_elements(doc, "line")
+                     if e.get("stroke") == "#c8c8c8" and e.get("stroke-width") == "1.00"]
         assert len(ray_lines) == len(points)
 
 
@@ -216,8 +250,7 @@ class TestPcpRender:
         pcp = build_pcp(nm, front.ids)
         doc = render_pcp(pcp)
         well_formed(doc)
-        lines = [p for p in doc.primitives() if isinstance(p, Polyline)
-                 and p.title is not None]
+        lines = [e for e in svg_elements(doc, "polyline") if title_of(e) is not None]
         # one polyline per approach per facet
         assert len(lines) == 2 * len(nm.rows)
         assert render_pcp(pcp).to_svg() == doc.to_svg()
@@ -226,12 +259,13 @@ class TestPcpRender:
         nm, _, front = study
         pcp = build_pcp(nm, front.ids)
         doc = render_pcp(pcp)
-        ref_lines = [p for p in doc.primitives() if isinstance(p, Polyline)
-                     and p.title == "original"]
-        assert all(l.dash for l in ref_lines)
-        pareto_lines = [p for p in doc.primitives() if isinstance(p, Polyline)
-                        and p.title in front.ids]
-        assert all(l.stroke != "#c4c4c4" for l in pareto_lines)
+        polylines = svg_elements(doc, "polyline")
+        ref_lines = [e for e in polylines if title_of(e) == "original"]
+        assert len(ref_lines) == 2
+        assert all(e.get("stroke-dasharray") for e in ref_lines)
+        pareto_lines = [e for e in polylines if title_of(e) in front.ids]
+        assert len(pareto_lines) == 2 * len(front.ids)
+        assert all(e.get("stroke") != "#c4c4c4" for e in pareto_lines)
 
 
 class TestOrigamiRender:
@@ -258,10 +292,10 @@ class TestBiplotRender:
         heads = [p for p in doc.primitives() if isinstance(p, Polygon)
                  and len(p.points) == 3]
         assert len(heads) == len(nm.specs)
-        markers = [p for p in doc.primitives()
-                   if (isinstance(p, Circle) and p.title)
-                   or (isinstance(p, Rect) and p.title and p.w == 9)]
-        assert sorted(p.title for p in markers) == sorted(nm.labels)
+        markers = [title_of(e) for e in svg_elements(doc, "circle")
+                   + [r for r in svg_elements(doc, "rect") if r.get("width") == "9.00"]
+                   if title_of(e)]
+        assert sorted(markers) == sorted(nm.labels)
 
 
 class TestSdodRender:
@@ -272,7 +306,7 @@ class TestSdodRender:
         doc = render_sdod(diag)
         well_formed(doc)
         assert any(t.startswith("SD cutoff=2.716") for t in texts(doc))
-        dots = [p for p in doc.primitives() if isinstance(p, Circle) and p.title]
+        dots = [e for e in svg_elements(doc, "circle") if title_of(e)]
         assert len(dots) == len(nm.rows)
 
 

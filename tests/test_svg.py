@@ -3,8 +3,11 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruviz.svg import (
+    Batch,
     Circle,
     Line,
     PlotDocument,
@@ -103,3 +106,117 @@ class TestPlotDocument:
             return doc.to_svg()
 
         assert build() == build()
+
+
+# coordinates around the two-decimal rounding edges, -0.0 among them
+coordinate = st.one_of(
+    st.floats(-1e4, 1e4, allow_nan=False),
+    st.floats(-0.006, 0.006),
+    st.sampled_from([-0.0, 0.0, 0.005, -0.005, 0.004999999999999999,
+                     -0.004999999999999999, 1.005, -1.005, 2.675]),
+)
+label = st.text(alphabet="ab &<>\"'{}%", max_size=6)
+colour = st.sampled_from(["#000000", "#2166ac", "none", "{0}"])
+
+
+def rows(width: int, min_size: int = 1):
+    return st.lists(st.lists(coordinate, min_size=width, max_size=width),
+                    min_size=min_size, max_size=6)
+
+
+def single_and_batch_bytes(batch, singles) -> None:
+    assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
+    assert list(batch.coords()) == [xy for e in singles for xy in e.coords()]
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(rows(4), st.data())
+    def test_rects_write_the_single_rects_bytes(self, numbers, data):
+        n = len(numbers)
+        fills = data.draw(st.lists(colour, min_size=n, max_size=n))
+        titles = data.draw(st.lists(label, min_size=n, max_size=n))
+        batch = Batch(Rect, numbers, fill=fills, stroke="#ffffff", stroke_width=1.0,
+                      title=titles)
+        single_and_batch_bytes(batch, [
+            Rect(*v, fill=f, stroke="#ffffff", stroke_width=1.0, title=t)
+            for v, f, t in zip(numbers, fills, titles)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows(3), st.data(), st.sampled_from([None, 0.9]))
+    def test_circles_write_the_single_circles_bytes(self, numbers, data, opacity):
+        n = len(numbers)
+        fills = data.draw(st.lists(colour, min_size=n, max_size=n))
+        titles = data.draw(st.lists(label, min_size=n, max_size=n))
+        batch = Batch(Circle, numbers, fill=fills, stroke="#555555",
+                      stroke_width=0.6, opacity=opacity, title=titles)
+        single_and_batch_bytes(batch, [
+            Circle(*v, fill=f, stroke="#555555", stroke_width=0.6, opacity=opacity,
+                   title=t)
+            for v, f, t in zip(numbers, fills, titles)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows(4), st.sampled_from([None, "6,3"]))
+    def test_lines_write_the_single_lines_bytes(self, numbers, dash):
+        batch = Batch(Line, numbers, stroke="#eeeeee", dash=dash)
+        single_and_batch_bytes(batch, [Line(*v, stroke="#eeeeee", dash=dash)
+                                       for v in numbers])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_polylines_write_one_element_per_part(self, first, second, data):
+        numbers = data.draw(rows(2 * (first + second)))
+        n = len(numbers)
+        strokes = data.draw(st.lists(colour, min_size=n, max_size=n))
+        titles = data.draw(st.lists(label, min_size=n, max_size=n))
+        batch = Batch(Polyline, numbers, parts=(first, second), fill="none",
+                      stroke=strokes, stroke_width=1.2, title=titles)
+        singles = []
+        for v, s, t in zip(numbers, strokes, titles):
+            points = tuple(zip(v[0::2], v[1::2]))
+            for part in (points[:first], points[first:]):
+                singles.append(Polyline(points=part, fill="none", stroke=s,
+                                        stroke_width=1.2, title=t))
+        single_and_batch_bytes(batch, singles)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows(8), st.sampled_from([None, "#888888"]))
+    def test_polygons_write_the_single_polygons_bytes(self, numbers, fill):
+        batch = Batch(Polygon, numbers, fill=fill, stroke="#444444", stroke_width=0.8)
+        single_and_batch_bytes(batch, [
+            Polygon(points=tuple(zip(v[0::2], v[1::2])), fill=fill, stroke="#444444",
+                    stroke_width=0.8)
+            for v in numbers])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows(2), st.data(), st.sampled_from([None, -30.0]))
+    def test_texts_write_the_single_texts_bytes(self, numbers, data, rotate):
+        n = len(numbers)
+        contents = data.draw(st.lists(label, min_size=n, max_size=n))
+        titles = data.draw(st.lists(label, min_size=n, max_size=n))
+        fills = data.draw(st.lists(colour, min_size=n, max_size=n))
+        batch = Batch(Text, numbers, size=9, anchor="middle", rotate=rotate,
+                      fill=fills, content=contents, title=titles)
+        single_and_batch_bytes(batch, [
+            Text(*v, c, size=9, anchor="middle", rotate=rotate, fill=f, title=t)
+            for v, c, f, t in zip(numbers, contents, fills, titles)])
+
+    def test_shared_strings_with_braces_are_written_as_given(self):
+        batch = Batch(Text, [[1.0, 2.0]], content="{x} {0}", title="{}")
+        assert batch.to_svg() == Text(1.0, 2.0, "{x} {0}", title="{}").to_svg()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_rejects_non_finite_coordinates(self, bad, column):
+        numbers = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        numbers[1][column] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PlotDocument().add(Batch(Circle, numbers, fill="#000000"))
+
+    def test_bounds_check_covers_every_batched_element(self):
+        doc = PlotDocument(width=100, height=100)
+        doc.add(Batch(Rect, [[10, 10, 5, 5], [50, 50, 5, 5]]))
+        assert_in_bounds(doc)
+        doc.add(Batch(Rect, [[10, 10, 5, 5], [96, 50, 5, 5]]))
+        with pytest.raises(ValueError, match="outside canvas"):
+            assert_in_bounds(doc)
