@@ -297,7 +297,9 @@ def _jsonable(value: Any) -> Any:
         kind = value.dtype.kind
         # the sum of the items is finite if every item is; an overflow only
         # sends a finite array through the walk
-        if kind in "biu" or (kind == "f" and math.isfinite(sum(value.ravel().tolist()))):
+        if kind in "biu" or (
+            kind == "f" and math.isfinite(sum(value.ravel().tolist()))
+        ):
             return items
         return _jsonable(items)
     if isinstance(value, (list, tuple)):

@@ -82,7 +82,9 @@ def block_ramp(block: Block, t):
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)[..., None]
     rgb = np.rint(WHITE_RGB + t * (BLOCK_RGB[block] - WHITE_RGB)).astype(int)
     colors = [f"#{c:06x}" for c in (rgb @ (65536, 256, 1)).ravel().tolist()]
-    return np.array(colors, dtype="<U7").reshape(t.shape[:-1]) if t.ndim > 1 else colors[0]
+    if t.ndim == 1:  # a number
+        return colors[0]
+    return np.array(colors, dtype="<U7").reshape(t.shape[:-1])
 
 
 def _short(s: str, n: int = 16) -> str:
@@ -190,7 +192,8 @@ def _approaches(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
     """Each approach's marker at layer `z`, then the point labels: a square
     for a reference, a circle for the others, larger when Pareto-optimal."""
     is_reference = [label in reference_labels for label in labels]
-    for reference, run in itertools.groupby(range(len(labels)), is_reference.__getitem__):
+    runs = itertools.groupby(range(len(labels)), is_reference.__getitem__)
+    for reference, run in runs:
         at = list(run)
         titles = [labels[i] for i in at]
         if reference:
@@ -199,7 +202,8 @@ def _approaches(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
                 title=titles), z=z)
         else:
             pareto = np.array([t in pareto_ids for t in titles])
-            doc.add(Batch(Circle, np.column_stack([x[at], y[at], np.where(pareto, 5.0, 4.0)]),
+            radius = np.where(pareto, 5.0, 4.0)
+            doc.add(Batch(Circle, np.column_stack([x[at], y[at], radius]),
                           fill=np.where(pareto, PARETO_COLOR, NEUTRAL_COLOR),
                           title=titles), z=z)
     _point_labels(doc, x, y, [_short(label, 14) for label in labels])
@@ -421,7 +425,8 @@ def render_rays(
     doc = _document("marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
     rays = [ray for _, group in rays_by_reference for ray in group]
-    start = np.array([(fr.sx(ray.utility), fr.sy(ray.risk)) for ray in rays]).reshape(-1, 2)
+    start = np.array([(fr.sx(ray.utility), fr.sy(ray.risk))
+                      for ray in rays]).reshape(-1, 2)
     refs = np.array([(fr.sx(u0), fr.sy(r0))
                      for (_, u0, r0), _ in rays_by_reference]).reshape(-1, 2)
     end = np.repeat(refs, [len(group) for _, group in rays_by_reference], axis=0)
@@ -721,7 +726,8 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                  fill="#555555"))
 
     labels = diag.labels or tuple(str(i) for i in range(len(diag.sd)))
-    x, y = fr.sx(np.asarray(diag.sd, dtype=float)), fr.sy(np.asarray(diag.od, dtype=float))
+    x = fr.sx(np.asarray(diag.sd, dtype=float))
+    y = fr.sy(np.asarray(diag.od, dtype=float))
     doc.add(Batch(Circle, np.column_stack(np.broadcast_arrays(x, y, 5.0)),
                   fill=[FLAG_COLORS[flag] for flag in diag.flags], stroke="#333333",
                   stroke_width=0.6, title=labels), z=2)
