@@ -320,9 +320,28 @@ def _chi2_ppf(q: float, df: int) -> float:
     return 2.0 * float(gammaincinv(df / 2, q))
 
 
+def median(a, axis: int | None = None):
+    """`np.median(a, axis)` of a non-empty float array, bit for bit: the
+    same partition, the mean of the middle one or two values as numpy sums
+    them (from +0.0, so -0.0 becomes 0.0) and NaN wherever a NaN is in the
+    data. `np.median` loads `numpy.ma` for its NaN check."""
+    a = np.asarray(a, dtype=float)
+    if axis is None:
+        a, axis = a.ravel(), 0
+    n = a.shape[axis]
+    half = n // 2
+    kth = [half - 1, half, -1] if n % 2 == 0 else [half, -1]
+    part = np.partition(a, kth, axis=axis)
+    mid = part.take(half, axis) + 0.0
+    if n % 2 == 0:
+        mid = (part.take(half - 1, axis) + mid) / 2
+    last = part.take(-1, axis)  # a NaN sorts last
+    return np.where(np.isnan(last), last, mid)[()]
+
+
 def _madn(x: np.ndarray) -> float:
-    med = float(np.median(x))
-    return 1.4826 * float(np.median(np.abs(x - med)))
+    med = float(median(x))
+    return 1.4826 * float(median(np.abs(x - med)))
 
 
 def sd_od(
@@ -370,9 +389,9 @@ def sd_od(
     sd_cut = float(np.sqrt(_chi2_ppf(0.975, n_usable)))
     if od_cut_mode == "hubert":
         od23 = od ** (2.0 / 3.0)
-        od_cut = float((np.median(od23) + _madn(od23) * z975) ** 1.5)
+        od_cut = float((median(od23) + _madn(od23) * z975) ** 1.5)
     else:
-        od_cut = float(np.median(od) + _madn(od) * z975)
+        od_cut = float(median(od) + _madn(od) * z975)
 
     flags = tuple(
         classify_sd_od(float(s), float(o), sd_cut, od_cut) for s, o in zip(sd, od)
@@ -403,8 +422,8 @@ def _stahel_donoho_outlyingness(
         projections.append(Y @ (d / norm))
     if projections:
         z = np.stack(projections, axis=1)  # (n, directions)
-        dev = np.abs(z - np.median(z, axis=0))
-        mad = 1.4826 * np.median(dev, axis=0)
+        dev = np.abs(z - median(z, axis=0))
+        mad = 1.4826 * median(dev, axis=0)
         usable = ~(mad < 1e-12)
         if usable.any():
             return np.max(dev[:, usable] / mad[usable], axis=1)

@@ -25,6 +25,7 @@ from .multivariate import (
     OutlierFlag,
     PcaModel,
     SdOdDiagnostics,
+    median,
 )
 from .ordering import Dendrogram
 from .pareto import CompositeFront, KneePoint, Ray
@@ -300,7 +301,7 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
         idx = nm.block_indices(block)
         k = len(idx)
         block_values = nm.block_values(block)
-        mx = fx + np.median(block_values, axis=1) * facet_w
+        mx = fx + median(block_values, axis=1) * facet_w
         # one colour per measure position, shared by the rows and the legend
         ramps[block] = block_ramp(block, 0.35 + 0.65 * ((np.arange(k) + 1) / (k + 1)))
         doc.add(Text(fx + facet_w / 2, top - 12, block.value, size=12,

@@ -381,12 +381,14 @@ def test_cli_import_skips_scipy_stats():
 
 def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):
     # a cold `report` clusters, computes every quantile and writes every
-    # figure: all of it on numpy and the standard library's cheap modules
+    # figure: all of it on numpy and the standard library's cheap modules;
+    # `np.median` would load numpy.ma
     src = Path(ruviz.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys; from ruviz.cli import main; "
             f"assert main(sys.argv[1:]) == 0; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('xml.sax')))")
+            "if m.split('.')[0] == 'scipy' or m.startswith('xml.sax') "
+            "or m.split('.')[:2] == ['numpy', 'ma']))")
     argv = ["report", *common_args(), "--out", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from ruviz.errors import AnalysisError
@@ -18,6 +19,7 @@ from ruviz.multivariate import (
     blockwise_pca,
     classify_sd_od,
     group_summaries,
+    median,
     orient,
     pca_fit,
     project_acceptance_region,
@@ -338,6 +340,35 @@ class TestQuantiles:
             (q, df): stats.chi2.ppf(q, df=df)
             for q, df in [(0.95, 2), (0.975, 1), (0.975, 2)]
         }
+
+
+
+# values around the midpoint's rounding and overflow, signed zeros and ties
+median_values = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, math.nan, -math.nan]),
+)
+
+
+class TestMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2),
+                                 elements=median_values))
+    def test_equals_numpy_median_bit_for_bit(self, data, a):
+        axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim)]))
+        got, expected = median(a, axis=axis), np.median(a, axis=axis)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_even_midpoint_and_nan(self):
+        assert median(np.array([4.0, 1.0, 2.0, 3.0])) == 2.5
+        assert median(np.array([1.0, 1e308, 1e308, 2e308])) == math.inf
+        assert str(median(np.array([-0.0]))) == "0.0"  # as numpy's mean
+        assert math.isnan(median(np.array([1.0, math.nan, 2.0])))
+        got = median(np.array([[1.0, math.nan], [3.0, 4.0]]), axis=0)
+        assert got[0] == 2.0 and math.isnan(got[1])
 
 
 class TestOutlyingness:
