@@ -284,6 +284,14 @@ def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
 _PLAIN = frozenset((str, int, bool, type(None)))
 
 
+class _Grid(list):
+    """The rows of a 2-D int or finite float array, as plain lists, with the
+    array kept under `array`, from which `_encode` writes them. The rows
+    must not be changed."""
+
+    __slots__ = ("array",)
+
+
 def _jsonable(value: Any) -> Any:
     """`value` as plain dicts, lists and scalars in new containers: a
     dataclass as the dict of its fields, an enum as its value and each
@@ -295,12 +303,19 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         items = value.tolist()
         kind = value.dtype.kind
+        if kind == "b":
+            return items
         # the sum of the items is finite if every item is; an overflow only
         # sends a finite array through the walk
-        if kind in "biu" or (
+        if kind in "iu" or (
             kind == "f" and math.isfinite(sum(value.ravel().tolist()))
         ):
-            return items
+            # a long double's item is not a Python float
+            if value.ndim != 2 or value.dtype.itemsize > 8:
+                return items
+            grid = _Grid(items)
+            grid.array = value
+            return grid
         return _jsonable(items)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -539,6 +554,8 @@ def _encode(value: Any, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value) is _Grid:
+            return _encode_grid(value.array, newline)
         inner = newline + "  "
         if _NUMBER.issuperset(map(type, value)):
             body = ("," + inner).join(map(repr, value))
@@ -552,6 +569,30 @@ def _encode(value: Any, newline: str) -> str:
         if "n" not in text:
             return text
     return _encode_scalar(value)
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_template(rows: int, cols: int, newline: str) -> str:
+    """The layout of a rows x cols number grid, a `%r` field per number."""
+    inner = newline + "  "
+    row = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * cols) + inner + "]"
+    return "[" + inner + ("," + inner).join([row if cols else "[]"] * rows) + newline + "]"
+
+
+def _encode_grid(array: np.ndarray, newline: str) -> str:
+    """A non-empty `_Grid`'s array in the indented layout: an int array of
+    single digits one join per row over its digit string, any other array
+    one `%` over its numbers."""
+    rows, cols = array.shape
+    if array.dtype.kind in "iu" and array.size and 0 <= array.min() and array.max() <= 9:
+        digits = (array + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        inner = newline + "  "
+        sep = "," + inner + "  "
+        body = ("," + inner).join([
+            "[" + inner + "  " + sep.join(digits[i:i + cols]) + inner + "]"
+            for i in range(0, rows * cols, cols)])
+        return "[" + inner + body + newline + "]"
+    return _grid_template(rows, cols, newline) % tuple(array.ravel().tolist())
 
 
 def _atomic_write(path: Path, content: str) -> None:

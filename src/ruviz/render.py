@@ -250,16 +250,14 @@ def render_heatmap(
     x = left + np.arange(p) * cell_w
     y = top + np.arange(n) * cell_h
     cells = np.stack(np.broadcast_arrays(x, y[:, None], cell_w, cell_h), axis=-1)
-    for ridx, row_i in enumerate(rows):
-        row = nm.rows[row_i]
-        cy = top + (ridx + 0.5) * cell_h
-        label = _short(row.label, 20)
-        if row.label in pareto_ids:
-            label += " *"
-        doc.add(Text(left - 8, cy + 4, label, size=11, anchor="end",
-                     title=row.label))
-        doc.add(Batch(Rect, cells[ridx], fill=fills[ridx], stroke="#ffffff",
-                      stroke_width=1.0))
+    titles = [nm.rows[i].label for i in rows]
+    # each row's label, then its cells
+    labels = Batch(Text, np.column_stack(np.broadcast_arrays(
+        left - 8.0, top + (np.arange(n) + 0.5) * cell_h + 4)), size=11,
+        anchor="end", title=titles,
+        content=[_short(t, 20) + (" *" if t in pareto_ids else "") for t in titles])
+    doc.add(Batch(Rect, cells.reshape(-1, 4), fill=fills.ravel(), stroke="#ffffff",
+                  stroke_width=1.0, lead=labels))
     centers = np.broadcast_arrays(x + cell_w / 2, (y + cell_h / 2 + 3)[:, None])
     doc.add(Batch(Text, np.stack(centers, axis=-1).reshape(-1, 2), size=9,
                   anchor="middle",

@@ -11,8 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -205,14 +207,14 @@ class Text:
 
 
 class _Field:
-    """A number that writes itself as a `str.format` field, so that an
-    element built of these writes the template of its own SVG."""
+    """A number that writes itself as a `%`-field named by its index, so
+    that an element built of these writes the template of its own SVG."""
 
     def __init__(self, index: int):
         self.index = index
 
     def __format__(self, spec: str) -> str:
-        return "{%d:%s}" % (self.index, spec)
+        return "%%(%d)%s" % (self.index, spec)
 
 
 def _instance(cls: type, numbers: list, style: dict):
@@ -223,14 +225,21 @@ def _instance(cls: type, numbers: list, style: dict):
     return cls(*numbers, **style)
 
 
+# a doubled `%`, or a field named by its index
+_FIELD = re.compile(r"%(%|\((\d+)\))")
+
+
 @functools.lru_cache(maxsize=256)
-def _template(cls: type, k: int, parts: tuple[int, ...], style: tuple) -> str:
-    """One batch row's SVG, with a field for each of its k numbers and each
-    string that `style` gives as a field."""
+def _template(cls: type, k: int, parts: tuple[int, ...], style: tuple):
+    """One batch row's SVG as a `%`-template, with a field for each of its
+    k numbers and each string that `style` gives as a field, and the getter
+    that puts a batch's columns in the template's field order."""
     numbers = [_Field(i) for i in range(k)]
     cuts = itertools.accumulate([2 * c for c in parts] or [k], initial=0)
-    return "\n".join(_instance(cls, numbers[a:b], dict(style)).to_svg()
+    text = "\n".join(_instance(cls, numbers[a:b], dict(style)).to_svg()
                      for a, b in itertools.pairwise(cuts))
+    order = [int(m[2]) for m in _FIELD.finditer(text) if m[2]]
+    return _FIELD.sub(lambda m: "%" if m[2] else "%%", text), itemgetter(*order)
 
 
 class Batch:
@@ -242,54 +251,74 @@ class Batch:
     class's other fields; a sequence under `fill`, `stroke`, `anchor`,
     `title` or `content` gives one string per row. A polyline or polygon
     row may stand for several elements, `parts` giving each one's number
-    of vertices.
+    of vertices. `lead`, a batch of another class with one row per equal
+    group of rows, writes each of its rows before its group.
     """
 
-    def __init__(self, cls: type, values, parts: tuple[int, ...] = (), **style):
+    def __init__(self, cls: type, values, parts: tuple[int, ...] = (),
+                 lead: Batch | None = None, **style):
         self.cls = cls
         self.values = np.asarray(values, dtype=float)
         self.parts = parts
+        if lead is not None and (not len(lead.values)
+                                 or len(self.values) % len(lead.values)):
+            raise ValueError("a lead needs one row per equal group of rows")
+        self.lead = lead
         self.columns = {k: list(v) for k, v in style.items()
                         if k in ("fill", "stroke", "anchor", "title", "content")
                         and not isinstance(v, str | None)}
         self.style = {k: v for k, v in style.items() if k not in self.columns}
 
     def extents(self) -> np.ndarray:
-        """(m, 2) corners of every element's extent, in `coords()` order."""
+        """(m, 2) corners of every element's extent, in `coords()` order,
+        the lead's after the batch's own."""
         strings = dict.fromkeys(self.columns, "")
         element = _instance(self.cls, list(self.values.T), {**self.style, **strings})
         corners = np.array(list(element.coords()), dtype=float)  # (corner, xy, row)
-        return corners.transpose(2, 0, 1).reshape(-1, 2)
+        own = corners.transpose(2, 0, 1).reshape(-1, 2)
+        return own if self.lead is None else np.vstack([own, self.lead.extents()])
 
     def coords(self) -> Iterator[tuple[float, float]]:
         return map(tuple, self.extents().tolist())
 
     def to_svg(self) -> str:
+        lines = self._rows()
+        if self.lead is not None:
+            heads = self.lead._rows()
+            group = len(lines) // len(heads)
+            out = heads * (group + 1)  # every slot is overwritten below
+            out[::group + 1] = heads
+            for j in range(group):
+                out[j + 1::group + 1] = lines[j::group]
+            lines = out
+        return "\n".join(lines)
+
+    def _rows(self) -> list[str]:
+        """Each row's SVG."""
         k = self.values.shape[1]
-        fields = {name: "{%d}" % (k + i) for i, name in enumerate(self.columns)}
+        fields = {name: "%%(%d)s" % (k + i) for i, name in enumerate(self.columns)}
         # `fmt` writes the values in (-0.005, -0.0] as 0.00, not -0.00
         v = self.values
-        rows = np.where((v <= 0.0) & (v > -0.005), 0.0, v).tolist()
+        columns = np.where((v <= 0.0) & (v > -0.005), 0.0, v).T.tolist()
         for name, column in self.columns.items():
             if name in ("title", "content"):
                 column = [_escape(s) if s else "" for s in column]
-            for row, s in zip(rows, column):
-                row.append(s)
+            columns.append(column)
 
-        def template(**strings) -> str:
-            # a shared string is written into the template, braces doubled
-            style = {name: value.replace("{", "{{").replace("}", "}}")
-                     if isinstance(value, str) else value
-                     for name, value in self.style.items()}
+        def template(**strings):
+            # a shared string is written into the template, `%` doubled
+            style = {name: value.replace("%", "%%") if isinstance(value, str)
+                     else value for name, value in self.style.items()}
             style.update(fields, **strings)
             return _template(self.cls, k, self.parts, tuple(sorted(style.items())))
 
-        titled = template()
+        # each template's fields in its own order, one tuple per row
+        titled, pick = template()
         if "title" not in self.columns:
-            return "\n".join([titled.format(*row) for row in rows])
-        plain = template(title=None)  # an element without a title self-closes
-        return "\n".join([(titled if t else plain).format(*row)
-                          for t, row in zip(self.columns["title"], rows)])
+            return [titled % row for row in zip(*pick(columns))]
+        plain, pick_plain = template(title=None)  # an untitled element self-closes
+        return [titled % a if t else plain % b for t, a, b in zip(
+            self.columns["title"], zip(*pick(columns)), zip(*pick_plain(columns)))]
 
 
 @dataclass(frozen=True)

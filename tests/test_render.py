@@ -24,7 +24,7 @@ from ruviz.render import (
     render_rays,
     render_sdod,
 )
-from ruviz.svg import Circle, Polygon, Polyline, Rect, Text
+from ruviz.svg import Circle, Polygon, Polyline, Rect
 
 from conftest import assert_in_bounds, batch_rows, make_nm, svg_elements, title_of
 
@@ -52,7 +52,8 @@ def well_formed(doc) -> None:
 
 
 def texts(doc) -> list[str]:
-    return [p.content for p in doc.primitives() if isinstance(p, Text)]
+    """The content of every text element the document writes, batched or not."""
+    return [e.text or "" for e in svg_elements(doc, "text")]
 
 
 def ramp_oracle(block: Block, t: float) -> str:
