@@ -147,6 +147,52 @@ class TestJsonable:
         assert _jsonable(value) == oracle_jsonable(value) == [None, [3, None], 0.5]
 
 
+grid_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)
+grid_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1]),
+)
+grids = st.one_of(
+    hnp.arrays(np.int64, grid_shapes, elements=st.integers(0, 9)),  # digit rows
+    hnp.arrays(np.int64, grid_shapes, elements=st.integers(-9, 9)),
+    hnp.arrays(np.int64, grid_shapes),
+    hnp.arrays(np.uint8, grid_shapes),
+    hnp.arrays(np.uint64, grid_shapes),
+    hnp.arrays(np.float64, grid_shapes, elements=grid_floats),
+    hnp.arrays(np.float32, grid_shapes,
+               elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    hnp.arrays(np.bool_, grid_shapes),
+)
+
+
+class TestGrids:
+    """2-D arrays, which `_dump_json` writes from the array, not the rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids)
+    def test_grid_equals_stdlib(self, array):
+        got = _jsonable(array)
+        assert got == array.tolist()
+        assert _dump_json(got) == oracle_dump_json(got) == oracle_dump_json(array.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(grids, max_size=3), st.dictionaries(keys, grids, max_size=3))
+    def test_grids_nested_in_lists_and_dicts_equal_stdlib(self, in_list, in_dict):
+        doc = _jsonable({"list": in_list, "dict": in_dict, "deep": [[in_dict, 1.5]]})
+        assert _dump_json(doc) == oracle_dump_json(doc)
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((0, 3), dtype=int),
+        np.zeros((3, 0)),
+        np.array([[0, 9], [10, 1]]),
+        np.array([[-1, 0]]),
+        np.array([[-0.0, 5e-324], [1e16, 1e-5]]),
+        np.eye(4, dtype=int),
+    ])
+    def test_edge_grids_equal_stdlib(self, array):
+        assert _dump_json({"g": _jsonable(array)}) == oracle_dump_json({"g": array.tolist()})
+
+
 class Colour(str, Enum):
     RED = "red"
 

@@ -113,6 +113,15 @@ class TestHeatmap:
         assert any(t == "a0 *" for t in labels)
         assert all(t != "a1 *" for t in labels)
 
+    def test_primitives_do_not_grow_with_the_rows(self):
+        # each row's label and cells are rows of one batch
+        counts = []
+        for n in (2, 40):
+            nm = make_nm(np.random.default_rng(n).random((n, 3)), 1)
+            doc = render_heatmap(nm, hclust(nm.values, "complete"), frozenset())
+            counts.append(len(doc.primitives()))
+        assert counts[0] == counts[1]
+
     def test_byte_identical_rerender(self, study):
         nm, _, front = study
         dend = hclust(nm.values, "complete")

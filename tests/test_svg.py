@@ -117,6 +117,7 @@ coordinate = st.one_of(
 )
 label = st.text(alphabet="ab &<>\"'{}%", max_size=6)
 colour = st.sampled_from(["#000000", "#2166ac", "none", "{0}"])
+percent = st.sampled_from(["%", "%s", "%%", "%%s", "%(0)s", "%.2f", "50% & <b>", "{0}%"])
 
 
 def rows(width: int, min_size: int = 1):
@@ -220,3 +221,52 @@ class TestBatch:
         doc.add(Batch(Rect, [[10, 10, 5, 5], [96, 50, 5, 5]]))
         with pytest.raises(ValueError, match="outside canvas"):
             assert_in_bounds(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows(2), st.data())
+    def test_percent_signs_are_written_as_given(self, numbers, data):
+        n = len(numbers)
+        shared = data.draw(percent)
+        contents = data.draw(st.lists(percent, min_size=n, max_size=n))
+        titles = data.draw(st.lists(percent | st.just(""), min_size=n, max_size=n))
+        batch = Batch(Text, numbers, fill=shared, weight=shared, content=contents,
+                      title=titles)
+        single_and_batch_bytes(batch, [
+            Text(*v, c, fill=shared, weight=shared, title=t)
+            for v, c, t in zip(numbers, contents, titles)])
+        shared_text = Batch(Text, numbers, content=shared, title=shared)
+        single_and_batch_bytes(shared_text, [Text(*v, shared, title=shared)
+                                             for v in numbers])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows(4), st.data())
+    def test_percent_signs_in_shape_strings(self, numbers, data):
+        n = len(numbers)
+        shared = data.draw(percent)
+        fills = data.draw(st.lists(percent, min_size=n, max_size=n))
+        batch = Batch(Rect, numbers, fill=fills, stroke=shared, title=shared)
+        single_and_batch_bytes(batch, [Rect(*v, fill=f, stroke=shared, title=shared)
+                                       for v, f in zip(numbers, fills)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_lead_row_precedes_each_group(self, heads, group, data):
+        cells = data.draw(st.lists(st.lists(coordinate, min_size=4, max_size=4),
+                                   min_size=heads * group, max_size=heads * group))
+        at = data.draw(st.lists(st.lists(coordinate, min_size=2, max_size=2),
+                                min_size=heads, max_size=heads))
+        titles = data.draw(st.lists(label, min_size=heads, max_size=heads))
+        lead = Batch(Text, at, size=11, anchor="end", content=titles, title=titles)
+        batch = Batch(Rect, cells, fill="#ffffff", lead=lead)
+        singles = []
+        for i, (xy, t) in enumerate(zip(at, titles)):
+            singles.append(Text(*xy, t, size=11, anchor="end", title=t))
+            singles += [Rect(*v, fill="#ffffff")
+                        for v in cells[i * group:(i + 1) * group]]
+        assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
+        assert sorted(batch.coords()) == sorted(xy for e in singles for xy in e.coords())
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_lead_needs_one_row_per_equal_group(self, n):
+        with pytest.raises(ValueError, match="equal group"):
+            Batch(Rect, [[0, 0, 1, 1]] * 4, lead=Batch(Text, [[0, 0]] * n))
