@@ -303,15 +303,13 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         items = value.tolist()
         kind = value.dtype.kind
-        if kind == "b":
-            return items
         # the sum of the items is finite if every item is; an overflow only
         # sends a finite array through the walk
-        if kind in "iu" or (
+        if kind in "biu" or (
             kind == "f" and math.isfinite(sum(value.ravel().tolist()))
         ):
-            # a long double's item is not a Python float
-            if value.ndim != 2 or value.dtype.itemsize > 8:
+            # a bool writes as true or false, a long double's item is no float
+            if value.ndim != 2 or kind == "b" or value.dtype.itemsize > 8:
                 return items
             grid = _Grid(items)
             grid.array = value

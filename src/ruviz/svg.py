@@ -286,7 +286,7 @@ class Batch:
         if self.lead is not None:
             heads = self.lead._rows()
             group = len(lines) // len(heads)
-            out = heads * (group + 1)  # every slot is overwritten below
+            out = [""] * (len(heads) + len(lines))
             out[::group + 1] = heads
             for j in range(group):
                 out[j + 1::group + 1] = lines[j::group]

@@ -357,14 +357,16 @@ class TestMedian:
                                  elements=median_values))
     def test_equals_numpy_median_bit_for_bit(self, data, a):
         axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim)]))
-        got, expected = median(a, axis=axis), np.median(a, axis=axis)
+        with np.errstate(over="ignore", invalid="ignore"):  # both warn alike
+            got, expected = median(a, axis=axis), np.median(a, axis=axis)
         assert type(got) is type(expected)
         assert np.shape(got) == np.shape(expected)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_even_midpoint_and_nan(self):
         assert median(np.array([4.0, 1.0, 2.0, 3.0])) == 2.5
-        assert median(np.array([1.0, 1e308, 1e308, 2e308])) == math.inf
+        with np.errstate(over="ignore"):
+            assert median(np.array([1.0, 1e308, 1e308, 1.5e308])) == math.inf
         assert str(median(np.array([-0.0]))) == "0.0"  # as numpy's mean
         assert math.isnan(median(np.array([1.0, math.nan, 2.0])))
         got = median(np.array([[1.0, math.nan], [3.0, 4.0]]), axis=0)
