@@ -285,11 +285,8 @@ _PLAIN = frozenset((str, int, bool, type(None)))
 
 
 class _Grid(list):
-    """The rows of a 2-D int or finite float array, as plain lists, with the
-    array kept under `array`, from which `_encode` writes them. The rows
-    must not be changed."""
-
-    __slots__ = ("array",)
+    """The rows of a 2-D int or finite float array, as plain lists, which
+    `_encode` writes with one grid template."""
 
 
 def _jsonable(value: Any) -> Any:
@@ -311,9 +308,7 @@ def _jsonable(value: Any) -> Any:
             # a bool writes as true or false, a long double's item is no float
             if value.ndim != 2 or kind == "b" or value.dtype.itemsize > 8:
                 return items
-            grid = _Grid(items)
-            grid.array = value
-            return grid
+            return _Grid(items)
         return _jsonable(items)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -553,7 +548,8 @@ def _encode(value: Any, newline: str) -> str:
         if not value:
             return "[]"
         if type(value) is _Grid:
-            return _encode_grid(value.array, newline)
+            template = _grid_template(len(value), len(value[0]), newline)
+            return template % tuple(itertools.chain.from_iterable(value))
         inner = newline + "  "
         if _NUMBER.issuperset(map(type, value)):
             body = ("," + inner).join(map(repr, value))
@@ -575,22 +571,6 @@ def _grid_template(rows: int, cols: int, newline: str) -> str:
     inner = newline + "  "
     row = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * cols) + inner + "]"
     return "[" + inner + ("," + inner).join([row if cols else "[]"] * rows) + newline + "]"
-
-
-def _encode_grid(array: np.ndarray, newline: str) -> str:
-    """A non-empty `_Grid`'s array in the indented layout: an int array of
-    single digits one join per row over its digit string, any other array
-    one `%` over its numbers."""
-    rows, cols = array.shape
-    if array.dtype.kind in "iu" and array.size and 0 <= array.min() and array.max() <= 9:
-        digits = (array + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-        inner = newline + "  "
-        sep = "," + inner + "  "
-        body = ("," + inner).join([
-            "[" + inner + "  " + sep.join(digits[i:i + cols]) + inner + "]"
-            for i in range(0, rows * cols, cols)])
-        return "[" + inner + body + newline + "]"
-    return _grid_template(rows, cols, newline) % tuple(array.ravel().tolist())
 
 
 def _atomic_write(path: Path, content: str) -> None:

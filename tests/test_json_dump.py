@@ -153,7 +153,7 @@ grid_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1]),
 )
 grids = st.one_of(
-    hnp.arrays(np.int64, grid_shapes, elements=st.integers(0, 9)),  # digit rows
+    hnp.arrays(np.int64, grid_shapes, elements=st.integers(0, 9)),  # as the dominance matrix
     hnp.arrays(np.int64, grid_shapes, elements=st.integers(-9, 9)),
     hnp.arrays(np.int64, grid_shapes),
     hnp.arrays(np.uint8, grid_shapes),
@@ -166,7 +166,7 @@ grids = st.one_of(
 
 
 class TestGrids:
-    """2-D arrays, which `_dump_json` writes from the array, not the rows."""
+    """2-D arrays, which `_dump_json` writes with one grid template."""
 
     @settings(max_examples=300, deadline=None)
     @given(grids)
@@ -191,6 +191,13 @@ class TestGrids:
     ])
     def test_edge_grids_equal_stdlib(self, array):
         assert _dump_json({"g": _jsonable(array)}) == oracle_dump_json({"g": array.tolist()})
+
+    def test_grid_is_a_copy_of_the_array(self):
+        array = np.arange(6).reshape(2, 3)
+        doc = _jsonable({"g": array})
+        expected = oracle_dump_json({"g": array.tolist()})
+        array[0, 0] = 99
+        assert _dump_json(doc) == expected
 
 
 class Colour(str, Enum):
