@@ -54,20 +54,12 @@ from .pareto import (
     ParetoResult,
     Ray,
     composite_front,
-    dominates,
     knee_point,
     pareto_set,
     rays_to_reference,
 )
 from .pipeline import StudyResult, run_study, write_report
-from .profiles import (
-    PcpLines,
-    RadialProfile,
-    build_origami,
-    build_pcp,
-    origami_profiles,
-    ranked_areas,
-)
+from .profiles import RadialProfile, origami_profiles, ranked_areas
 
 __all__ = [
     "__version__",
@@ -90,7 +82,6 @@ __all__ = [
     "OutlierFlag",
     "ParetoResult",
     "PcaModel",
-    "PcpLines",
     "RadialProfile",
     "Ray",
     "ReliabilityReport",
@@ -102,13 +93,10 @@ __all__ = [
     "ValidationError",
     "alignment",
     "blockwise_pca",
-    "build_origami",
-    "build_pcp",
     "classify_sd_od",
     "composite_front",
     "composite_scores",
     "cronbach_alpha",
-    "dominates",
     "group_summaries",
     "harmonize_and_normalize",
     "hclust",

@@ -52,9 +52,6 @@ class PcaModel:
     def transform(self, data: np.ndarray) -> np.ndarray:
         return (np.asarray(data, dtype=float) - self.center) @ self.loadings
 
-    def reconstruct(self, scores: np.ndarray) -> np.ndarray:
-        return self.center + np.asarray(scores, dtype=float) @ self.loadings.T
-
 
 def _centred_svd(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Column means, centred data, singular values, right singular vectors
@@ -294,10 +291,9 @@ class SdOdDiagnostics:
 
 
 # The pipeline fits k = 2 components, so it needs only these quantiles; they
-# are scipy.stats 1.17's values, and the report runs on numpy alone. Other
-# chi-square arguments, reached only through `sd_od` with 3 or more
-# components, import `scipy.special` at first call (never `scipy.stats`).
-_NORMAL_PPF = {0.975: 1.959963984540054}
+# are scipy.stats 1.17's values. Other chi-square arguments, reached only
+# through `sd_od` with 3 or more components, are bisected from the CDF.
+_Z975 = 1.959963984540054  # standard normal 0.975 quantile
 _CHI2_PPF = {
     (0.95, 2): 5.991464547107979,
     (0.975, 1): 5.023886187314888,
@@ -305,19 +301,37 @@ _CHI2_PPF = {
 }
 
 
-def _normal_ppf(q: float) -> float:
-    """Standard normal quantile, as `scipy.stats.norm.ppf` computes it, at
-    the one level the OD cutoffs use."""
-    return _NORMAL_PPF[q]
+def _chi2_cdf(x: float, df: int) -> float:
+    """P(X <= x) for X chi-square with integer df >= 1 and x > 0. With
+    h = x/2 it is 1 - sum_{k<df/2} e^-h h^k / k! for even df, and
+    erf(sqrt(h)) - sum_{k<(df-1)/2} e^-h h^(k+1/2) / Gamma(k+3/2) for odd
+    df. Each term is exp of its logarithm, since e^-h alone underflows for
+    a large df."""
+    h = x / 2.0
+    log_h = math.log(h)
+    shift = 0.5 * (df % 2)
+    head = math.erf(math.sqrt(h)) if df % 2 else 1.0
+    return head - sum(math.exp(-h + (k + shift) * log_h - math.lgamma(k + shift + 1.0))
+                      for k in range(df // 2))
 
 
 def _chi2_ppf(q: float, df: int) -> float:
-    """Chi-square quantile, as `scipy.stats.chi2.ppf` computes it."""
+    """Chi-square quantile: scipy.stats 1.17's value at the pipeline's
+    arguments, else the CDF bisected until its bracket is two adjacent
+    floats."""
     if (q, df) in _CHI2_PPF:
         return _CHI2_PPF[q, df]
-    from scipy.special import gammaincinv
-
-    return 2.0 * float(gammaincinv(df / 2, q))
+    lo, hi = 0.0, float(df)
+    while _chi2_cdf(hi, df) < q:
+        lo, hi = hi, 2.0 * hi
+    mid = (lo + hi) / 2.0
+    while lo < mid < hi:
+        if _chi2_cdf(mid, df) < q:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2.0
+    return hi
 
 
 def median(a, axis: int | None = None):
@@ -385,13 +399,12 @@ def sd_od(
     resid = X - model.center - scores @ model.loadings.T
     od = np.linalg.norm(resid, axis=1)
 
-    z975 = _normal_ppf(0.975)
     sd_cut = float(np.sqrt(_chi2_ppf(0.975, n_usable)))
     if od_cut_mode == "hubert":
         od23 = od ** (2.0 / 3.0)
-        od_cut = float((median(od23) + _madn(od23) * z975) ** 1.5)
+        od_cut = float((median(od23) + _madn(od23) * _Z975) ** 1.5)
     else:
-        od_cut = float(median(od) + _madn(od) * z975)
+        od_cut = float(median(od) + _madn(od) * _Z975)
 
     flags = tuple(
         classify_sd_od(float(s), float(o), sd_cut, od_cut) for s, o in zip(sd, od)

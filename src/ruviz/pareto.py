@@ -20,23 +20,6 @@ _SLOPE_EPS = 1e-12
 _KNEE_MIN_DISTANCE = 1e-9
 
 
-def dominates(u_i, r_i, u_j, r_j) -> bool:
-    """True when (u_i, r_i) strongly dominates (u_j, r_j).
-
-    Utility vectors compare componentwise >= and risk vectors <=, with at
-    least one strict inequality. Comparisons are exact.
-    """
-    u_i = np.asarray(u_i, dtype=float)
-    u_j = np.asarray(u_j, dtype=float)
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    if u_i.shape != u_j.shape or r_i.shape != r_j.shape:
-        raise ValueError("dominance requires equal-length vectors per block")
-    no_worse = bool(np.all(u_i >= u_j) and np.all(r_i <= r_j))
-    strictly_better = bool(np.any(u_i > u_j) or np.any(r_i < r_j))
-    return no_worse and strictly_better
-
-
 @dataclass(frozen=True)
 class DominanceResult:
     """Pairwise dominance over all rows plus the non-dominated candidate set."""

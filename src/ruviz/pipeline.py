@@ -54,7 +54,7 @@ from .pareto import (
     pareto_set,
     rays_to_reference,
 )
-from .profiles import AreaTable, PcpLines, RadialProfile, build_pcp, origami_profiles, ranked_areas
+from .profiles import AreaTable, RadialProfile, origami_profiles, ranked_areas
 from .render import (
     render_biplot,
     render_blockwise,
@@ -230,10 +230,6 @@ class StudyResult:
     @_stage
     def areas(self) -> AreaTable:
         return ranked_areas(self.profiles)
-
-    @_stage
-    def pcp(self) -> PcpLines:
-        return build_pcp(self.nm, self.pareto.front.ids)
 
     @_stage
     def groups(self) -> tuple | None:
@@ -474,7 +470,7 @@ def _figure_builders(result: StudyResult) -> dict:
             result.reliability,
             reference_labels=result.reference_labels,
         ),
-        PlotKind.PCP: lambda: render_pcp(result.pcp),
+        PlotKind.PCP: lambda: render_pcp(result.nm, result.pareto.front.ids),
         PlotKind.ORIGAMI: lambda: _render_origami_figure(result),
         PlotKind.BIPLOT: lambda: render_biplot(
             result.pca,

@@ -1,4 +1,4 @@
-"""Radial (origami-style) polygon profiles and parallel-coordinate polylines.
+"""Radial (origami-style) polygon profiles, ranked by area.
 
 Each approach's normalized values become radii on the even spokes of a
 2m-gon; the odd spokes carry a fixed auxiliary radius, which makes the
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Block, NormalizedMatrix
+from .model import NormalizedMatrix
 
 AREA_CAVEAT = (
     "areas are descriptive only: risk axes are not inverted, so a large "
@@ -79,13 +79,6 @@ def _profiles(ids: Sequence[str], values, measure_ids: Sequence[str],
     )
 
 
-def build_origami(profile_id: str, values: Sequence[float],
-                  measure_ids: Sequence[str], r_aux: float = 0.1) -> RadialProfile:
-    """One radial profile from normalized values; requires at least 3
-    measures and 0 < r_aux < 1."""
-    return _profiles((profile_id,), np.reshape(values, (1, -1)), measure_ids, r_aux)[0]
-
-
 def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> tuple[RadialProfile, ...]:
     """One radial profile per approach, axes in declared measure order."""
     return _profiles(nm.labels, nm.values, tuple(s.id for s in nm.specs), r_aux)
@@ -119,42 +112,3 @@ def ranked_areas(profiles: Sequence[RadialProfile]) -> AreaTable:
             for p in ordered
         )
     )
-
-
-@dataclass(frozen=True)
-class PcpAxis:
-    measure_id: str
-    block: Block
-
-
-@dataclass(frozen=True)
-class PcpLine:
-    id: str
-    values: np.ndarray  # one vertex per axis
-    is_pareto: bool
-    is_reference: bool
-
-
-@dataclass(frozen=True)
-class PcpLines:
-    axes: tuple[PcpAxis, ...]
-    lines: tuple[PcpLine, ...]
-
-
-def build_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str] | set[str]) -> PcpLines:
-    """Polyline view of the normalized matrix, flagged for highlighting.
-
-    Axis order follows the declared measure order (risk facet first); vertex
-    values are the normalized matrix entries unchanged.
-    """
-    axes = tuple(PcpAxis(measure_id=s.id, block=s.block) for s in nm.specs)
-    lines = tuple(
-        PcpLine(
-            id=row.label,
-            values=nm.values[i].copy(),
-            is_pareto=row.label in pareto_ids,
-            is_reference=row.is_reference,
-        )
-        for i, row in enumerate(nm.rows)
-    )
-    return PcpLines(axes=axes, lines=lines)

@@ -29,11 +29,10 @@ from .multivariate import (
 )
 from .ordering import Dendrogram
 from .pareto import CompositeFront, KneePoint, Ray
-from .profiles import PcpLines, RadialProfile
+from .profiles import RadialProfile
 from .svg import (
     Batch,
     Circle,
-    LegendEntry,
     Line,
     PlotDocument,
     Polygon,
@@ -57,6 +56,15 @@ FLAG_COLORS = {
     OutlierFlag.BAD_LEVERAGE: "#b2182b",
 }
 UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@dataclass(frozen=True)
+class LegendEntry:
+    label: str
+    color: str
+    marker: str = "swatch"  # swatch | line | dash
+
+
 # legend entries for the markers that `_approaches` draws
 APPROACH_LEGEND = (
     LegendEntry("composite Pareto-optimal", PARETO_COLOR),
@@ -160,10 +168,10 @@ def _composite_axes(doc: PlotDocument, right: float) -> Frame:
     return fr
 
 
-def _legend(doc: PlotDocument, x: float, y: float, cols: int = 1,
-            col_w: float = 0, width: int = 28) -> None:
-    """Draw `doc.legend` from (x, y) in `cols` columns `col_w` apart."""
-    for i, entry in enumerate(doc.legend):
+def _legend(doc: PlotDocument, entries: Sequence[LegendEntry], x: float, y: float,
+            cols: int = 1, col_w: float = 0, width: int = 28) -> None:
+    """Draw `entries` from (x, y) in `cols` columns `col_w` apart."""
+    for i, entry in enumerate(entries):
         xx = x + (i % cols) * col_w
         yy = y + (i // cols) * 16
         if entry.marker in ("line", "dash"):
@@ -274,10 +282,6 @@ def render_heatmap(
                  "* composite Pareto-optimal   rows ordered by "
                  f"{dendrogram.linkage}-linkage clustering", size=10,
                  fill="#444444"))
-    doc.legend = [
-        LegendEntry("risk measure (white=0, red=1)", RISK_COLOR),
-        LegendEntry("utility measure (white=0, blue=1)", UTILITY_COLOR),
-    ]
     return doc
 
 
@@ -340,10 +344,6 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
             doc.add(Circle(x + 5, y - 3, 4.0, fill=ramps[block][pos],
                            stroke="#555555", stroke_width=0.6))
             doc.add(Text(x + 14, y, _short(nm.specs[j].id, 14), size=9))
-    doc.legend = [
-        LegendEntry("risk measures", RISK_COLOR),
-        LegendEntry("utility measures", UTILITY_COLOR),
-    ]
     return doc
 
 
@@ -401,14 +401,13 @@ def render_composite_ru(
         doc.add(Text(ax, 88 + i * 15,
                      f"{name}: α={rel.alpha:.2f} ω={omega} ({rel.verdict})",
                      size=10, fill="#333333"))
-    doc.legend = [
+    _legend(doc, [
         LegendEntry("composite Pareto-optimal", PARETO_COLOR),
         LegendEntry("dominated", NEUTRAL_COLOR),
         LegendEntry("reference (original)", REFERENCE_COLOR),
         LegendEntry("knee point", KNEE_COLOR, marker="line"),
         LegendEntry("± SD across measures", "#bbbbbb", marker="line"),
-    ]
-    _legend(doc, ax, 140)
+    ], ax, 140)
     return doc
 
 
@@ -443,25 +442,24 @@ def render_rays(
                   fill=REFERENCE_COLOR, title=ref_labels), z=3)
     _point_labels(doc, refs[:, 0], refs[:, 1], [_short(l, 14) for l in ref_labels],
                   color="#000000")
-    doc.legend = [
+    _legend(doc, [
         *APPROACH_LEGEND,
         LegendEntry("s = risk change per utility", "#c8c8c8", marker="line"),
-    ]
-    _legend(doc, doc.width - 225, 70)
+    ], doc.width - 225, 70)
     return doc
 
 
-def render_pcp(pcp: PcpLines) -> PlotDocument:
-    """Parallel coordinates with risk and utility in separate facets."""
+def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument:
+    """Parallel coordinates with risk and utility in separate facets: axes in
+    declared measure order, one polyline per approach and facet."""
     doc = _document("parallel coordinates")
     left, right, top, bottom, gap = 80, 40, 80, 120, 70
     plot_h = doc.height - top - bottom
 
-    risk_axes = [a for a in pcp.axes if a.block is Block.RISK]
-    util_axes = [a for a in pcp.axes if a.block is Block.UTILITY]
-    total = len(risk_axes) + len(util_axes)
+    risk_idx = nm.block_indices(Block.RISK)
+    util_idx = nm.block_indices(Block.UTILITY)
     usable_w = doc.width - left - right - gap
-    risk_w = usable_w * len(risk_axes) / total
+    risk_w = usable_w * len(risk_idx) / len(nm.specs)
     util_w = usable_w - risk_w
 
     def axis_positions(n_axes: int, x0: float, w: float) -> list[float]:
@@ -469,59 +467,55 @@ def render_pcp(pcp: PcpLines) -> PlotDocument:
             return [x0 + w / 2]
         return [x0 + w * i / (n_axes - 1) for i in range(n_axes)]
 
-    rx = axis_positions(len(risk_axes), left, risk_w)
-    ux = axis_positions(len(util_axes), left + risk_w + gap, util_w)
-    pos = {a.measure_id: x for a, x in zip(risk_axes, rx)}
-    pos.update({a.measure_id: x for a, x in zip(util_axes, ux)})
+    facets = ((risk_idx, axis_positions(len(risk_idx), left, risk_w)),
+              (util_idx, axis_positions(len(util_idx), left + risk_w + gap, util_w)))
 
     doc.add(Text(left + risk_w / 2, top - 26, "risk (high = more risk)",
                  size=12, anchor="middle", fill=RISK_COLOR, weight="bold"))
     doc.add(Text(left + risk_w + gap + util_w / 2, top - 26,
                  "utility (high = more utility)", size=12, anchor="middle",
                  fill=UTILITY_COLOR, weight="bold"))
-    for axes in (risk_axes, util_axes):
-        for a in axes:
-            x = pos[a.measure_id]
+    for idx, xs in facets:
+        for j, x in zip(idx, xs):
             doc.add(Line(x, top, x, top + plot_h, stroke="#bbbbbb",
                          stroke_width=1.0, dash="2,3"))
             doc.add(Text(x, top - 8, "1", size=8, anchor="middle",
                          fill="#888888"))
             doc.add(Text(x, top + plot_h + 12, "0", size=8, anchor="middle",
                          fill="#888888"))
-            doc.add(Text(x + 3, top + plot_h + 26, _short(a.measure_id, 12),
+            doc.add(Text(x + 3, top + plot_h + 26, _short(nm.specs[j].id, 12),
                          size=9, anchor="end", rotate=-30.0))
 
-    values = np.array([line.values for line in pcp.lines])
-    column = {a.measure_id: j for j, a in enumerate(pcp.axes)}
+    def vertices(idx: tuple[int, ...], xs: list[float]) -> np.ndarray:
+        """Each line's (x, y) on the facet's axes, a single axis doubled."""
+        if len(idx) == 1:
+            idx, xs = idx * 2, xs * 2
+        ys = top + plot_h - nm.values[:, list(idx)] * plot_h
+        return np.stack(np.broadcast_arrays(np.array(xs), ys),
+                        axis=-1).reshape(len(nm.rows), -1)
 
-    def vertices(axes) -> np.ndarray:
-        """Each line's (x, y) on `axes`, doubled when there is one axis."""
-        axes = list(axes) * (2 if len(axes) == 1 else 1)
-        ys = top + plot_h - values[:, [column[a.measure_id] for a in axes]] * plot_h
-        xs = np.array([pos[a.measure_id] for a in axes])
-        return np.stack(np.broadcast_arrays(xs, ys), axis=-1).reshape(len(values), -1)
-
-    points = np.hstack([vertices(risk_axes), vertices(util_axes)])
-    parts = (max(len(risk_axes), 2), max(len(util_axes), 2))
-    pareto_labels = sorted(l.id for l in pcp.lines if l.is_pareto)
+    points = np.hstack([vertices(idx, xs) for idx, xs in facets])
+    parts = (max(len(risk_idx), 2), max(len(util_idx), 2))
+    labels = nm.labels
+    pareto_labels = sorted(l for l in labels if l in pareto_ids)
     color_of = {lbl: PALETTE[i % len(PALETTE)] for i, lbl in enumerate(pareto_labels)}
-    layer = [2 if l.is_reference else 3 if l.is_pareto else 1 for l in pcp.lines]
+    layer = [2 if row.is_reference else 3 if row.label in pareto_ids else 1
+             for row in nm.rows]
     for z, style in ((1, dict(stroke="#c4c4c4", stroke_width=1.2)),
                      (2, dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")),
                      (3, dict(stroke_width=2.2))):
         at = [i for i, zi in enumerate(layer) if zi == z]
-        ids = [pcp.lines[i].id for i in at]
+        ids = [labels[i] for i in at]
         if z == 3:
             style["stroke"] = [color_of[i] for i in ids]
         doc.add(Batch(Polyline, points[at], parts=parts, fill="none", title=ids,
                       **style), z=z)
 
-    doc.legend = [LegendEntry(lbl, color_of[lbl], marker="line")
-                  for lbl in pareto_labels]
-    doc.legend.append(LegendEntry("reference (original)", REFERENCE_COLOR,
-                                  marker="dash"))
-    doc.legend.append(LegendEntry("dominated", "#c4c4c4", marker="line"))
-    _legend(doc, left, doc.height - 40, cols=4, col_w=210, width=24)
+    _legend(doc, [*(LegendEntry(lbl, color_of[lbl], marker="line")
+                    for lbl in pareto_labels),
+                  LegendEntry("reference (original)", REFERENCE_COLOR, marker="dash"),
+                  LegendEntry("dominated", "#c4c4c4", marker="line")],
+            left, doc.height - 40, cols=4, col_w=210, width=24)
     return doc
 
 
@@ -587,10 +581,6 @@ def render_origami(
                             stroke_width=2.0, title=pid), z=2)
             doc.add(Text(cx - radius, cy + radius + 26 + sidx * 12, pid, size=9,
                          fill=color))
-    doc.legend = [
-        LegendEntry("risk axis labels", RISK_COLOR),
-        LegendEntry("utility axis labels", UTILITY_COLOR),
-    ]
     return doc
 
 
@@ -683,18 +673,16 @@ def render_biplot(
     _approaches(doc, fr.sx(scores[:, 0]), fr.sy(scores[:, 1]), labels, pareto_ids,
                 reference_labels, z=4)
 
-    doc.legend = [
+    legend = [
         *APPROACH_LEGEND,
         LegendEntry("risk loading", RISK_COLOR, marker="line"),
         LegendEntry("utility loading", UTILITY_COLOR, marker="line"),
     ]
     if acceptance is not None:
-        doc.legend.append(LegendEntry("acceptance region", "#4d9221",
-                                      marker="dash"))
+        legend.append(LegendEntry("acceptance region", "#4d9221", marker="dash"))
     if groups:
-        doc.legend.append(LegendEntry("dataset summary", "#666666",
-                                      marker="dash"))
-    _legend(doc, doc.width - 230, 70)
+        legend.append(LegendEntry("dataset summary", "#666666", marker="dash"))
+    _legend(doc, legend, doc.width - 230, 70)
     return doc
 
 
@@ -732,9 +720,8 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                   stroke_width=0.6, title=labels), z=2)
     _point_labels(doc, x, y, [_short(label, 14) for label in labels])
 
-    doc.legend = [LegendEntry(flag.value.replace("_", " "), color)
-                  for flag, color in FLAG_COLORS.items()]
-    _legend(doc, doc.width - 235, 70)
+    _legend(doc, [LegendEntry(flag.value.replace("_", " "), color)
+                  for flag, color in FLAG_COLORS.items()], doc.width - 235, 70)
     return doc
 
 
@@ -810,6 +797,5 @@ def render_blockwise(
     _stacked_bar_v(doc, bw.risk, 66, fr.y0, 24, fr.h)
     doc.add(Text(66, fr.y0 - 8, "risk PC1", size=9, fill="#444444"))
 
-    doc.legend = list(APPROACH_LEGEND)
-    _legend(doc, doc.width - 235, 70)
+    _legend(doc, APPROACH_LEGEND, doc.width - 235, 70)
     return doc

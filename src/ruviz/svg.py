@@ -1,6 +1,6 @@
 """Backend-independent chart description with deterministic SVG serialization.
 
-A PlotDocument is an ordered bag of drawing primitives plus legend metadata.
+A PlotDocument is a canvas and an ordered bag of drawing primitives.
 Serialization is a pure function of the document: coordinates are emitted
 with fixed two-decimal formatting and primitives in stable z-order, so
 identical inputs yield byte-identical SVG.
@@ -321,20 +321,12 @@ class Batch:
             self.columns["title"], zip(*pick(columns)), zip(*pick_plain(columns)))]
 
 
-@dataclass(frozen=True)
-class LegendEntry:
-    label: str
-    color: str
-    marker: str = "swatch"  # swatch | line | dash
-
-
 class PlotDocument:
-    """One chart: canvas, ordered primitives, legend entries."""
+    """One chart: canvas and ordered primitives."""
 
     def __init__(self, width: int = 960, height: int = 640):
         self.width = width
         self.height = height
-        self.legend: list[LegendEntry] = []
         self._items: list[tuple[int, int, object]] = []
 
     def add(self, primitive, z: int = 0) -> None:

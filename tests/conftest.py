@@ -22,6 +22,7 @@ from ruviz.model import (
     NormalizedMatrix,
     ingest,
 )
+from ruviz.profiles import _profiles
 from ruviz.svg import Batch
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -76,6 +77,17 @@ def make_nm(
     return NormalizedMatrix(specs=specs, rows=rows, values=values, scales=scales)
 
 
+def build_origami(profile_id: str, values, measure_ids, r_aux: float = 0.1):
+    """One radial profile from normalized values; requires at least 3
+    measures and 0 < r_aux < 1."""
+    return _profiles((profile_id,), np.reshape(values, (1, -1)), measure_ids, r_aux)[0]
+
+
+def reconstruct(model, scores) -> np.ndarray:
+    """Data-space points of `scores` under a PCA model."""
+    return model.center + np.asarray(scores, dtype=float) @ model.loadings.T
+
+
 def generated_study(n_rows: int = 60, seed: int = 2026) -> tuple[str, dict]:
     """CSV text and config document of a seeded single-dataset study.
 
@@ -113,6 +125,23 @@ def generated_study(n_rows: int = 60, seed: int = 2026) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+
+def dominates(u_i, r_i, u_j, r_j) -> bool:
+    """True when (u_i, r_i) strongly dominates (u_j, r_j).
+
+    Utility vectors compare componentwise >= and risk vectors <=, with at
+    least one strict inequality. Comparisons are exact.
+    """
+    u_i = np.asarray(u_i, dtype=float)
+    u_j = np.asarray(u_j, dtype=float)
+    r_i = np.asarray(r_i, dtype=float)
+    r_j = np.asarray(r_j, dtype=float)
+    if u_i.shape != u_j.shape or r_i.shape != r_j.shape:
+        raise ValueError("dominance requires equal-length vectors per block")
+    no_worse = bool(np.all(u_i >= u_j) and np.all(r_i <= r_j))
+    strictly_better = bool(np.any(u_i > u_j) or np.any(r_i < r_j))
+    return no_worse and strictly_better
 
 
 def oracle_pareto_ids(utilities: list[list[float]], risks: list[list[float]]) -> set[int]:

@@ -29,14 +29,16 @@ from ruviz.multivariate import (
 )
 from ruviz.ordering import hclust
 from ruviz.pareto import FrontPoint, composite_front, knee_point, pareto_set
-from ruviz.profiles import build_origami, origami_profiles, ranked_areas
+from ruviz.profiles import origami_profiles, ranked_areas
 
 from conftest import (
+    build_origami,
     chi2_quantile_even_df,
     make_nm,
     oracle_front_ids,
     oracle_hclust,
     oracle_pareto_ids,
+    reconstruct,
     sample_with_exact_cov,
 )
 
@@ -140,7 +142,7 @@ def test_criterion_04_pca_numerics():
             model = pca_fit(data, k)
             if model.k < k:  # rank-deficient draw, exceedingly unlikely
                 continue
-            recon = model.reconstruct(model.scores)
+            recon = reconstruct(model, model.scores)
             assert np.abs(recon - data).max() < 1e-10
             assert abs(model.explained_variance_ratio.sum() - 1.0) < 1e-10
             gram = model.loadings.T @ model.loadings

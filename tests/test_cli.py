@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,6 +16,7 @@ import ruviz
 from ruviz import cli
 from ruviz.cli import main
 from ruviz.config import StudyOptions
+from conftest import chi2_quantile_even_df
 from test_pipeline import FIXTURE_SHA256
 
 DATA = Path(__file__).parent / "data"
@@ -367,16 +370,52 @@ class TestReport:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats is about half of the CLI's start-up time; the CLI clusters
-    # without scipy and reads the report's quantiles from a table, so only a
-    # quantile at other arguments loads scipy.special
+    # the library runs on numpy alone, and scipy.stats alone would be about
+    # half of the CLI's start-up time: importing the CLI loads no scipy module
     src = Path(ruviz.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys, ruviz.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.stats', 'scipy.cluster', 'scipy.special')))")
+    code = ("import sys, ruviz.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_library_module_imports_scipy():
+    package = Path(ruviz.__file__).resolve().parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imports.append((path.name, node.module))
+    assert imports  # the scan reads the package's imports
+    assert [(f, m) for f, m in imports if m.split(".")[0] == "scipy"] == []
+
+
+def test_report_and_sd_od_run_without_scipy(tmp_path):
+    # with scipy unimportable, `report` writes the pinned artifacts and
+    # `sd_od` on a k = 4 model bisects its chi-square quantile
+    src = Path(ruviz.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from ruviz.cli import main\n"
+            "from ruviz.multivariate import pca_fit, sd_od\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "X = np.random.default_rng(4).random((12, 6))\n"
+            "print(repr(sd_od(pca_fit(X, 4), X).sd_cutoff))\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, "report", *common_args(),
+                           "--out", str(out)], env=env, capture_output=True,
+                          text=True, check=True)
+    assert len(FIXTURE_SHA256) == 13
+    assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
+            for n in FIXTURE_SHA256} == FIXTURE_SHA256
+    sd_cutoff = float(proc.stdout.splitlines()[-1])
+    assert sd_cutoff == pytest.approx(math.sqrt(chi2_quantile_even_df(0.975, 4)),
+                                      rel=1e-9)
 
 
 def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):

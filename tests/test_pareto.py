@@ -9,13 +9,12 @@ from ruviz.pareto import (
     CompositeFront,
     FrontPoint,
     composite_front,
-    dominates,
     knee_point,
     pareto_set,
     rays_to_reference,
 )
 
-from conftest import make_nm, oracle_front_ids, oracle_pareto_ids
+from conftest import dominates, make_nm, oracle_front_ids, oracle_pareto_ids
 
 
 def random_values(rng, shape, levels=None):

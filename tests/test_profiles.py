@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruviz.profiles import (
-    AREA_CAVEAT,
-    build_origami,
-    build_pcp,
-    origami_profiles,
-    ranked_areas,
-)
+from ruviz.profiles import AREA_CAVEAT, origami_profiles, ranked_areas
 
-from conftest import make_nm
+from conftest import build_origami, make_nm
 
 IDS5 = tuple(f"m{i}" for i in range(5))
 
@@ -139,34 +133,6 @@ class TestRankedAreas:
         b = build_origami("b", np.ones(3), ("x", "y", "q"))
         with pytest.raises(ValueError, match="share axis order"):
             ranked_areas([a, b])
-
-
-class TestPcp:
-    def test_shape_and_flags(self):
-        vals = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-        nm = make_nm(vals, 1, reference_index=1)
-        pcp = build_pcp(nm, {"a0"})
-        assert len(pcp.axes) == 3
-        assert len(pcp.lines) == 2
-        assert all(len(line.values) == 3 for line in pcp.lines)
-        assert pcp.lines[0].is_pareto and not pcp.lines[0].is_reference
-        assert pcp.lines[1].is_reference and not pcp.lines[1].is_pareto
-
-    def test_lossless_roundtrip(self):
-        rng = np.random.default_rng(50)
-        vals = rng.random((6, 5))
-        nm = make_nm(vals, 2)
-        pcp = build_pcp(nm, set())
-        rebuilt = np.vstack([line.values for line in pcp.lines])
-        np.testing.assert_array_equal(rebuilt, vals)
-
-    def test_axis_order_follows_declaration(self, study_config, study_csv_bytes):
-        from ruviz.model import harmonize_and_normalize, ingest
-
-        nm = harmonize_and_normalize(ingest(study_csv_bytes, study_config))
-        pcp = build_pcp(nm, set())
-        assert [a.measure_id for a in pcp.axes] == list(study_config.measure_ids)
-        assert [a.block.value for a in pcp.axes[:5]] == ["risk"] * 5
 
 
 def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):

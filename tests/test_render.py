@@ -10,9 +10,10 @@ from ruviz.model import Block, harmonize_and_normalize, ingest
 from ruviz.multivariate import blockwise_pca, pca_fit, sd_od
 from ruviz.ordering import hclust
 from ruviz.pareto import composite_front, knee_point, pareto_set, rays_to_reference
-from ruviz.profiles import build_pcp, origami_profiles
+from ruviz.profiles import origami_profiles
 from ruviz.render import (
     BLOCK_COLOR,
+    PALETTE,
     block_ramp,
     render_biplot,
     render_blockwise,
@@ -257,18 +258,16 @@ class TestRays:
 class TestPcpRender:
     def test_counts_and_determinism(self, study):
         nm, _, front = study
-        pcp = build_pcp(nm, front.ids)
-        doc = render_pcp(pcp)
+        doc = render_pcp(nm, front.ids)
         well_formed(doc)
         lines = [e for e in svg_elements(doc, "polyline") if title_of(e) is not None]
         # one polyline per approach per facet
         assert len(lines) == 2 * len(nm.rows)
-        assert render_pcp(pcp).to_svg() == doc.to_svg()
+        assert render_pcp(nm, front.ids).to_svg() == doc.to_svg()
 
     def test_reference_dashed_pareto_colored(self, study):
         nm, _, front = study
-        pcp = build_pcp(nm, front.ids)
-        doc = render_pcp(pcp)
+        doc = render_pcp(nm, front.ids)
         polylines = svg_elements(doc, "polyline")
         ref_lines = [e for e in polylines if title_of(e) == "original"]
         assert len(ref_lines) == 2
@@ -276,6 +275,41 @@ class TestPcpRender:
         pareto_lines = [e for e in polylines if title_of(e) in front.ids]
         assert len(pareto_lines) == 2 * len(front.ids)
         assert all(e.get("stroke") != "#c4c4c4" for e in pareto_lines)
+
+    def test_axes_in_declared_order_risk_first(self, study):
+        nm, _, front = study
+        axis_labels = [e for e in svg_elements(render_pcp(nm, front.ids), "text")
+                       if e.get("transform")]
+        assert [e.text for e in axis_labels] == [s.id for s in nm.specs]
+        assert [s.block for s in nm.specs[:5]] == [Block.RISK] * 5
+        xs = [float(e.get("x")) for e in axis_labels]
+        assert xs == sorted(xs)
+
+    def test_vertices_are_the_normalized_values(self):
+        vals = np.random.default_rng(50).random((6, 5))
+        doc = render_pcp(make_nm(vals, 2), frozenset())
+        rows = batch_rows(doc, Polyline)
+        assert [strings["title"] for _, strings in rows] == [f"a{i}" for i in range(6)]
+        numbers = np.array([n for n, _ in rows])
+        # the plot spans y = 520 (value 0) to 80 (value 1)
+        np.testing.assert_array_equal(numbers[:, 1::2], 520 - vals * 440)
+        assert (numbers[:, 0::2] == numbers[0, 0::2]).all()
+        assert np.all(np.diff(numbers[0, 0::2]) > 0)
+
+    def test_flags_and_single_axis_doubled(self):
+        vals = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        doc = render_pcp(make_nm(vals, 1, reference_index=1), frozenset({"a0"}))
+        pareto = batch_rows(doc, Polyline, stroke_width=2.2)
+        reference = batch_rows(doc, Polyline, dash="6,3")
+        assert [(s["title"], s["stroke"], s.get("dash")) for _, s in pareto] == [
+            ("a0", PALETTE[0], None)]
+        assert [(s["title"], s["stroke"]) for _, s in reference] == [("a1", "#000000")]
+        assert batch_rows(doc, Polyline, stroke="#c4c4c4") == []
+        for (numbers, _), row in zip(pareto + reference, vals):
+            # the one risk axis is two vertices at the same x and value
+            x0, y0, x1, y1, *util = numbers
+            assert x0 == x1 and y0 == y1 == 520 - row[0] * 440
+            assert util[1::2] == (520 - row[1:] * 440).tolist()
 
 
 class TestOrigamiRender:
