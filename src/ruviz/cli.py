@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation or write error, 2 analysis error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process; each parse returns a new namespace
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog=NAME,
@@ -156,7 +158,7 @@ def _cmd_plot(args) -> int:
     out = Path(args.out if args.out is not None else config.options.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.kind}.svg"
-    _atomic_write(path, doc.to_svg())
+    _atomic_write(path, doc.to_svg().encode("utf-8"))
     print(f"wrote {path}")
     return 0
 
@@ -175,18 +177,10 @@ def _cmd_report(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "normalize": _cmd_analysis,
-        "pareto": _cmd_analysis,
-        "composite": _cmd_analysis,
-        "pca": _cmd_analysis,
-        "profiles": _cmd_analysis,
-        "plot": _cmd_plot,
-        "report": _cmd_report,
-    }
+    handler = {"validate": _cmd_validate, "plot": _cmd_plot,
+               "report": _cmd_report}.get(args.command, _cmd_analysis)
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ValidationError as exc:
         print(f"{NAME}: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 import warnings
 from enum import Enum
 from json.encoder import encode_basestring
@@ -277,12 +276,47 @@ def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.name not in drop)
 
 
-_PLAIN = frozenset((str, int, bool, type(None)))
-
-
 class _Grid(list):
     """The rows of a 2-D int or finite float array, as plain lists, which
     `_encode` writes with one grid template."""
+
+
+class _Table(list):
+    """Records as equal-length columns by key, each a list of values or an
+    array whose first axis runs over the records, which `_encode` writes with
+    one template; read, it is the list of the records' `_jsonable` dicts."""
+
+    def __init__(self, /, **columns):
+        self.columns = {key: column.copy() if isinstance(column, np.ndarray) else column
+                        for key, column in columns.items()}
+        self.n = len(next(iter(columns.values()), ()))
+        if any(len(column) != self.n for column in columns.values()):
+            raise ValueError("table columns differ in length")
+
+    def _dicts(self) -> list[dict]:
+        rows = zip(*map(_jsonable, self.columns.values()))
+        return [dict(zip(self.columns, row)) for row in rows]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self._dicts())
+
+    def __getitem__(self, index):
+        return self._dicts()[index]
+
+    def __eq__(self, other) -> bool:
+        return self._dicts() == other
+
+    __ne__ = object.__ne__  # the negation of `__eq__`, where list's reads no records
+
+    def __repr__(self) -> str:
+        return repr(self._dicts())
+
+
+# returned as they are; a table's columns are converted when it is read
+_PLAIN = frozenset((str, int, bool, type(None), _Table))
 
 
 def _jsonable(value: Any) -> Any:
@@ -296,15 +330,10 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         items = value.tolist()
         kind = value.dtype.kind
-        # the sum of the items is finite if every item is; an overflow only
-        # sends a finite array through the walk
-        if kind in "biu" or (
-            kind == "f" and math.isfinite(sum(value.ravel().tolist()))
-        ):
+        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
             # a bool writes as true or false, a long double's item is no float
-            if value.ndim != 2 or kind == "b" or value.dtype.itemsize > 8:
-                return items
-            return _Grid(items)
+            grid = value.ndim == 2 and kind != "b" and value.itemsize <= 8
+            return _Grid(items) if grid else items
         return _jsonable(items)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -328,21 +357,24 @@ def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
     return doc
 
 
-def _rows(ids, **columns) -> list[dict]:
-    """Equal-length columns as one row per id: `{"id": id, column: value}`."""
-    keys = ("id", *columns)
-    values = [_jsonable(column) for column in columns.values()]
-    return [dict(zip(keys, row)) for row in zip(ids, *values)]
+def _records(objs, *drop: str, **extra) -> _Table:
+    """Dataclass records of one class as a table: a column per field, less
+    `drop`, plus the columns of `extra`; a field of arrays is stacked."""
+    names = _field_names(type(objs[0]), drop) if objs else ()
+    columns = [[getattr(obj, name) for obj in objs] for name in names]
+    return _Table(**{name: np.stack(c) if isinstance(c[0], np.ndarray) else c
+                     for name, c in zip(names, columns)}, **extra)
 
 
 def normalized_json(result: StudyResult) -> dict:
     nm = result.nm
     return {
-        "approaches": [_fields(r, label=r.label) for r in nm.rows],
+        "approaches": _records(nm.rows, label=[r.label for r in nm.rows]),
         "measures": _jsonable(nm.specs),
         "values": _jsonable(nm.values),
         "scales": {s.id: _fields(sc) for s, sc in zip(nm.specs, nm.scales)},
-        "row_order": _fields(result.dendrogram),
+        "row_order": _fields(result.dendrogram, "merges",
+                             merges=_records(result.dendrogram.merges)),
         "column_order": (
             None if result.column_order is None
             else [nm.specs[j].id for j in result.column_order]
@@ -353,7 +385,7 @@ def normalized_json(result: StudyResult) -> dict:
 
 def pareto_json(result: StudyResult) -> dict:
     pr = result.pareto
-    dom = pr.dominance
+    dom, edges, rays = pr.dominance, pr.front.edges, pr.rays
     return {
         "pareto_full": sorted(dom.pareto_ids),
         "pareto_composite": sorted(pr.front.ids),
@@ -361,9 +393,9 @@ def pareto_json(result: StudyResult) -> dict:
         "knee": None if pr.knee is None else pr.knee.id,
         "knee_distance": None if pr.knee is None else pr.knee.distance,
         "knee_concave": None if pr.knee is None else pr.knee.concave,
-        "edges": [_fields(e, "src", "dst", **{"from": e.src, "to": e.dst})
-                  for e in pr.front.edges],
-        "rays": [_fields(ray, slope_defined=ray.slope is not None) for ray in pr.rays],
+        "edges": _records(edges, "src", "dst", **{"from": [e.src for e in edges],
+                                                  "to": [e.dst for e in edges]}),
+        "rays": _records(rays, slope_defined=[ray.slope is not None for ray in rays]),
         "reference": pr.reference_label,
         "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.astype(int)),
     }
@@ -372,7 +404,8 @@ def pareto_json(result: StudyResult) -> dict:
 def composite_json(result: StudyResult) -> dict:
     sc = result.scores
     return {
-        "scores": _rows(sc.labels, **_fields(sc, "labels")),
+        "scores": _Table(id=list(sc.labels),
+                         **{k: v for k, v in vars(sc).items() if k != "labels"}),
         "reliability": _fields(result.reliability),
     }
 
@@ -390,8 +423,8 @@ def pca_json(result: StudyResult) -> dict:
         "alignment": _fields(align, "collinear", collinear_composites=align.collinear,
                              includes_reference=not opts.pca_exclude_reference),
         "sd_od": _fields(diag, "labels", "sd", "od", "flags", robust=opts.robust,
-                         rows=_rows(diag.labels, sd=diag.sd, od=diag.od,
-                                    flag=diag.flags)),
+                         rows=_Table(id=list(diag.labels), sd=diag.sd, od=diag.od,
+                                     flag=diag.flags)),
         # each axis sits under its block's name
         "blockwise": {
             axis.block.value: _fields(axis, "block", "fallback",
@@ -410,8 +443,8 @@ def profiles_json(result: StudyResult) -> dict:
     return {
         "r_aux": result.config.options.r_aux,
         "axis_order": [s.id for s in result.nm.specs],
-        "profiles": [_fields(p, "measure_ids", "r_aux") for p in result.profiles],
-        **_fields(result.areas, "entries", areas=result.areas.entries),
+        "profiles": _records(result.profiles, "measure_ids", "r_aux"),
+        **_fields(result.areas, "entries", areas=_records(result.areas.entries)),
     }
 
 
@@ -511,6 +544,9 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
 
 # exact types only: a subclass (bool, numpy float64) needs the encoder's repr
 _NUMBER = frozenset((int, float))
+# the JSON text of each scalar type that `_jsonable` returns (a finite float)
+_TEXT = {str: encode_basestring, int: repr, float: repr, type(None): lambda _: "null",
+         bool: {True: "true", False: "false"}.__getitem__}
 # the C encoder, used for one scalar at a time
 _encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
@@ -521,10 +557,10 @@ def _dump_json(doc: Any) -> str:
 
     With `indent` set, the stdlib encodes in pure Python, one call per
     element. Here a plain int or float is its `repr`, as in the stdlib, a
-    list of them is one join, and every other scalar goes through the C
-    encoder. NaN and infinity raise `ValueError`. Every key must be a `str`
-    (the stdlib also converts number, bool and None keys; here they raise
-    `TypeError`).
+    grid or a table is one `%` into a template, and every other scalar goes
+    through the C encoder. NaN and infinity raise `ValueError`. Every key
+    must be a `str` (the stdlib also converts number, bool and None keys;
+    here they raise `TypeError`).
     """
     return _encode(doc, "\n") + "\n"
 
@@ -543,16 +579,13 @@ def _encode(value: Any, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if type(value) is _Table:
+            return _table_text(value, newline)
         if type(value) is _Grid:
             template = _grid_template(len(value), len(value[0]), newline)
             return template % tuple(itertools.chain.from_iterable(value))
         inner = newline + "  "
-        if _NUMBER.issuperset(map(type, value)):
-            body = ("," + inner).join(map(repr, value))
-            if "n" in body:  # only nan and inf have an "n": the encoder raises
-                _encode_scalar(value)
-        else:
-            body = ("," + inner).join([_encode(item, inner) for item in value])
+        body = ("," + inner).join([_encode(item, inner) for item in value])
         return "[" + inner + body + newline + "]"
     if type(value) in _NUMBER:
         text = repr(value)
@@ -561,19 +594,64 @@ def _encode(value: Any, newline: str) -> str:
     return _encode_scalar(value)
 
 
+def _layout(shape: tuple[int, ...], newline: str, items) -> str:
+    """Nested lists of `shape` in the indented layout, each number's text
+    taken in turn from the iterator `items`."""
+    if not shape:
+        return next(items)
+    inner = newline + "  "
+    cells = [_layout(shape[1:], inner, items) for _ in range(shape[0])]
+    return "[" + inner + ("," + inner).join(cells) + newline + "]" if cells else "[]"
+
+
 @functools.lru_cache(maxsize=64)
 def _grid_template(rows: int, cols: int, newline: str) -> str:
     """The layout of a rows x cols number grid, a `%r` field per number."""
+    return _layout((rows, cols), newline, itertools.repeat("%r"))
+
+
+def _cell_slots(column, n: int, newline: str) -> tuple[str, list[list]]:
+    """A table column's cell as a template, with a `%s` field for each
+    number that differs between the n cells and the number's repr where
+    all have the same bits (so 0.0 and -0.0 stay apart), and the values of
+    the fields; a column of other values is one field of JSON texts."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    # an array with a NaN or infinity, a bool or a long double goes cell by cell
+    if not (kind in "fiu" and column.itemsize <= 8 and np.isfinite(column).all()):
+        return "%s", [[_TEXT[type(c)](c) if type(c) in _TEXT else _encode(c, newline)
+                       for c in _jsonable(column)]]
+    flat = column.reshape(n, -1)
+    same = flat.view(f"u{flat.itemsize}") if kind == "f" else flat
+    same = (same == same[0]).all(axis=0)
+    baked = map(repr, flat[0, same].tolist())
+    items = iter(["%s" if not s else next(baked) for s in same.tolist()])
+    return _layout(column.shape[1:], newline, items), flat[:, ~same].T.tolist()
+
+
+def _table_text(table: _Table, newline: str) -> str:
+    """A non-empty table in the indented layout, one `%` over all of its
+    fields into the template of its records."""
     inner = newline + "  "
-    row = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * cols) + inner + "]"
-    return "[" + inner + ("," + inner).join([row if cols else "[]"] * rows) + newline + "]"
+    cell = inner + "  "
+    pieces, fields = [], []
+    for key in sorted(table.columns):
+        template, values = _cell_slots(table.columns[key], table.n, cell)
+        pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
+        fields += values
+    record = "{" + cell + ("," + cell).join(pieces) + inner + "}"
+    template = "[" + inner + ("," + inner).join([record] * table.n) + newline + "]"
+    return template % tuple(itertools.chain.from_iterable(zip(*fields)))
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Replace `path` by a new file of `data`, written in binary mode under
+    a temporary name in the same directory, with mode 0o666 less the umask."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -594,27 +672,18 @@ def write_report(result: StudyResult, out_dir: str | Path) -> dict:
     _compute_all(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    contents: dict[str, str] = {}
-    for name, doc in artifact_jsons(result).items():
-        contents[f"{name}.json"] = _dump_json(doc)
-    for name, plot in render_all(result).items():
-        contents[f"{name}.svg"] = plot.to_svg()
-
+    texts = {f"{name}.json": _dump_json(d) for name, d in artifact_jsons(result).items()}
+    texts |= {f"{name}.svg": plot.to_svg() for name, plot in render_all(result).items()}
     entries = []
-    for name in sorted(contents):
-        data = contents[name].encode("utf-8")
-        _atomic_write(out / name, contents[name])
-        entries.append(
-            {
-                "name": name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
+    for name, text in sorted(texts.items()):
+        data = text.encode("utf-8")  # hashed and written as these bytes
+        _atomic_write(out / name, data)
+        entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(),
+                        "bytes": len(data)})
     manifest = {
         "tool": {"name": __about__.NAME, "version": __about__.VERSION},
         "options": _options_doc(result.config),
         "artifacts": entries,
     }
-    _atomic_write(out / "manifest.json", _dump_json(manifest))
+    _atomic_write(out / "manifest.json", _dump_json(manifest).encode("utf-8"))
     return manifest

@@ -301,8 +301,9 @@ class Batch:
         v = self.values
         columns = np.where((v <= 0.0) & (v > -0.005), 0.0, v).T.tolist()
         for name, column in self.columns.items():
-            if name in ("title", "content"):
-                column = [_escape(s) if s else "" for s in column]
+            if name in ("title", "content"):  # each distinct string escaped once
+                escaped = {s: _escape(s) if s else "" for s in set(column)}
+                column = list(map(escaped.__getitem__, column))
             columns.append(column)
 
         def template(**strings):

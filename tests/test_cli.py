@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -310,6 +311,35 @@ class TestPlot:
         assert capsys.readouterr().err.startswith("ruviz: ")
 
 
+class TestParser:
+    # each flag below changes the printed document
+    RUNS = (
+        ["pca", *common_args(), "--robust", "--orient", "--od-cut", "literal"],
+        ["pca", *common_args()],
+        ["profiles", *common_args(), "--r-aux", "0.3"],
+        ["profiles", *common_args()],
+        ["normalize", *common_args(), "--exclude-reference-from-range",
+         "--linkage", "single"],
+        ["normalize", *common_args()],
+    )
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_consecutive_calls_print_what_fresh_calls_print(self, capsys):
+        fresh = []
+        for argv in self.RUNS:
+            cli._build_parser.cache_clear()
+            assert main(argv) == 0
+            fresh.append(capsys.readouterr())
+        assert all(a.out != b.out for a, b in zip(fresh[0::2], fresh[1::2]))
+        cli._build_parser.cache_clear()
+        order = [*range(len(self.RUNS)), *reversed(range(len(self.RUNS)))]
+        for i in order:  # no option may leak into the next call, either way
+            assert main(self.RUNS[i]) == 0
+            assert capsys.readouterr() == fresh[i]
+
+
 class TestReport:
     def test_out_is_a_file_exit_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -317,6 +347,28 @@ class TestReport:
         code = main(["report", *common_args(), "--out", str(blocker)])
         assert code == 1
         assert capsys.readouterr().err.startswith("ruviz: ")
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640),
+                                             (0o077, 0o600)])
+    def test_files_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert main(["report", *common_args(), "--out", str(tmp_path / "r")]) == 0
+            assert main(["plot", "sdod", *common_args(),
+                         "--out", str(tmp_path / "p")]) == 0
+        finally:
+            os.umask(previous)
+        files = [*(tmp_path / "r").iterdir(), tmp_path / "p" / "sdod.svg"]
+        assert len(files) == 15
+        assert {stat.S_IMODE(f.stat().st_mode) for f in files} == {mode}
+
+    def test_files_hold_the_hashed_bytes(self, tmp_path):
+        assert main(["report", *common_args(), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_bytes())
+        for entry in manifest["artifacts"]:
+            data = (tmp_path / entry["name"]).read_bytes()
+            assert b"\r" not in data and len(data) == entry["bytes"]
+            assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
     def test_artifact_inventory(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -1,5 +1,6 @@
 """The report's JSON writer and array conversion against the stdlib oracles."""
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ruviz.pipeline import _dump_json, _jsonable
+from ruviz.pipeline import _Table, _dump_json, _jsonable
 
 from conftest import oracle_dump_json, oracle_jsonable
 
@@ -238,3 +239,109 @@ class TestDataclasses:
         assert type(doc["colour"]) is str
         assert doc["cutoffs"] is not tree.cutoffs
         assert _dump_json(doc) == oracle_dump_json(doc)
+
+
+# table cells: the JSON writer's edge floats, NaN and infinities among them
+table_floats = st.one_of(
+    finite_floats,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 0.1,
+                     math.nan, math.inf, -math.inf]),
+)
+# keys and strings with characters the template or the encoder must keep
+table_text = st.text(st.one_of(st.sampled_from('%"\\é€\U0001d11e'), st.characters()),
+                     max_size=6)
+table_scalars = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    table_floats,
+    table_floats.map(np.float64),
+    table_text,
+    st.lists(numbers, max_size=3),
+)
+
+
+def table_columns(n: int):
+    """One column of n cells: an array (a cell may itself be an array) or a
+    list of values, some of them equal in every row."""
+    tails = st.sampled_from([(), (3,), (2, 2), (0,)])
+    return st.one_of(
+        tails.flatmap(lambda tail: hnp.arrays(np.float64, (n, *tail),
+                                              elements=table_floats)),
+        hnp.arrays(np.float64, (n,), elements=st.sampled_from([0.0, -0.0])),
+        hnp.arrays(np.float32, (n, 2),
+                   elements=st.floats(width=32, allow_nan=True, allow_infinity=True)),
+        hnp.arrays(np.int64, (n,)),
+        hnp.arrays(np.uint8, (n, 2)),
+        hnp.arrays(np.bool_, (n,)),
+        table_floats.map(lambda x: np.full(n, x)),
+        st.lists(table_scalars, min_size=n, max_size=n),
+        st.lists(st.one_of(st.none(), table_floats), min_size=n, max_size=n),
+        table_scalars.map(lambda x: [x] * n),
+    )
+
+
+def tables(max_rows: int):
+    return st.integers(0, max_rows).flatmap(
+        lambda n: st.dictionaries(table_text, table_columns(n), max_size=4))
+
+
+def oracle_rows(columns: dict) -> list[dict]:
+    """The records of `columns` as the element walk makes them."""
+    cells = [oracle_jsonable(column) for column in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
+
+
+class TestTables:
+    """Record lists held as columns, which `_dump_json` writes with one
+    template per table."""
+
+    def check(self, columns: dict) -> None:
+        table = _Table(**columns)
+        rows = oracle_rows(columns)
+        doc = {"table": table, "nested": [{"deep": table}, 1.5]}
+        expected = {"table": rows, "nested": [{"deep": rows}, 1.5]}
+        assert _dump_json(doc) == oracle_dump_json(expected) == oracle_dump_json(doc)
+        assert json.dumps(doc, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert len(table) == len(rows)
+        assert table == rows and not table != rows
+        assert list(table) == rows and table[:] == rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables(max_rows=5))
+    def test_table_equals_stdlib(self, columns):
+        self.check(columns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tables(max_rows=300))
+    def test_long_table_equals_stdlib(self, columns):
+        self.check(columns)
+
+    @pytest.mark.parametrize("columns", [
+        {},
+        {"x": []},
+        {"x": np.array([0.0, -0.0])},
+        {"x": np.array([-0.0, -0.0]), "y": np.array([0.0, 0.0])},
+        {"x": np.array([1, 1]), "y": [1.0, 1.0], "z": [True, True], "w": [1, True]},
+        {"x": np.array([[5e-324, 1e16, 1e-5]] * 3)},
+        {"slope": [0.5, None, math.inf, -2.0], "nan": np.full(4, math.nan)},
+        {"%s": ["%", "%%"], "%(0)s": ["%d", "%d"], '"q"': ['"', "é€"]},
+        {"id": ["a", "b", "c"], "vertices": np.zeros((3, 4, 2)), "e": np.zeros((3, 0))},
+    ])
+    def test_edge_tables_equal_stdlib(self, columns):
+        self.check(columns)
+
+    def test_table_is_a_copy_of_its_arrays(self):
+        values = np.arange(6.0).reshape(3, 2)
+        table = _Table(id=["a", "b", "c"], values=values)
+        expected = _dump_json(table)
+        values[0, 0] = 99.0
+        assert _dump_json(table) == expected
+
+    def test_columns_must_have_one_cell_per_record(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            _Table(id=["a", "b"], x=np.zeros(3))
+
+    def test_jsonable_keeps_a_table(self):
+        table = _Table(id=["a"])
+        assert _jsonable({"rows": table})["rows"] is table

@@ -239,6 +239,19 @@ class TestBatch:
                                              for v in numbers])
 
     @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_repeated_strings_are_escaped_as_the_single_texts_do(self, data):
+        # few distinct strings over many rows, as the figures' measure names
+        words = st.sampled_from(["a & b", "<x>", "50% & <b>", "%s", "", "plain"])
+        n = data.draw(st.integers(1, 40))
+        numbers = [[float(i), 2.0] for i in range(n)]
+        contents = data.draw(st.lists(words, min_size=n, max_size=n))
+        titles = data.draw(st.lists(words, min_size=n, max_size=n))
+        batch = Batch(Text, numbers, size=9, content=contents, title=titles)
+        single_and_batch_bytes(batch, [Text(*v, c, size=9, title=t)
+                                       for v, c, t in zip(numbers, contents, titles)])
+
+    @settings(max_examples=40, deadline=None)
     @given(rows(4), st.data())
     def test_percent_signs_in_shape_strings(self, numbers, data):
         n = len(numbers)
