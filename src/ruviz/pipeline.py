@@ -404,8 +404,8 @@ def pareto_json(result: StudyResult) -> dict:
 def composite_json(result: StudyResult) -> dict:
     sc = result.scores
     return {
-        "scores": _Table(id=list(sc.labels),
-                         **{k: v for k, v in vars(sc).items() if k != "labels"}),
+        "scores": _Table(id=list(sc.labels), **{
+            name: getattr(sc, name) for name in _field_names(type(sc), ("labels",))}),
         "reliability": _fields(result.reliability),
     }
 
@@ -646,7 +646,7 @@ def _table_text(table: _Table, newline: str) -> str:
 def _atomic_write(path: Path, data: bytes) -> None:
     """Replace `path` by a new file of `data`, written in binary mode under
     a temporary name in the same directory, with mode 0o666 less the umask."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
