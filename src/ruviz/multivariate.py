@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -422,24 +422,25 @@ def sd_od(
 
 
 def _stahel_donoho_outlyingness(
-    Y: np.ndarray, pairs: Iterable[tuple[int, int]]
+    Y: np.ndarray, pairs: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    # One product per direction: a single matrix product would round
-    # differently and could reorder tied observations.
-    projections = []
-    for i, j in pairs:
-        d = Y[i] - Y[j]
-        norm = float(np.linalg.norm(d))
-        if norm < 1e-12:
-            continue
-        projections.append(Y @ (d / norm))
-    if projections:
-        z = np.stack(projections, axis=1)  # (n, directions)
-        dev = np.abs(z - median(z, axis=0))
-        mad = 1.4826 * median(dev, axis=0)
-        usable = ~(mad < 1e-12)
-        if usable.any():
-            return np.max(dev[:, usable] / mad[usable], axis=1)
+    # Stacked `ddot`s (norms) and `gemv`s (projections) round as
+    # `np.linalg.norm(d)` and `Y @ u` do; one gemm would not, and could reorder
+    # tied rows. Rows of even length start 16-byte aligned, like a new vector:
+    # Prescott's OpenBLAS kernels sum a misaligned vector in another order.
+    p = Y.shape[1]
+    i, j = np.array(pairs).T
+    Y_even = np.pad(Y, ((0, 0), (0, p % 2)))
+    D = Y_even[i] - Y_even[j]
+    norms = np.sqrt(np.matmul(D[:, None, :p], D[:, :p, None]))[:, 0, 0]
+    keep = ~(norms < 1e-12)
+    U = (D[keep] / norms[keep, None])[:, :p]
+    z = np.matmul(Y, U[:, :, None])[:, :, 0]  # (directions, n)
+    dev = np.abs(z - median(z, axis=1)[:, None])
+    mad = 1.4826 * median(dev, axis=1)
+    usable = ~(mad < 1e-12)
+    if usable.any():
+        return np.max(dev[usable] / mad[usable, None], axis=0)
     raise AnalysisError(
         "outlyingness undefined: every projection direction was degenerate"
     )
@@ -482,8 +483,7 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     outlyingness = _stahel_donoho_outlyingness(Y, _direction_pairs(n, seed))
 
     h = math.ceil(0.75 * n)
-    keep = np.argsort(outlyingness, kind="stable")[:h]
-    keep = np.sort(keep)
+    keep = np.sort(np.argsort(outlyingness, kind="stable")[:h])
     subset_k = min(k, h - 1, p)
     if subset_k < 1:
         raise AnalysisError("robust PCA: h-subset too small for any component")

@@ -391,6 +391,25 @@ def oracle_outlyingness(Y: np.ndarray, pairs) -> np.ndarray:
     return out
 
 
+def outlyingness_case(n: int, dims: int, kind: str, duplicates: int, seed: int):
+    """An n x dims input for the outlyingness kernel and its direction pairs.
+
+    `kind` is "normal" (Gaussian), "grid" (integers -2..2: many tied
+    projections and zero-MAD directions) or "tenths" (that grid times 0.1).
+    Up to `duplicates` rows are copied onto others, so zero-norm pairs mix
+    with usable ones.
+    """
+    from ruviz.multivariate import _direction_pairs
+
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        Y = rng.standard_normal((n, dims))
+    else:
+        Y = rng.integers(-2, 3, size=(n, dims)) * (0.1 if kind == "tenths" else 1.0)
+    Y[rng.integers(0, n, duplicates)] = Y[rng.integers(0, n, duplicates)]
+    return Y, _direction_pairs(n, seed)
+
+
 def gift_wrap_hull(points: np.ndarray) -> set[tuple[float, float]]:
     """Jarvis-march convex hull vertex set (oracle for the monotone chain)."""
     pts = [tuple(map(float, p)) for p in points]

@@ -1,6 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from conftest import (
     make_specs,
     oracle_acceptance_vertices,
     oracle_outlyingness,
+    outlyingness_case,
     point_in_convex_polygon,
     reconstruct,
     sample_with_exact_cov,
@@ -381,21 +387,50 @@ class TestMedian:
         assert got[0] == 2.0 and math.isnan(got[1])
 
 
+def _openblas_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+# Checks the kernel against the one-direction-at-a-time oracle on seeded
+# inputs of every kind; exits non-zero at the first difference.
+_KERNEL_CHECK = """
+import sys
+import numpy as np
+from conftest import oracle_outlyingness, outlyingness_case
+from ruviz.errors import AnalysisError
+from ruviz.multivariate import _stahel_donoho_outlyingness
+
+def result(kernel, Y, pairs):
+    try:
+        return kernel(Y, pairs).tobytes()
+    except AnalysisError as exc:
+        return str(exc)
+
+rng = np.random.default_rng(2005)
+for case in range(90):
+    shape = (int(rng.integers(4, 71)), int(rng.integers(1, 17)))
+    Y, pairs = outlyingness_case(*shape, ("normal", "grid", "tenths")[case % 3],
+                                 int(rng.integers(0, 4)), int(rng.integers(2**32)))
+    if result(_stahel_donoho_outlyingness, Y, pairs) != result(oracle_outlyingness, Y, pairs):
+        sys.exit(f"case {case}: n, dims = {shape} differs from the oracle")
+"""
+
+
 class TestOutlyingness:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(4, 70),
-        dims=st.integers(1, 4),
-        grid=st.booleans(),
+        dims=st.integers(1, 16),
+        kind=st.sampled_from(["normal", "grid", "tenths"]),
+        duplicates=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_one_direction_at_a_time(self, n, dims, grid, seed):
-        rng = np.random.default_rng(seed)
-        if grid:  # many tied projections and zero-MAD directions
-            Y = rng.integers(-2, 3, size=(n, dims)).astype(float)
-        else:
-            Y = rng.standard_normal((n, dims))
-        pairs = _direction_pairs(n, seed)
+    def test_matches_one_direction_at_a_time(self, n, dims, kind, duplicates,
+                                             seed):
+        # up to 16 dimensions, so BLAS kernels sum in several lanes
+        Y, pairs = outlyingness_case(n, dims, kind, duplicates, seed)
         try:
             expected = oracle_outlyingness(Y, pairs)
         except AnalysisError as exc:
@@ -416,8 +451,41 @@ class TestOutlyingness:
         with pytest.raises(AnalysisError, match="every projection direction"):
             _stahel_donoho_outlyingness(Y, pairs)
 
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                        or not _openblas_dynamic_arch(),
+                        reason="needs x86-64 OpenBLAS built with DYNAMIC_ARCH")
+    @pytest.mark.parametrize("coretype",
+                             ["Haswell", "SandyBridge", "Prescott", "Nehalem"])
+    def test_matches_oracle_under_other_blas_kernels(self, coretype):
+        # OPENBLAS_CORETYPE picks the kernel, which sets the order of summation
+        path = os.pathsep.join([str(Path(__file__).parent),
+                                str(Path(multivariate.__file__).parents[1])])
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+               "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", _KERNEL_CHECK], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+
 
 class TestRobustPca:
+    def test_wide_study_model_equals_oracle_fit(self, monkeypatch):
+        # 4 datasets x 12 rows x 16 measures like the benchmark's wide study:
+        # the datasets share one reference row, and half the columns flip
+        rng = np.random.default_rng(16)
+        shift = np.repeat(rng.uniform(-0.1, 0.1, 4), 12)
+        level = np.clip(rng.uniform(0.05, 0.95, 48) + shift, 0.01, 0.99)
+        noise = rng.normal(0.0, 0.08, (48, 16))
+        level[::12], noise[::12] = 0.0, 0.0
+        sign = np.where(np.arange(16) % 2, -1.0, 1.0)
+        data = rng.uniform(0.5, 2.0, 16) * sign * (level[:, None] + noise)
+        model = robust_pca(data, 2)
+        monkeypatch.setattr(multivariate, "_stahel_donoho_outlyingness",
+                            oracle_outlyingness)
+        expected = robust_pca(data, 2)
+        for field in dataclasses.fields(model):
+            np.testing.assert_array_equal(getattr(model, field.name),
+                                          getattr(expected, field.name))
+
     @pytest.mark.parametrize("fit", [pca_fit, robust_pca])
     def test_constant_data_has_no_components(self, fit):
         with pytest.raises(AnalysisError,
