@@ -294,9 +294,10 @@ def harmonize_and_normalize(
         pop = col[pop_mask]
         lo = float(pop.min())
         hi = float(pop.max())
-        flip = (spec.block is Block.UTILITY and spec.direction is Direction.LOWER) or (
-            spec.block is Block.RISK and spec.direction is Direction.HIGHER
-        )
+        if math.isinf(hi - lo):
+            raise ValidationError(f"measure '{spec.id}': range {lo:g} to {hi:g} overflows")
+        flip = (spec.block is Block.UTILITY) == (spec.direction is Direction.LOWER)
+        scales.append(ColumnScale(lo, hi, flipped=flip, constant=hi == lo))
         if hi == lo:
             warnings.warn(
                 f"measure '{spec.id}' is constant over the scaling population; "
@@ -305,7 +306,6 @@ def harmonize_and_normalize(
                 stacklevel=2,
             )
             out[:, j] = 0.5
-            scales.append(ColumnScale(lo, hi, flipped=flip, constant=True))
             continue
         scaled = (col - lo) / (hi - lo)
         if exclude_reference_from_range:
@@ -313,7 +313,6 @@ def harmonize_and_normalize(
         if flip:
             scaled = 1.0 - scaled
         out[:, j] = scaled
-        scales.append(ColumnScale(lo, hi, flipped=flip, constant=False))
 
     return NormalizedMatrix(
         specs=matrix.specs, rows=matrix.rows, values=out, scales=tuple(scales)

@@ -527,6 +527,18 @@ def test_flag_sets_option(tmp_path, flag, field, value):
             assert getattr(config.options, other.name) == getattr(default, other.name)
 
 
+def test_overflowing_range_names_the_measure_exit_1(tmp_path, capsys):
+    rows = (DATA / "measures.csv").read_text().splitlines()
+    for i, value in ((1, "1.7e308"), (2, "-1.7e308")):
+        cells = rows[i].split(",")
+        rows[i] = ",".join([cells[0], value, *cells[2:]])
+    data = tmp_path / "measures.csv"
+    data.write_text("\n".join(rows) + "\n")
+    assert main(["normalize", "--config", str(DATA / "study.json"),
+                 "--data", str(data)]) == 1
+    assert capsys.readouterr().err.startswith("ruviz: measure 'RepU': range ")
+
+
 # float() of a 400-digit JSON integer overflows; Python parses no integer
 # of more than 4,300 digits
 @pytest.mark.parametrize("digits,message", [

@@ -207,6 +207,16 @@ class TestHarmonizeNormalize:
         np.testing.assert_allclose(sorted(nm.values[1:, 0]), [0.0, 1.0])
         assert nm.values.min() >= 0.0 and nm.values.max() <= 1.0
 
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_overflowing_range_names_the_measure(self, exclude):
+        m = matrix_of(
+            [[0.5, 0.0], [1.7e308, 1.0], [-1.7e308, 3.0]],
+            ["lower", "higher"],
+            reference_index=0,
+        )
+        with pytest.raises(ValidationError, match="^measure 'm0': range "):
+            harmonize_and_normalize(m, exclude_reference_from_range=exclude)
+
     def test_reference_in_range_by_default(self):
         m = matrix_of(
             [[100.0, 0.0], [10.0, 1.0], [20.0, 3.0]],
