@@ -264,7 +264,8 @@ class Batch:
                                  or len(self.values) % len(lead.values)):
             raise ValueError("a lead needs one row per equal group of rows")
         self.lead = lead
-        self.columns = {k: list(v) for k, v in style.items()
+        self.columns = {k: v.tolist() if isinstance(v, np.ndarray) else list(v)
+                        for k, v in style.items()
                         if k in ("fill", "stroke", "anchor", "title", "content")
                         and not isinstance(v, str | None)}
         self.style = {k: v for k, v in style.items() if k not in self.columns}

@@ -2,6 +2,7 @@ import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,18 @@ class TestBatch:
                         for v in cells[i * group:(i + 1) * group]]
         assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
         assert sorted(batch.coords()) == sorted(xy for e in singles for xy in e.coords())
+
+    def test_string_array_columns_write_the_list_bytes(self):
+        numbers = [[float(i), 2.0 * i, 5.0, 5.0] for i in range(4)]
+        fills = ["#2166ac", "#b2182b", "#2166ac", "none"]
+        titles = ["a & b", "%s", "{0}", "<c>"]
+        from_arrays = Batch(Rect, numbers, fill=np.array(fills),
+                            title=np.array(titles), stroke="#ffffff")
+        assert from_arrays.columns["fill"] == fills
+        assert all(type(s) is str for s in from_arrays.columns["fill"])
+        from_lists = Batch(Rect, numbers, fill=fills, title=titles, stroke="#ffffff")
+        assert np.array(fills).dtype == "<U7"
+        assert from_arrays.to_svg() == from_lists.to_svg()
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_lead_needs_one_row_per_equal_group(self, n):
