@@ -22,6 +22,7 @@ from ruviz.model import (
     NormalizedMatrix,
     ingest,
 )
+from ruviz.multivariate import _direction_pairs
 from ruviz.profiles import _profiles
 from ruviz.svg import Batch
 
@@ -399,8 +400,6 @@ def outlyingness_case(n: int, dims: int, kind: str, duplicates: int, seed: int):
     Up to `duplicates` rows are copied onto others, so zero-norm pairs mix
     with usable ones.
     """
-    from ruviz.multivariate import _direction_pairs
-
     rng = np.random.default_rng(seed)
     if kind == "normal":
         Y = rng.standard_normal((n, dims))
