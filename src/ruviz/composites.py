@@ -195,7 +195,7 @@ def _block_reliability(items: np.ndarray) -> BlockReliability:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             omega = mcdonald_omega(items)
-    except (ConvergenceError, AnalysisError, ValueError) as exc:
+    except (AnalysisError, ValueError) as exc:
         omega = None
         note = f"omega unavailable: {exc}"
     verdict = "acceptable" if np.isfinite(alpha) and alpha >= ALPHA_THRESHOLD else "questionable"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
+from typing import Any
 
 from .errors import ValidationError
 from .model import Block, Direction, MeasureSpec, _validate_specs
@@ -107,10 +108,7 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # also an integer of more than 4,300 digits
-            raise ValidationError(f"config: invalid JSON ({exc})") from None
+        doc = _parse_json(text, "config")
         if not isinstance(doc, dict):
             raise ValidationError("config: top-level value must be an object")
 
@@ -174,12 +172,15 @@ def _read_text(path: str | Path, where: str) -> str:
         raise ValidationError(f"{where}: cannot read '{p}' ({exc})") from None
 
 
+def _parse_json(text: str, where: str) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer of more than 4,300 digits
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from None
+
+
 def load_thresholds(path: str | Path) -> dict[str, float]:
     """Read a per-measure acceptance-threshold file ({measure id: cutoff})."""
-    text = _read_text(path, "thresholds")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer of more than 4,300 digits
-        raise ValidationError(f"thresholds: invalid JSON ({exc})") from None
+    doc = _parse_json(_read_text(path, "thresholds"), "thresholds")
     _check_thresholds(doc, "thresholds")
     return {str(mid): float(c) for mid, c in doc.items()}

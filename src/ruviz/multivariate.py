@@ -120,17 +120,13 @@ def _corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
 
 
-def orient(model: PcaModel, utility: np.ndarray, risk: np.ndarray,
-           enabled: bool = False) -> PcaModel:
-    """Optionally fix component signs against the composite scores.
+def orient(model: PcaModel, utility: np.ndarray, risk: np.ndarray) -> PcaModel:
+    """Fix component signs against the composite scores.
 
-    When enabled, the first score column is flipped if it correlates
-    negatively with composite utility, and the second if it correlates
-    negatively with the negated composite risk. Disabled (the default)
-    returns the model unchanged, keeping native orientations.
+    The first score column is flipped if it correlates negatively with
+    composite utility, and the second if it correlates negatively with the
+    negated composite risk.
     """
-    if not enabled:
-        return model
     if model.k < 2:
         raise ValueError("orientation requires k >= 2")
     scores = model.scores.copy()

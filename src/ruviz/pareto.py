@@ -29,12 +29,12 @@ class DominanceResult:
     pareto_ids: frozenset[str]
 
 
-def pareto_set(nm: NormalizedMatrix, exclude_reference: bool = True) -> DominanceResult:
+def pareto_set(nm: NormalizedMatrix) -> DominanceResult:
     """Full-vector Pareto set over all normalized measures.
 
-    The reference (original) row is excluded from candidacy by default; it is
-    a benchmark, not a release candidate. The dominance matrix still covers
-    every row pair.
+    Reference (original) rows are never candidates: each is a benchmark,
+    not a release candidate. The dominance matrix still covers every row
+    pair.
     """
     util = nm.block_values(Block.UTILITY)
     risk = nm.block_values(Block.RISK)
@@ -44,9 +44,7 @@ def pareto_set(nm: NormalizedMatrix, exclude_reference: bool = True) -> Dominanc
     no_worse = (u_i >= u_j).all(axis=2) & (r_i <= r_j).all(axis=2)
     better = (u_i > u_j).any(axis=2) | (r_i < r_j).any(axis=2)
     matrix = no_worse & better
-    candidates = np.flatnonzero(
-        [not (exclude_reference and r.is_reference) for r in nm.rows]
-    )
+    candidates = np.flatnonzero([not r.is_reference for r in nm.rows])
     dominated = matrix[np.ix_(candidates, candidates)].any(axis=0)
     pareto = frozenset(labels[i] for i, d in zip(candidates, dominated) if not d)
     matrix.setflags(write=False)

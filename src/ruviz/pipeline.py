@@ -139,7 +139,7 @@ class StudyResult:
     @_stage
     def pareto(self) -> ParetoResult:
         nm, scores = self.nm, self.scores
-        dom = pareto_set(nm, exclude_reference=True)
+        dom = pareto_set(nm)
         points = _candidate_points(nm, scores)
         front = composite_front(points)
         knee = knee_point(front)
@@ -192,8 +192,9 @@ class StudyResult:
                 "joint PCA found only one usable component; the biplot and "
                 "diagnostics need rank >= 2 data"
             )
-        return orient(model, self.scores.utility[fit_idx], self.scores.risk[fit_idx],
-                      enabled=self.config.options.orient)
+        if not self.config.options.orient:
+            return model
+        return orient(model, self.scores.utility[fit_idx], self.scores.risk[fit_idx])
 
     @_stage
     def align(self) -> AlignmentReport:
@@ -281,10 +282,10 @@ class _Grid(list):
     `_encode` writes with one grid template."""
 
 
-class _Table(list):
+class _Table:
     """Records as equal-length columns by key, each a list of values or an
     array whose first axis runs over the records, which `_encode` writes with
-    one template; read, it is the list of the records' `_jsonable` dicts."""
+    one template."""
 
     def __init__(self, /, **columns):
         self.columns = {key: column.copy() if isinstance(column, np.ndarray) else column
@@ -293,29 +294,8 @@ class _Table(list):
         if any(len(column) != self.n for column in columns.values()):
             raise ValueError("table columns differ in length")
 
-    def _dicts(self) -> list[dict]:
-        rows = zip(*map(_jsonable, self.columns.values()))
-        return [dict(zip(self.columns, row)) for row in rows]
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self._dicts())
-
-    def __getitem__(self, index):
-        return self._dicts()[index]
-
-    def __eq__(self, other) -> bool:
-        return self._dicts() == other
-
-    __ne__ = object.__ne__  # the negation of `__eq__`, where list's reads no records
-
-    def __repr__(self) -> str:
-        return repr(self._dicts())
-
-
-# returned as they are; a table's columns are converted when it is read
+# returned as they are; a table's columns are converted when it is written
 _PLAIN = frozenset((str, int, bool, type(None), _Table))
 
 
@@ -553,7 +533,7 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 def _dump_json(doc: Any) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
-    allow_nan=False) + "\\n"`, byte for byte.
+    allow_nan=False) + "\\n"`, byte for byte, a table as its records.
 
     With `indent` set, the stdlib encodes in pure Python, one call per
     element. Here a plain int or float is its `repr`, as in the stdlib, a
@@ -576,11 +556,11 @@ def _encode(value: Any, newline: str) -> str:
             for key, item in sorted(value.items())
         )
         return "{" + inner + body + newline + "}"
+    if type(value) is _Table:
+        return _table_text(value, newline) if value.n else "[]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value) is _Table:
-            return _table_text(value, newline)
         if type(value) is _Grid:
             template = _grid_template(len(value), len(value[0]), newline)
             return template % tuple(itertools.chain.from_iterable(value))

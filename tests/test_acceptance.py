@@ -66,7 +66,7 @@ def test_criterion_01_pareto_oracle_equivalence():
             p_util = int(rng.integers(1, 13 - p_risk))
             vals = rng.random((n, p_risk + p_util))
             nm = make_nm(vals, p_risk)
-            got = pareto_set(nm, exclude_reference=False).pareto_ids
+            got = pareto_set(nm).pareto_ids
             expected = oracle_pareto_ids(
                 [list(row[p_risk:]) for row in vals],
                 [list(row[:p_risk]) for row in vals],

