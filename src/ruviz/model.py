@@ -75,17 +75,23 @@ def _validate_specs(specs: Sequence[MeasureSpec]) -> None:
         )
 
 
+def _row_name(r: ApproachRecord) -> str:
+    return r.id if r.dataset is None else f"{r.id} in dataset {r.dataset}"
+
+
 def _validate_rows(rows: Sequence[ApproachRecord]) -> None:
     if len(rows) < 2:
         raise ValidationError(f"data: at least 2 rows required, got {len(rows)}")
-    seen = set()
+    # a label names one row in every artifact and figure
+    by_label: dict[str, ApproachRecord] = {}
     ref_per_dataset: dict[str | None, int] = {}
     for r in rows:
-        key = (r.id, r.dataset)
-        if key in seen:
-            where = r.id if r.dataset is None else f"{r.id} in dataset {r.dataset}"
-            raise ValidationError(f"data: duplicate approach row '{where}'")
-        seen.add(key)
+        other = by_label.setdefault(r.label, r)
+        if other is not r and other.dataset == r.dataset:
+            raise ValidationError(f"data: duplicate approach row '{_row_name(r)}'")
+        if other is not r:
+            raise ValidationError(f"data: approach rows '{_row_name(other)}' and "
+                                  f"'{_row_name(r)}' share the label '{r.label}'")
         if r.is_reference:
             ref_per_dataset[r.dataset] = ref_per_dataset.get(r.dataset, 0) + 1
     for ds, count in ref_per_dataset.items():
@@ -180,7 +186,7 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
 
     Raises:
         ValidationError: missing or undeclared columns, non-numeric or
-            non-finite cells, duplicate rows, fewer than two rows, a
+            non-finite cells, duplicate rows or labels, fewer than two rows, a
             missing reference row, or bytes that are not UTF-8 (a leading
             byte-order mark is skipped).
     """

@@ -418,14 +418,14 @@ def sd_od(
 
 
 def _stahel_donoho_outlyingness(
-    Y: np.ndarray, pairs: Sequence[tuple[int, int]]
+    Y: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     # Stacked `ddot`s (norms) and `gemv`s (projections) round as
     # `np.linalg.norm(d)` and `Y @ u` do; one gemm would not, and could reorder
     # tied rows. Rows of even length start 16-byte aligned, like a new vector:
     # Prescott's OpenBLAS kernels sum a misaligned vector in another order.
     p = Y.shape[1]
-    i, j = np.array(pairs).T
+    i, j = pairs
     Y_even = np.pad(Y, ((0, 0), (0, p % 2)))
     D = Y_even[i] - Y_even[j]
     norms = np.sqrt(np.matmul(D[:, None, :p], D[:, :p, None]))[:, 0, 0]
@@ -442,8 +442,9 @@ def _stahel_donoho_outlyingness(
     )
 
 
-def _direction_pairs(n: int, seed: int) -> list[tuple[int, int]]:
-    """Observation pairs (i < j) that define projection directions.
+def _direction_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observation pairs (i < j) that define projection directions, as the
+    arrays of their first and second indices.
 
     Every pair when n <= 50; otherwise 250 seeded draws from them. Either way
     the pairs come in `itertools.combinations(range(n), 2)` order.
@@ -453,7 +454,7 @@ def _direction_pairs(n: int, seed: int) -> list[tuple[int, int]]:
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(len(i), 250, replace=False))
         i, j = i[chosen], j[chosen]
-    return list(zip(i.tolist(), j.tolist()))
+    return i, j
 
 
 def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:

@@ -277,64 +277,22 @@ def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls) if f.name not in drop)
 
 
-class _Grid(list):
-    """The rows of a 2-D int or finite float array, as plain lists, which
-    `_encode` writes with one grid template."""
-
-
 class _Table:
     """Records as equal-length columns by key, each a list of values or an
     array whose first axis runs over the records, which `_encode` writes with
     one template."""
 
     def __init__(self, /, **columns):
-        self.columns = {key: column.copy() if isinstance(column, np.ndarray) else column
-                        for key, column in columns.items()}
+        self.columns = columns
         self.n = len(next(iter(columns.values()), ()))
         if any(len(column) != self.n for column in columns.values()):
             raise ValueError("table columns differ in length")
 
 
-# returned as they are; a table's columns are converted when it is written
-_PLAIN = frozenset((str, int, bool, type(None), _Table))
-
-
-def _jsonable(value: Any) -> Any:
-    """`value` as plain dicts, lists and scalars in new containers: a
-    dataclass as the dict of its fields, an enum as its value and each
-    non-finite float as None."""
-    if type(value) in _PLAIN:
-        return value
-    if isinstance(value, float):  # also a numpy float64
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        items = value.tolist()
-        kind = value.dtype.kind
-        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
-            # a bool writes as true or false, a long double's item is no float
-            grid = value.ndim == 2 and kind != "b" and value.itemsize <= 8
-            return _Grid(items) if grid else items
-        return _jsonable(items)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Enum):
-        return value.value
-    if dataclasses.is_dataclass(value):
-        return _fields(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
-    return value
-
-
 def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
-    """Dataclass `obj` as JSON: its fields under their own names, less
+    """Dataclass `obj` as a document: its fields under their own names, less
     `drop`, plus the keys of `extra`."""
-    doc = {name: _jsonable(getattr(obj, name)) for name in _field_names(type(obj), drop)}
-    for key, value in extra.items():
-        doc[key] = _jsonable(value)
-    return doc
+    return {name: getattr(obj, name) for name in _field_names(type(obj), drop)} | extra
 
 
 def _records(objs, *drop: str, **extra) -> _Table:
@@ -350,8 +308,8 @@ def normalized_json(result: StudyResult) -> dict:
     nm = result.nm
     return {
         "approaches": _records(nm.rows, label=[r.label for r in nm.rows]),
-        "measures": _jsonable(nm.specs),
-        "values": _jsonable(nm.values),
+        "measures": nm.specs,
+        "values": nm.values,
         "scales": {s.id: _fields(sc) for s, sc in zip(nm.specs, nm.scales)},
         "row_order": _fields(result.dendrogram, "merges",
                              merges=_records(result.dendrogram.merges)),
@@ -369,7 +327,7 @@ def pareto_json(result: StudyResult) -> dict:
     return {
         "pareto_full": sorted(dom.pareto_ids),
         "pareto_composite": sorted(pr.front.ids),
-        "front": _jsonable(pr.front.points),
+        "front": pr.front.points,
         "knee": None if pr.knee is None else pr.knee.id,
         "knee_distance": None if pr.knee is None else pr.knee.distance,
         "knee_concave": None if pr.knee is None else pr.knee.concave,
@@ -399,7 +357,7 @@ def pca_json(result: StudyResult) -> dict:
     doc = {
         "labels": list(result.pca_labels),
         "model": _fields(model, "scores", k=model.k),
-        "scores": _jsonable(model.scores),
+        "scores": model.scores,
         "alignment": _fields(align, "collinear", collinear_composites=align.collinear,
                              includes_reference=not opts.pca_exclude_reference),
         "sd_od": _fields(diag, "labels", "sd", "od", "flags", robust=opts.robust,
@@ -457,6 +415,8 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
             "the origami figure needs at least 3 measures; declare more "
             "measures or use the other views"
         )
+    if not result.pareto.front.points:
+        raise AnalysisError("origami plot unavailable: no candidate rows")
     block_by_measure = {s.id: s.block for s in result.nm.specs}
     return render_origami(
         result.profiles, default_origami_panels(result), block_by_measure
@@ -522,31 +482,36 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
     return builders[kind]()
 
 
-# exact types only: a subclass (bool, numpy float64) needs the encoder's repr
-_NUMBER = frozenset((int, float))
-# the JSON text of each scalar type that `_jsonable` returns (a finite float)
-_TEXT = {str: encode_basestring, int: repr, float: repr, type(None): lambda _: "null",
+# the JSON text of each scalar type, by exact type (a subclass such as an enum
+# or a numpy float64 takes `_encode`'s other branches); NaN and infinity as null
+_TEXT = {str: encode_basestring, int: repr, type(None): lambda _: "null",
+         float: lambda x: repr(x) if math.isfinite(x) else "null",
          bool: {True: "true", False: "false"}.__getitem__}
 # the C encoder, used for one scalar at a time
 _encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
 def _dump_json(doc: Any) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
-    allow_nan=False) + "\\n"`, byte for byte, a table as its records.
+    """`doc` in the layout of `json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"`, byte for byte, each value written as it
+    stands: a dataclass as the dict of its fields, an enum as its value, a
+    numpy scalar as its item, a tuple or an array as a list, a table as its
+    records, and every NaN or infinity as null.
 
     With `indent` set, the stdlib encodes in pure Python, one call per
-    element. Here a plain int or float is its `repr`, as in the stdlib, a
-    grid or a table is one `%` into a template, and every other scalar goes
-    through the C encoder. NaN and infinity raise `ValueError`. Every key
-    must be a `str` (the stdlib also converts number, bool and None keys;
-    here they raise `TypeError`).
+    element. Here a plain scalar is one lookup in `_TEXT`, an int or finite
+    float array or a table is one `%` into a template, and every other
+    scalar goes through the C encoder. Every key must be a `str` (the stdlib
+    also converts number, bool and None keys; here they raise `TypeError`).
     """
     return _encode(doc, "\n") + "\n"
 
 
 def _encode(value: Any, newline: str) -> str:
     """One value in the indented layout; `newline` ends at its own indent."""
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -558,20 +523,30 @@ def _encode(value: Any, newline: str) -> str:
         return "{" + inner + body + newline + "}"
     if type(value) is _Table:
         return _table_text(value, newline) if value.n else "[]"
+    if _finite_numbers(value):
+        return _array_template(value.shape, newline) % tuple(value.ravel().tolist())
+    if isinstance(value, np.ndarray):
+        return _encode(value.tolist(), newline)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if type(value) is _Grid:
-            template = _grid_template(len(value), len(value[0]), newline)
-            return template % tuple(itertools.chain.from_iterable(value))
         inner = newline + "  "
         body = ("," + inner).join([_encode(item, inner) for item in value])
         return "[" + inner + body + newline + "]"
-    if type(value) in _NUMBER:
-        text = repr(value)
-        if "n" not in text:
-            return text
+    if isinstance(value, Enum):
+        return _encode(value.value, newline)
+    if dataclasses.is_dataclass(value):
+        return _encode(_fields(value), newline)
+    if isinstance(value, (np.floating, np.integer)) and value.itemsize <= 8:
+        return _encode(value.item(), newline)
     return _encode_scalar(value)
+
+
+def _finite_numbers(value: Any) -> bool:
+    """Whether `value` is an int or finite float array, one `%r` field per
+    number (a bool writes as true or false, a long double's item is no float)."""
+    return (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
+            and value.itemsize <= 8 and bool(np.isfinite(value).all()))
 
 
 def _layout(shape: tuple[int, ...], newline: str, items) -> str:
@@ -585,9 +560,9 @@ def _layout(shape: tuple[int, ...], newline: str, items) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _grid_template(rows: int, cols: int, newline: str) -> str:
-    """The layout of a rows x cols number grid, a `%r` field per number."""
-    return _layout((rows, cols), newline, itertools.repeat("%r"))
+def _array_template(shape: tuple[int, ...], newline: str) -> str:
+    """The layout of a number array of `shape`, a `%r` field per number."""
+    return _layout(shape, newline, itertools.repeat("%r"))
 
 
 def _cell_slots(column, n: int, newline: str) -> tuple[str, list[list]]:
@@ -595,13 +570,11 @@ def _cell_slots(column, n: int, newline: str) -> tuple[str, list[list]]:
     number that differs between the n cells and the number's repr where
     all have the same bits (so 0.0 and -0.0 stay apart), and the values of
     the fields; a column of other values is one field of JSON texts."""
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-    # an array with a NaN or infinity, a bool or a long double goes cell by cell
-    if not (kind in "fiu" and column.itemsize <= 8 and np.isfinite(column).all()):
-        return "%s", [[_TEXT[type(c)](c) if type(c) in _TEXT else _encode(c, newline)
-                       for c in _jsonable(column)]]
+    if not _finite_numbers(column):
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        return "%s", [[_encode(c, newline) for c in cells]]
     flat = column.reshape(n, -1)
-    same = flat.view(f"u{flat.itemsize}") if kind == "f" else flat
+    same = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
     same = (same == same[0]).all(axis=0)
     baked = map(repr, flat[0, same].tolist())
     items = iter(["%s" if not s else next(baked) for s in same.tolist()])

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 import xml.etree.ElementTree as ET
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -373,7 +375,7 @@ def oracle_outlyingness(Y: np.ndarray, pairs) -> np.ndarray:
 
     out = np.zeros(Y.shape[0])
     used = 0
-    for i, j in pairs:
+    for i, j in zip(*pairs):
         d = Y[i] - Y[j]
         norm = float(np.linalg.norm(d))
         if norm < 1e-12:
@@ -445,8 +447,17 @@ def oracle_dump_json(doc) -> str:
 
 
 def oracle_jsonable(value):
-    """Element-by-element walk of arrays and sequences, each non-finite float
-    as None (oracle for `pipeline._jsonable`)."""
+    """Element-by-element walk of a document into plain values: a dataclass
+    as the dict of its fields, an enum as its value, arrays and sequences as
+    lists and each non-finite float as None (with `oracle_dump_json`, the
+    oracle for `pipeline._dump_json`)."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: oracle_jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {k: oracle_jsonable(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return oracle_jsonable(value.tolist())
     if isinstance(value, (list, tuple)):

@@ -167,6 +167,18 @@ def three_measure_args(tmp_path, n_rows):
             "--data", str(tmp_path / "measures.csv")]
 
 
+def references_only_csv(tmp_path, n_datasets):
+    """A measures file of `n_datasets` datasets, each holding only a reference
+    row: the fixture's reference values, then those of its candidates."""
+    header, *rows = (DATA / "measures.csv").read_text().splitlines()
+    name = rows[0].split(",", 1)[0]
+    csv = tmp_path / "measures.csv"
+    csv.write_text("\n".join([f"approach,dataset,{header.split(',', 1)[1]}"] + [
+        f"{name},d{i},{row.split(',', 1)[1]}" for i, row in enumerate(rows[:n_datasets])
+    ]) + "\n")
+    return csv
+
+
 class TestStagedCommands:
     """Each subcommand computes only the stages its output needs."""
 
@@ -273,17 +285,17 @@ class TestPlot:
         svg = (tmp_path / f"{kind}.svg").read_text()
         ET.fromstring(svg)
 
-    def test_rays_without_candidates_exit_2(self, tmp_path, capsys):
-        # each dataset holds its reference row and nothing else
-        header, reference = (DATA / "measures.csv").read_text().splitlines()[:2]
-        name, values = reference.split(",", 1)
-        csv = tmp_path / "measures.csv"
-        csv.write_text(f"approach,dataset,{header.split(',', 1)[1]}\n"
-                       f"{name},d1,{values}\n{name},d2,{values}\n")
-        argv = args_with_file("--data", csv)
-        assert main(["plot", "rays", *argv, "--out", str(tmp_path)]) == 2
+    def check_no_candidates(self, tmp_path, capsys, kind):
+        argv = args_with_file("--data", references_only_csv(tmp_path, 2))
+        assert main(["plot", kind, *argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err == "ruviz: analysis error: rays plot unavailable: no candidate rows\n"
+        assert err == f"ruviz: analysis error: {kind} plot unavailable: no candidate rows\n"
+
+    def test_rays_without_candidates_exit_2(self, tmp_path, capsys):
+        self.check_no_candidates(tmp_path, capsys, "rays")
+
+    def test_origami_without_candidates_exit_2(self, tmp_path, capsys):
+        self.check_no_candidates(tmp_path, capsys, "origami")
 
     def test_plot_runs_pipeline_implicitly(self, tmp_path):
         # no prior normalize/report step is needed
@@ -361,6 +373,12 @@ class TestReport:
         files = [*(tmp_path / "r").iterdir(), tmp_path / "p" / "sdod.svg"]
         assert len(files) == 15
         assert {stat.S_IMODE(f.stat().st_mode) for f in files} == {mode}
+
+    def test_study_without_candidates_exit_2(self, tmp_path, capsys):
+        argv = args_with_file("--data", references_only_csv(tmp_path, 5))
+        assert main(["report", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "ruviz: analysis error: origami plot unavailable: no candidate rows\n"
 
     def test_files_hold_the_hashed_bytes(self, tmp_path):
         assert main(["report", *common_args(), "--out", str(tmp_path)]) == 0
@@ -525,6 +543,23 @@ def test_flag_sets_option(tmp_path, flag, field, value):
     for other in dataclasses.fields(StudyOptions):
         if other.name != field:
             assert getattr(config.options, other.name) == getattr(default, other.name)
+
+
+def test_rows_sharing_a_label_exit_1(tmp_path, capsys):
+    # `orig@b` outside any dataset and `orig` in dataset `b` are both `orig@b`
+    header, *rows = (DATA / "measures.csv").read_text().splitlines()
+    name, values = rows[0].split(",", 1)
+    candidate = rows[1].split(",", 1)[1]
+    data = tmp_path / "measures.csv"
+    data.write_text("\n".join([
+        f"approach,dataset,{header.split(',', 1)[1]}",
+        f"{name},,{values}", f"{name}@b,,{candidate}", f"x,,{candidate}",
+        f"{name},b,{values}", f"x,b,{candidate}",
+    ]) + "\n")
+    assert main(["pareto", *args_with_file("--data", data)]) == 1
+    assert capsys.readouterr().err == (
+        f"ruviz: data: approach rows '{name}@b' and '{name} in dataset b' "
+        f"share the label '{name}@b'\n")
 
 
 def test_overflowing_range_names_the_measure_exit_1(tmp_path, capsys):
