@@ -94,7 +94,6 @@ def one_factor_loadings(corr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(R)):
         raise AnalysisError("correlation matrix has non-finite entries "
                             "(constant item?)")
-    k = R.shape[0]
     off = R - np.diag(np.diag(R))
     try:
         diag_inv = np.diag(np.linalg.inv(R))
@@ -106,7 +105,6 @@ def one_factor_loadings(corr: np.ndarray) -> np.ndarray:
         h = np.abs(off).max(axis=1)
 
     heywood = False
-    loadings = np.zeros(k)
     for _ in range(_PAF_MAX_ITER):
         reduced = R.copy()
         np.fill_diagonal(reduced, h)

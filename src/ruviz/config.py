@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ValidationError
-from .model import Block, Direction, MeasureSpec, _validate_specs
+from .model import Block, Direction, MeasureSpec, _check_text, _validate_specs
 from .multivariate import OD_CUT_MODES
 from .ordering import LINKAGES
 
@@ -122,6 +122,10 @@ class StudyConfig:
             mid = m.get("id")
             if not isinstance(mid, str) or not mid:
                 raise ValidationError(f"config.measures[{i}].id: required string")
+            name = m.get("display_name", mid)
+            if not isinstance(name, str):
+                raise ValidationError(f"config.measures[{i}].display_name: must be "
+                                      f"a string, got {name!r}")
             block = m.get("block")
             if block not in ("risk", "utility"):
                 raise ValidationError(
@@ -136,8 +140,8 @@ class StudyConfig:
                 )
             specs.append(
                 MeasureSpec(
-                    id=mid,
-                    display_name=str(m.get("display_name", mid)),
+                    id=_check_text(mid, f"config.measures[{i}].id"),
+                    display_name=_check_text(name, f"config.measures[{i}].display_name"),
                     block=Block(block),
                     direction=Direction(direction),
                 )
@@ -146,6 +150,7 @@ class StudyConfig:
         reference = doc.get("reference")
         if not isinstance(reference, str) or not reference:
             raise ValidationError("config.reference: required string (approach id)")
+        _check_text(reference, "config.reference")
 
         opts_doc = doc.get("options", {})
         if not isinstance(opts_doc, dict):

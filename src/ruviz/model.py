@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +59,17 @@ class ApproachRecord:
     @property
     def label(self) -> str:
         return self.id if self.dataset is None else f"{self.id}@{self.dataset}"
+
+
+# the characters outside XML 1.0's Char production (C0 controls but tab, LF, CR)
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_text(text: str, where: str) -> str:
+    """`text`, which the figures print, if XML 1.0 can carry it."""
+    if c := _NOT_XML_CHAR.search(text):
+        raise ValidationError(f"{where} holds U+{ord(c.group()):04X}, not allowed in XML 1.0")
+    return text
 
 
 def _validate_specs(specs: Sequence[MeasureSpec]) -> None:
@@ -187,8 +199,8 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
     Raises:
         ValidationError: missing or undeclared columns, non-numeric or
             non-finite cells, duplicate rows or labels, fewer than two rows, a
-            missing reference row, or bytes that are not UTF-8 (a leading
-            byte-order mark is skipped).
+            missing reference row, a label that XML 1.0 cannot carry, or bytes
+            that are not UTF-8 (a leading byte-order mark is skipped).
     """
     try:
         text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
@@ -225,10 +237,11 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
             raise ValidationError(
                 f"data line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        approach_id = row[0].strip()
+        approach_id = _check_text(row[0].strip(), f"data line {line_no}: approach id")
         if not approach_id:
             raise ValidationError(f"data line {line_no}: empty approach id")
-        dataset = row[1].strip() or None if has_dataset else None
+        dataset = (_check_text(row[1].strip(), f"data line {line_no}: dataset") or None
+                   if has_dataset else None)
         cells = []
         for spec in config.measures:
             raw = row[col_pos[spec.id]].strip()

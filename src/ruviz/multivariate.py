@@ -170,7 +170,7 @@ def alignment(model: PcaModel, utility: np.ndarray, risk: np.ndarray) -> Alignme
         raise ValueError("composite vectors must match the number of score rows")
     rho_u = _corr(t1, u)
     rho_r = _corr(t1, r)
-    collinear = abs(_corr(u, r)) > 1.0 - 1e-10 if n > 1 else True
+    collinear = abs(_corr(u, r)) > 1.0 - 1e-10
     X = np.column_stack([np.ones(n), u, r])
     beta, *_ = np.linalg.lstsq(X, t1, rcond=None)
     resid = t1 - X @ beta

@@ -279,14 +279,15 @@ def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
 
 class _Table:
     """Records as equal-length columns by key, each a list of values or an
-    array whose first axis runs over the records, which `_encode` writes with
-    one template."""
+    array whose first axis runs over the records, written as its records."""
 
     def __init__(self, /, **columns):
         self.columns = columns
-        self.n = len(next(iter(columns.values()), ()))
-        if any(len(column) != self.n for column in columns.values()):
+        if len({len(column) for column in columns.values()}) > 1:
             raise ValueError("table columns differ in length")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
@@ -495,14 +496,14 @@ def _dump_json(doc: Any) -> str:
     """`doc` in the layout of `json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False) + "\\n"`, byte for byte, each value written as it
     stands: a dataclass as the dict of its fields, an enum as its value, a
-    numpy scalar as its item, a tuple or an array as a list, a table as its
-    records, and every NaN or infinity as null.
+    numpy scalar or a 0-d array as its item, a tuple or an array as a list,
+    a table as its records, and every NaN or infinity as null.
 
     With `indent` set, the stdlib encodes in pure Python, one call per
-    element. Here a plain scalar is one lookup in `_TEXT`, an int or finite
-    float array or a table is one `%` into a template, and every other
-    scalar goes through the C encoder. Every key must be a `str` (the stdlib
-    also converts number, bool and None keys; here they raise `TypeError`).
+    element. Here a plain scalar is one lookup in `_TEXT`, every sequence is
+    one `%` into n copies of its cell template, and every other scalar goes
+    through the C encoder. Nothing is kept between calls. A key that is not
+    a `str` raises `TypeError` (the stdlib converts number, bool and None keys).
     """
     return _encode(doc, "\n") + "\n"
 
@@ -521,18 +522,15 @@ def _encode(value: Any, newline: str) -> str:
             for key, item in sorted(value.items())
         )
         return "{" + inner + body + newline + "}"
-    if type(value) is _Table:
-        return _table_text(value, newline) if value.n else "[]"
-    if _finite_numbers(value):
-        return _array_template(value.shape, newline) % tuple(value.ravel().tolist())
-    if isinstance(value, np.ndarray):
-        return _encode(value.tolist(), newline)
-    if isinstance(value, (list, tuple)):
-        if not value:
+    if isinstance(value, np.ndarray) and not value.ndim:
+        return _encode(value.item(), newline)
+    if isinstance(value, (list, tuple, np.ndarray, _Table)):
+        if not len(value):
             return "[]"
         inner = newline + "  "
-        body = ("," + inner).join([_encode(item, inner) for item in value])
-        return "[" + inner + body + newline + "]"
+        cell, fields = _cell_slots(value, inner)
+        template = "[" + inner + ("," + inner).join([cell] * len(value)) + newline + "]"
+        return template % tuple(itertools.chain.from_iterable(zip(*fields)))
     if isinstance(value, Enum):
         return _encode(value.value, newline)
     if dataclasses.is_dataclass(value):
@@ -542,16 +540,8 @@ def _encode(value: Any, newline: str) -> str:
     return _encode_scalar(value)
 
 
-def _finite_numbers(value: Any) -> bool:
-    """Whether `value` is an int or finite float array, one `%r` field per
-    number (a bool writes as true or false, a long double's item is no float)."""
-    return (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"
-            and value.itemsize <= 8 and bool(np.isfinite(value).all()))
-
-
 def _layout(shape: tuple[int, ...], newline: str, items) -> str:
-    """Nested lists of `shape` in the indented layout, each number's text
-    taken in turn from the iterator `items`."""
+    """Nested lists of `shape` in the indented layout, texts taken from `items`."""
     if not shape:
         return next(items)
     inner = newline + "  "
@@ -559,41 +549,35 @@ def _layout(shape: tuple[int, ...], newline: str, items) -> str:
     return "[" + inner + ("," + inner).join(cells) + newline + "]" if cells else "[]"
 
 
-@functools.lru_cache(maxsize=64)
-def _array_template(shape: tuple[int, ...], newline: str) -> str:
-    """The layout of a number array of `shape`, a `%r` field per number."""
-    return _layout(shape, newline, itertools.repeat("%r"))
+def _cell_slots(cells, newline: str) -> tuple[str, list[list]]:
+    """The template of each of the n `cells` of a non-empty sequence, at the
+    indent `newline`, and the values of its `%s` fields, n values per field.
 
-
-def _cell_slots(column, n: int, newline: str) -> tuple[str, list[list]]:
-    """A table column's cell as a template, with a `%s` field for each
-    number that differs between the n cells and the number's repr where
-    all have the same bits (so 0.0 and -0.0 stay apart), and the values of
-    the fields; a column of other values is one field of JSON texts."""
-    if not _finite_numbers(column):
-        cells = column.tolist() if isinstance(column, np.ndarray) else column
-        return "%s", [[_encode(c, newline) for c in cells]]
-    flat = column.reshape(n, -1)
-    same = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
-    same = (same == same[0]).all(axis=0)
-    baked = map(repr, flat[0, same].tolist())
-    items = iter(["%s" if not s else next(baked) for s in same.tolist()])
-    return _layout(column.shape[1:], newline, items), flat[:, ~same].T.tolist()
-
-
-def _table_text(table: _Table, newline: str) -> str:
-    """A non-empty table in the indented layout, one `%` over all of its
-    fields into the template of its records."""
-    inner = newline + "  "
-    cell = inner + "  "
-    pieces, fields = [], []
-    for key in sorted(table.columns):
-        template, values = _cell_slots(table.columns[key], table.n, cell)
-        pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
-        fields += values
-    record = "{" + cell + ("," + cell).join(pieces) + inner + "}"
-    template = "[" + inner + ("," + inner).join([record] * table.n) + newline + "]"
-    return template % tuple(itertools.chain.from_iterable(zip(*fields)))
+    A table's cell is its record, whose columns give its fields in key
+    order. An int or finite float array's cell (of items at most 8 bytes
+    wide, each an int or a float) is its nested layout, with the repr of a
+    number baked in where all n cells have the same bits (so 0.0 and -0.0
+    stay apart). Any other cell is one field, its JSON text.
+    """
+    if type(cells) is _Table:
+        inner = newline + "  "
+        pieces, fields = [], []
+        for key in sorted(cells.columns):
+            template, values = _cell_slots(cells.columns[key], inner)
+            pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
+            fields += values
+        return "{" + inner + ("," + inner).join(pieces) + newline + "}", fields
+    if (isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu"
+            and cells.itemsize <= 8 and np.isfinite(cells).all()):
+        flat = cells.reshape(len(cells), -1)
+        bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+        same = (bits == bits[0]).all(axis=0).tolist()
+        columns = flat.T.tolist()
+        items = iter([repr(c[0]) if s else "%s" for c, s in zip(columns, same)])
+        return (_layout(cells.shape[1:], newline, items),
+                [c for c, s in zip(columns, same) if not s])
+    cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+    return "%s", [[_encode(c, newline) for c in cells]]
 
 
 def _atomic_write(path: Path, data: bytes) -> None:

@@ -25,6 +25,7 @@ from ruviz.model import (
     ingest,
 )
 from ruviz.multivariate import _direction_pairs
+from ruviz.pipeline import _Table
 from ruviz.profiles import _profiles
 from ruviz.svg import Batch
 
@@ -449,8 +450,11 @@ def oracle_dump_json(doc) -> str:
 def oracle_jsonable(value):
     """Element-by-element walk of a document into plain values: a dataclass
     as the dict of its fields, an enum as its value, arrays and sequences as
-    lists and each non-finite float as None (with `oracle_dump_json`, the
-    oracle for `pipeline._dump_json`)."""
+    lists, a table as the list of its records and each non-finite float as
+    None (with `oracle_dump_json`, the oracle for `pipeline._dump_json`)."""
+    if isinstance(value, _Table):
+        columns = {k: oracle_jsonable(c) for k, c in value.columns.items()}
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
     if dataclasses.is_dataclass(value):
         return {f.name: oracle_jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}

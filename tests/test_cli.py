@@ -152,6 +152,95 @@ class TestValidate:
                 for n in FIXTURE_SHA256} == FIXTURE_SHA256
 
 
+def edited_inputs(tmp_path, config_edit=None, csv_lines_edit=None):
+    """Files of the fixture after `config_edit` changes its parsed config
+    in place and `csv_lines_edit` maps the list of its CSV lines."""
+    cfg = json.loads((DATA / "study.json").read_text())
+    if config_edit is not None:
+        config_edit(cfg)
+    lines = (DATA / "measures.csv").read_text().splitlines()
+    if csv_lines_edit is not None:
+        lines = csv_lines_edit(lines)
+    (tmp_path / "study.json").write_text(json.dumps(cfg))
+    (tmp_path / "measures.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["--config", str(tmp_path / "study.json"),
+            "--data", str(tmp_path / "measures.csv")]
+
+
+def set_measure(index, key, value):
+    def edit(cfg):
+        cfg["measures"][index][key] = value
+    return edit
+
+
+def with_dataset(name_of_line):
+    """A CSV edit that adds a dataset column, `name_of_line(line_no)` per row."""
+    def edit(lines):
+        head, *rows = lines
+        return [head.replace("approach,", "approach,dataset,", 1)] + [
+            row.replace(",", f",{name_of_line(n)},", 1) for n, row in enumerate(rows, 2)]
+    return edit
+
+
+class TestInputText:
+    """Every string that a user supplies and the artifacts print must be
+    text that XML 1.0 can carry, and a display name must be a string."""
+
+    @pytest.mark.parametrize("config_edit,csv_lines_edit,where,char", [
+        (set_measure(0, "display_name", "\ud800"), None,
+         "config.measures[0].display_name", "U+D800"),
+        (set_measure(0, "display_name", "Replicated\x01uniques"), None,
+         "config.measures[0].display_name", "U+0001"),
+        (set_measure(3, "display_name", "TCAP \ufffe"), None,
+         "config.measures[3].display_name", "U+FFFE"),
+        (set_measure(1, "id", "Di\x0bSCO"), None, "config.measures[1].id", "U+000B"),
+        (lambda cfg: cfg.update(reference="orig\x1final"), None,
+         "config.reference", "U+001F"),
+        (None, lambda lines: [line.replace("synthpop", "synth\x01pop") for line in lines],
+         "data line 3: approach id", "U+0001"),
+        (None, with_dataset(lambda n: "d\uffff" if n == 5 else "d1"),
+         "data line 5: dataset", "U+FFFF"),
+    ], ids=["surrogate_display_name", "control_display_name", "nonchar_display_name",
+            "measure_id", "reference", "approach", "dataset"])
+    @pytest.mark.parametrize("cmd", ["report", "normalize"])
+    def test_text_outside_xml_chars_exit_1(self, tmp_path, capsys, cmd, config_edit,
+                                           csv_lines_edit, where, char):
+        argv = edited_inputs(tmp_path, config_edit, csv_lines_edit)
+        out = tmp_path / "out"
+        assert main([cmd, *argv, *(["--out", str(out)] if cmd == "report" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ruviz: {where} holds {char}, ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tabs_are_accepted(self, tmp_path, capsys):
+        argv = edited_inputs(
+            tmp_path, set_measure(0, "display_name", "Replicated\tuniques"),
+            lambda lines: with_dataset(lambda n: "d\t1")(
+                [line.replace("synthpop", "synth\tpop") for line in lines]))
+        out = tmp_path / "out"
+        assert main(["report", *argv, "--out", str(out)]) == 0
+        for svg in out.glob("*.svg"):
+            ET.parse(svg)
+        normalized = json.loads((out / "normalized.json").read_text())
+        assert normalized["measures"][0]["display_name"] == "Replicated\tuniques"
+        assert "synth\tpop@d\t1" in {a["label"] for a in normalized["approaches"]}
+
+    @pytest.mark.parametrize("value", [None, 5, [1, 2], True, {"a": 1}])
+    def test_display_name_that_is_not_a_string_exit_1(self, tmp_path, capsys, value):
+        argv = edited_inputs(tmp_path, set_measure(2, "display_name", value))
+        assert main(["normalize", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"ruviz: config.measures[2].display_name: must be a string, got {value!r}\n")
+
+    def test_missing_display_name_is_the_id(self, tmp_path, capsys):
+        argv = edited_inputs(tmp_path, lambda cfg: cfg["measures"][2].pop("display_name"))
+        assert main(["normalize", *argv]) == 0
+        measures = json.loads(capsys.readouterr().out)["measures"]
+        assert measures[2]["display_name"] == measures[2]["id"] == "DCAP"
+
+
 def three_measure_args(tmp_path, n_rows):
     """Files of a study with two risk and one utility measure, `n_rows` rows."""
     cfg = {"measures": [{"id": "r0", "block": "risk", "direction": "lower"},

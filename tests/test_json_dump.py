@@ -1,7 +1,9 @@
 """The report's JSON writer against the stdlib encoder of the element walk."""
 
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from enum import Enum
 
@@ -335,6 +337,108 @@ class TestTables:
     def test_columns_must_have_one_cell_per_record(self):
         with pytest.raises(ValueError, match="differ in length"):
             _Table(id=["a", "b"], x=np.zeros(3))
+
+
+# few distinct numbers, so that columns are often constant or mix 0.0 and -0.0
+cell_floats = st.sampled_from([0.0, -0.0, 1.5, 5e-324])
+cell_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4)
+mixed_items = st.one_of(
+    scalars,
+    hnp.arrays(np.float64, cell_shapes, elements=cell_floats),
+    tables(max_rows=3).map(lambda columns: _Table(**columns)),
+)
+
+
+class TestSequences:
+    """Lists, tuples, arrays and tables, each written as n copies of one
+    cell template, against the stdlib's writing of the element walk."""
+
+    def check(self, value) -> None:
+        for doc in (value, {"a": [value, 1]}):
+            assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        hnp.arrays(np.float64, cell_shapes, elements=cell_floats),
+        hnp.arrays(np.int64, cell_shapes, elements=st.integers(-1, 1)),
+    ))
+    def test_arrays_of_few_numbers(self, array):
+        self.check(array)
+
+    @pytest.mark.parametrize("array", [
+        np.array([[1.0, 2.0], [1.0, 3.0], [1.0, -4.0]]),
+        np.array([[7, 0], [7, 1]]),
+        np.array([[[0.5, 1.0], [2.0, 2.0]], [[0.5, 3.0], [2.0, 2.0]]]),
+        np.full(4, 2.5),
+        np.full((3, 2), -0.0),
+    ])
+    def test_constant_columns(self, array):
+        self.check(array)
+
+    @pytest.mark.parametrize("array", [
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),
+        np.array([-0.0, 0.0]),
+        np.array([[[0.0]], [[-0.0]]], dtype=np.float32),
+    ])
+    def test_signed_zeros_of_one_column_stay_apart(self, array):
+        text = _dump_json(array)
+        assert text.count("-0.0") == np.signbit(array).sum()
+        self.check(array)
+
+    @pytest.mark.parametrize("array", [
+        np.array([[1.5, -0.0, 3.0]]),
+        np.array([7]),
+        np.zeros((1, 2, 2), dtype=np.float32),
+        np.array([[np.nan, 1.0]]),
+        np.array([[True, False]]),
+    ])
+    def test_one_row_arrays(self, array):
+        self.check(array)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.bool_, object])
+    def test_empty_shapes(self, shape, dtype):
+        self.check(np.zeros(shape, dtype=dtype))
+
+    @pytest.mark.parametrize("array", [
+        np.array(2.5),
+        np.array(-0.0),
+        np.array(np.nan),
+        np.array(-np.inf, dtype=np.float32),
+        np.array(3, dtype=np.uint8),
+        np.array(True),
+        np.array("text"),
+        np.array(None, dtype=object),
+    ])
+    def test_zero_dimensional_arrays_are_their_item(self, array):
+        assert _dump_json(array) == oracle_dump_json(oracle_jsonable(array.item()))
+        self.check(array)
+
+    @pytest.mark.parametrize("value", [
+        [1, np.array([0.5, -0.0]), _Table(x=[1, 2]), "%s", None],
+        (np.zeros((2, 0)), _Table(), [], (), np.array(4.0)),
+        [_Table(v=np.eye(2), id=["a", "b"]), _Table(v=np.eye(2), id=["a", "b"])],
+        ([np.int64(3), np.float32(0.25)], {"k": _Table(k=[math.nan])}, math.inf),
+    ])
+    def test_lists_and_tuples_of_mixed_items(self, value):
+        self.check(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(mixed_items, max_size=5), st.booleans())
+    def test_mixed_sequences_equal_the_element_walk(self, items, as_tuple):
+        self.check(tuple(items) if as_tuple else items)
+
+    def test_nothing_is_kept_after_a_dump(self):
+        _dump_json({"m": np.eye(3, dtype=int)})  # warm up
+        tracemalloc.start()
+        try:
+            text = _dump_json({"m": np.eye(600, dtype=int)})
+            del text
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 def reject(token: str):
