@@ -26,6 +26,7 @@ from .config import LINKAGES, OD_CUT_MODES, StudyConfig, load_thresholds
 from .errors import AnalysisError, ValidationError
 from .model import Block, ingest
 from .pipeline import (
+    FIGURE_BUILDERS,
     JSON_BUILDERS,
     StudyResult,
     _atomic_write,
@@ -34,9 +35,8 @@ from .pipeline import (
     run_study,
     write_report,
 )
-from .svg import PlotKind
 
-PLOT_KINDS = tuple(k.value for k in PlotKind)
+PLOT_KINDS = tuple(FIGURE_BUILDERS)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -65,9 +65,7 @@ from .render import (
     render_rays,
     render_sdod,
 )
-from .svg import PlotDocument, PlotKind
-
-SVG_ARTIFACTS = tuple(k.value for k in PlotKind if k is not PlotKind.RAYS)
+from .svg import PlotDocument
 
 
 def _stage(compute):
@@ -431,56 +429,42 @@ def render_rays_plot(result: StudyResult) -> PlotDocument:
                        pareto_ids=result.pareto.front.ids)
 
 
-def _figure_builders(result: StudyResult) -> dict:
-    return {
-        PlotKind.HEATMAP: lambda: render_heatmap(
-            result.nm, result.dendrogram, result.pareto.front.ids,
-            column_order=result.column_order),
-        PlotKind.DOTPLOT: lambda: render_dotplot(result.nm),
-        PlotKind.COMPOSITE_RU: lambda: render_composite_ru(
-            result.scores,
-            result.pareto.front,
-            result.pareto.knee,
-            result.reliability,
-            reference_labels=result.reference_labels,
-        ),
-        PlotKind.PCP: lambda: render_pcp(result.nm, result.pareto.front.ids),
-        PlotKind.ORIGAMI: lambda: _render_origami_figure(result),
-        PlotKind.BIPLOT: lambda: render_biplot(
-            result.pca,
-            result.nm.specs,
-            result.pca_labels,
-            pareto_ids=result.pareto.front.ids,
-            reference_labels=result.reference_labels,
-            acceptance=result.acceptance,
-            groups=result.groups,
-        ),
-        PlotKind.SD_OD: lambda: render_sdod(result.diagnostics),
-        PlotKind.BLOCKWISE_RU: lambda: render_blockwise(
-            result.blockwise,
-            result.nm.labels,
-            pareto_ids=result.pareto.front.ids,
-            reference_labels=result.reference_labels,
-        ),
-        PlotKind.RAYS: lambda: render_rays_plot(result),
-    }
+# the figures by artifact name, in the order `render_all` builds them; each
+# builder reads only the products it draws
+FIGURE_BUILDERS = {
+    "heatmap": lambda r: render_heatmap(r.nm, r.dendrogram, r.pareto.front.ids,
+                                        column_order=r.column_order),
+    "dotplot": lambda r: render_dotplot(r.nm),
+    "composite_ru": lambda r: render_composite_ru(
+        r.scores, r.pareto.front, r.pareto.knee, r.reliability,
+        reference_labels=r.reference_labels),
+    "rays": render_rays_plot,
+    "pcp": lambda r: render_pcp(r.nm, r.pareto.front.ids),
+    "origami": _render_origami_figure,
+    "biplot": lambda r: render_biplot(
+        r.pca, r.nm.specs, r.pca_labels, pareto_ids=r.pareto.front.ids,
+        reference_labels=r.reference_labels, acceptance=r.acceptance, groups=r.groups),
+    "sdod": lambda r: render_sdod(r.diagnostics),
+    "blockwise": lambda r: render_blockwise(
+        r.blockwise, r.nm.labels, pareto_ids=r.pareto.front.ids,
+        reference_labels=r.reference_labels),
+}
+
+# the report's figures: every one but the rays, which `ruviz plot` draws on request
+SVG_ARTIFACTS = tuple(name for name in FIGURE_BUILDERS if name != "rays")
 
 
 def render_all(result: StudyResult) -> dict[str, PlotDocument]:
     """The eight report figures, keyed by artifact name (rays on request)."""
-    builders = _figure_builders(result)
-    return {name: builders[name]() for name in SVG_ARTIFACTS}
+    return {name: FIGURE_BUILDERS[name](result) for name in SVG_ARTIFACTS}
 
 
 def render_plot(result: StudyResult, kind: str) -> PlotDocument:
     """One figure by artifact name, including the optional rays view."""
-    builders = _figure_builders(result)
-    if kind not in builders:
+    if kind not in FIGURE_BUILDERS:
         raise ValidationError(
-            f"unknown plot kind '{kind}'; expected one of "
-            f"{sorted(k.value for k in PlotKind)}"
-        )
-    return builders[kind]()
+            f"unknown plot kind '{kind}'; expected one of {sorted(FIGURE_BUILDERS)}")
+    return FIGURE_BUILDERS[kind](result)
 
 
 # the JSON text of each scalar type, by exact type (a subclass such as an enum

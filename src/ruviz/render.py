@@ -62,7 +62,7 @@ UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 class LegendEntry:
     label: str
     color: str
-    marker: str = "swatch"  # swatch | line | dash
+    marker: str = "swatch"  # swatch | line | dash | none
 
 
 # legend entries for the markers that `_approaches` draws
@@ -178,7 +178,7 @@ def _legend(doc: PlotDocument, entries: Sequence[LegendEntry], x: float, y: floa
             doc.add(Line(xx, yy - 4, xx + 14, yy - 4, stroke=entry.color,
                          stroke_width=2.0,
                          dash="4,3" if entry.marker == "dash" else None))
-        else:
+        elif entry.marker == "swatch":
             doc.add(Rect(xx, yy - 9, 10, 10, fill=entry.color, stroke="#666666",
                          stroke_width=0.5))
         doc.add(Text(xx + 18, yy, _short(entry.label, width), size=10))
@@ -336,10 +336,12 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     doc.add(Text(left, ly - 6, "diamond = per-approach median", size=10,
                  fill="#444444"))
     for block, fx in facets:
-        for pos, j in enumerate(nm.block_indices(block)):
-            col = pos % 2
-            rowp = pos // 2
-            x = fx + col * (facet_w / 2)
+        idx = nm.block_indices(block)
+        cols = max(2, math.ceil(len(idx) / 7))  # 7 rows of 14 px fit
+        for pos, j in enumerate(idx):
+            col = pos % cols
+            rowp = pos // cols
+            x = fx + col * (facet_w / cols)
             y = ly + 12 + rowp * 14
             doc.add(Circle(x + 5, y - 3, 4.0, fill=ramps[block][pos],
                            stroke="#555555", stroke_width=0.6))
@@ -511,8 +513,11 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
         doc.add(Batch(Polyline, points[at], parts=parts, fill="none", title=ids,
                       **style), z=z)
 
-    _legend(doc, [*(LegendEntry(lbl, color_of[lbl], marker="line")
-                    for lbl in pareto_labels),
+    listed = [LegendEntry(lbl, color_of[lbl], marker="line") for lbl in pareto_labels]
+    if len(listed) > 10:  # 3 rows of 4 entries fit: the first 9 and a count
+        listed[9:] = [LegendEntry(f"+{len(listed) - 9} more on the front", "",
+                                  marker="none")]
+    _legend(doc, [*listed,
                   LegendEntry("reference (original)", REFERENCE_COLOR, marker="dash"),
                   LegendEntry("dominated", "#c4c4c4", marker="line")],
             left, doc.height - 40, cols=4, col_w=210, width=24)

@@ -13,23 +13,10 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
-
-
-class PlotKind(str, Enum):
-    HEATMAP = "heatmap"
-    DOTPLOT = "dotplot"
-    COMPOSITE_RU = "composite_ru"
-    RAYS = "rays"
-    PCP = "pcp"
-    ORIGAMI = "origami"
-    BIPLOT = "biplot"
-    SD_OD = "sdod"
-    BLOCKWISE_RU = "blockwise"
 
 
 def fmt(v: float) -> str:
@@ -270,18 +257,6 @@ class Batch:
                         and not isinstance(v, str | None)}
         self.style = {k: v for k, v in style.items() if k not in self.columns}
 
-    def extents(self) -> np.ndarray:
-        """(m, 2) corners of every element's extent, in `coords()` order,
-        the lead's after the batch's own."""
-        strings = dict.fromkeys(self.columns, "")
-        element = _instance(self.cls, list(self.values.T), {**self.style, **strings})
-        corners = np.array(list(element.coords()), dtype=float)  # (corner, xy, row)
-        own = corners.transpose(2, 0, 1).reshape(-1, 2)
-        return own if self.lead is None else np.vstack([own, self.lead.extents()])
-
-    def coords(self) -> Iterator[tuple[float, float]]:
-        return map(tuple, self.extents().tolist())
-
     def to_svg(self) -> str:
         lines = self._rows()
         if self.lead is not None:
@@ -324,18 +299,21 @@ class Batch:
 
 
 class PlotDocument:
-    """One chart: canvas and ordered primitives."""
+    """One chart: a 960 x 640 canvas and ordered primitives."""
 
-    def __init__(self, width: int = 960, height: int = 640):
-        self.width = width
-        self.height = height
+    width = 960
+    height = 640
+
+    def __init__(self) -> None:
         self._items: list[tuple[int, int, object]] = []
 
     def add(self, primitive, z: int = 0) -> None:
         if isinstance(primitive, Batch):
             if not len(primitive.values):
                 return  # no elements to draw
-            finite = bool(np.isfinite(primitive.extents()).all())
+            # the numbers it writes, its lead's included
+            finite = all(np.isfinite(b.values).all()
+                         for b in (primitive, primitive.lead) if b is not None)
         else:
             finite = all(math.isfinite(x) and math.isfinite(y)
                          for x, y in primitive.coords())

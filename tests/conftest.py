@@ -27,7 +27,7 @@ from ruviz.model import (
 from ruviz.multivariate import _direction_pairs
 from ruviz.pipeline import _Table
 from ruviz.profiles import _profiles
-from ruviz.svg import Batch
+from ruviz.svg import Batch, _instance
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -273,10 +273,25 @@ def sample_with_exact_cov(n: int, cov: np.ndarray, seed: int) -> np.ndarray:
     return math.sqrt(n - 1) * Q[:, :k] @ L.T
 
 
+def corners(primitive) -> list[tuple[float, float]]:
+    """The (x, y) corners of a primitive's extent; for a batch, those of the
+    single elements its rows stand for, in row order, then its lead's."""
+    if not isinstance(primitive, Batch):
+        return list(primitive.coords())
+    cuts = list(itertools.accumulate([2 * c for c in primitive.parts], initial=0))
+    out = []
+    for i, numbers in enumerate(primitive.values.tolist()):
+        style = {**primitive.style,
+                 **{name: column[i] for name, column in primitive.columns.items()}}
+        for a, b in itertools.pairwise(cuts) if primitive.parts else [(0, None)]:
+            out += _instance(primitive.cls, numbers[a:b], style).coords()
+    return out + (corners(primitive.lead) if primitive.lead is not None else [])
+
+
 def assert_in_bounds(doc, slack: float = 0.5) -> None:
     """Raise ValueError when a primitive of `doc` leaves its canvas."""
     for p in doc.primitives():
-        for x, y in p.coords():
+        for x, y in corners(p):
             if not (-slack <= x <= doc.width + slack):
                 raise ValueError(
                     f"{type(p).__name__} x={x:.2f} outside canvas 0..{doc.width}"

@@ -11,6 +11,7 @@ from ruviz.errors import AnalysisError
 from ruviz.model import ingest
 from ruviz.multivariate import orient, pca_fit
 from ruviz.pipeline import (
+    FIGURE_BUILDERS,
     StudyResult,
     _dump_json,
     artifact_jsons,
@@ -353,7 +354,7 @@ GENERATED_SHA256 = {
     "origami.svg": "8e9b92bc072042282a11846564002a8c5e72ddb52b4c0c8eca9b3c43435ec9e2",
     "pareto.json": "ce44c63cdcd436568f33c895534a5c8599ef35c9f49235588b93441480a905d1",
     "pca.json": "d174a8f8c87b38022443eccd8c6c40d85dd04a6d4886890baa9d399cfec2e9d4",
-    "pcp.svg": "3ce3eef14eb3b7ac553acd33f2bf11ab73169feea2f1d362f9f70191937849cb",
+    "pcp.svg": "ea8d3d61523a2e3c0140f3b954a89df22fd543df098cf513454da8c5d08afbc2",
     "profiles.json": "54ab450937b57ef82e846270e96727238e818ff56c6ed05eb9db5cf7bd45a969",
     "sdod.svg": "bcc26a1ebaf42468471bf50bea3ea10a4e3413ac3a30cb71ef815d49df908454",
 }
@@ -492,6 +493,46 @@ class TestArtifacts:
         result = run_study(matrix, study_config)
         manifest = write_report(result, tmp_path)
         assert "out_dir" not in manifest["options"]
+
+
+def wide_measure_inputs():
+    """A reference and 11 candidates over 15 risk and 15 utility measures."""
+    ids = [f"r{j}" for j in range(15)] + [f"u{j}" for j in range(15)]
+    config_doc = {"measures": [
+        {"id": i, "block": "risk" if i[0] == "r" else "utility", "direction": "lower"}
+        for i in ids], "reference": "orig"}
+    rng = np.random.default_rng(15)
+    lines = ["approach," + ",".join(ids), "orig," + ",".join(["1"] * 15 + ["0"] * 15)]
+    lines += [f"m{i}," + ",".join(f"{v:.4f}" for v in rng.uniform(0.05, 0.95, 30))
+              for i in range(11)]
+    return _inputs(config_doc, "\n".join(lines) + "\n")
+
+
+def _generated_inputs(n_rows):
+    csv, config_doc = generated_study(n_rows)
+    return _inputs(config_doc, csv)
+
+
+# studies whose figures must stay on their canvas, with the pinned ones among them
+CANVAS_STUDIES = {
+    "fixture": lambda: _inputs(json.loads((DATA / "study.json").read_text()),
+                               (DATA / "measures.csv").read_bytes()),
+    "multi_dataset": lambda: _inputs({**FOUR_MEASURES, "options": MULTI_DATASET_OPTIONS},
+                                     multi_dataset_csv()),
+    "generated_60": lambda: _generated_inputs(60),
+    "generated_400": lambda: _generated_inputs(400),
+    "wide_measures": wide_measure_inputs,
+}
+
+
+@pytest.fixture(scope="module", params=list(CANVAS_STUDIES))
+def canvas_study(request):
+    return run_study(*CANVAS_STUDIES[request.param]())
+
+
+@pytest.mark.parametrize("kind", list(FIGURE_BUILDERS))
+def test_every_figure_stays_on_its_canvas(canvas_study, kind):
+    assert_in_bounds(FIGURE_BUILDERS[kind](canvas_study))
 
 
 ROOT_NAMES = {"__version__", "StudyConfig", "StudyResult", "ingest", "run_study",

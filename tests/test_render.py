@@ -194,6 +194,16 @@ class TestDotplot:
         assert max(risk_x) < min(util_x)  # risk facet strictly left
         assert len(dots) == len(nm.rows) * len(nm.specs)
 
+    @pytest.mark.parametrize("k, columns", [(14, 2), (15, 3), (30, 5)])
+    def test_measure_legend_stays_on_the_canvas(self, k, columns):
+        nm = make_nm(np.random.default_rng(52).random((12, 2 * k)), k)
+        doc = render_dotplot(nm)
+        well_formed(doc)
+        legend = [e for e in svg_elements(doc, "text") if e.get("font-size") == "9.00"]
+        assert sorted(e.text for e in legend) == sorted(s.id for s in nm.specs)
+        risk_xs = {e.get("x") for e in legend if e.text.startswith("r")}
+        assert len(risk_xs) == columns
+
 
 class TestCompositeRu:
     def test_front_polyline_edge_labels_and_knee(self, study):
@@ -310,6 +320,20 @@ class TestPcpRender:
             x0, y0, x1, y1, *util = numbers
             assert x0 == x1 and y0 == y1 == 520 - row[0] * 440
             assert util[1::2] == (520 - row[1:] * 440).tolist()
+
+    @pytest.mark.parametrize("n_front", [6, 10, 11, 24])
+    def test_legend_lists_what_fits(self, n_front):
+        nm = make_nm(np.random.default_rng(51).random((30, 4)), 2)
+        front = sorted(f"a{i}" for i in range(n_front))
+        doc = render_pcp(nm, frozenset(front))
+        well_formed(doc)
+        legend = [e.text for e in svg_elements(doc, "text")
+                  if e.get("font-size") == "10.00"]
+        if n_front <= 10:
+            listed = front
+        else:
+            listed = [*front[:9], f"+{n_front - 9} more on the front"]
+        assert legend == [*listed, "reference (original)", "dominated"]
 
 
 class TestOrigamiRender:

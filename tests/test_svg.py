@@ -19,7 +19,7 @@ from ruviz.svg import (
     fmt,
 )
 
-from conftest import assert_in_bounds
+from conftest import assert_in_bounds, corners
 
 
 class TestFormatting:
@@ -54,10 +54,10 @@ class TestPlotDocument:
         assert doc.primitives() == [a, b, c]  # z first, insertion order second
 
     def test_bounds_check(self):
-        doc = PlotDocument(width=100, height=100)
-        doc.add(Circle(50, 50, 5))
+        doc = PlotDocument()
+        doc.add(Circle(950, 630, 5))
         assert_in_bounds(doc)
-        doc.add(Circle(120, 50, 5))
+        doc.add(Circle(50, 640, 5))
         with pytest.raises(ValueError, match="outside canvas"):
             assert_in_bounds(doc)
 
@@ -128,7 +128,7 @@ def rows(width: int, min_size: int = 1):
 
 def single_and_batch_bytes(batch, singles) -> None:
     assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
-    assert list(batch.coords()) == [xy for e in singles for xy in e.coords()]
+    assert corners(batch) == [xy for e in singles for xy in e.coords()]
 
 
 class TestBatch:
@@ -215,11 +215,16 @@ class TestBatch:
         with pytest.raises(ValueError, match="non-finite"):
             PlotDocument().add(Batch(Circle, numbers, fill="#000000"))
 
+    def test_rejects_non_finite_lead_coordinates(self):
+        lead = Batch(Text, [[10.0, math.inf]], content="a")
+        with pytest.raises(ValueError, match="non-finite"):
+            PlotDocument().add(Batch(Rect, [[0, 0, 1, 1]], lead=lead))
+
     def test_bounds_check_covers_every_batched_element(self):
-        doc = PlotDocument(width=100, height=100)
-        doc.add(Batch(Rect, [[10, 10, 5, 5], [50, 50, 5, 5]]))
+        doc = PlotDocument()
+        doc.add(Batch(Rect, [[10, 10, 5, 5], [950, 630, 5, 5]]))
         assert_in_bounds(doc)
-        doc.add(Batch(Rect, [[10, 10, 5, 5], [96, 50, 5, 5]]))
+        doc.add(Batch(Rect, [[10, 10, 5, 5], [956, 50, 5, 5]]))
         with pytest.raises(ValueError, match="outside canvas"):
             assert_in_bounds(doc)
 
@@ -278,7 +283,7 @@ class TestBatch:
             singles += [Rect(*v, fill="#ffffff")
                         for v in cells[i * group:(i + 1) * group]]
         assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
-        assert sorted(batch.coords()) == sorted(xy for e in singles for xy in e.coords())
+        assert sorted(corners(batch)) == sorted(xy for e in singles for xy in e.coords())
 
     def test_string_array_columns_write_the_list_bytes(self):
         numbers = [[float(i), 2.0 * i, 5.0, 5.0] for i in range(4)]
