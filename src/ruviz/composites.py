@@ -188,14 +188,10 @@ def _block_reliability(items: np.ndarray) -> BlockReliability:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         alpha = cronbach_alpha(items)
-    omega: float | None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        try:
             omega = mcdonald_omega(items)
-    except (AnalysisError, ValueError) as exc:
-        omega = None
-        note = f"omega unavailable: {exc}"
+        except (AnalysisError, ValueError) as exc:
+            omega, note = None, f"omega unavailable: {exc}"
     verdict = "acceptable" if np.isfinite(alpha) and alpha >= ALPHA_THRESHOLD else "questionable"
     return BlockReliability(alpha=alpha, omega=omega, n_items=k, verdict=verdict, note=note)
 

@@ -210,35 +210,28 @@ class BlockwisePca:
 
 def _block_axis(nm: NormalizedMatrix, block: Block) -> BlockAxis:
     idx = nm.block_indices(block)
-    ids = tuple(nm.specs[j].id for j in idx)
     vals = nm.values[:, list(idx)]
-    if len(idx) == 1:
+    fallback = len(idx) == 1
+    if fallback:
         warnings.warn(
             f"{block.value} block has a single measure; its axis is the raw "
             "normalized column",
             UserWarning,
             stacklevel=3,
         )
-        return BlockAxis(
-            block=block,
-            measure_ids=ids,
-            loadings=np.array([1.0]),
-            contributions=np.array([1.0]),
-            scores=vals[:, 0].copy(),
-            explained_variance_ratio=None,
-            fallback=True,
-        )
-    model = pca_fit(vals, k=1)
-    lam = model.loadings[:, 0]
-    contrib = lam**2 / float((lam**2).sum())
+        lam, scores, ratio = np.array([1.0]), vals[:, 0].copy(), None
+    else:
+        model = pca_fit(vals, k=1)
+        lam, scores = model.loadings[:, 0].copy(), model.scores[:, 0].copy()
+        ratio = float(model.explained_variance_ratio[0])
     return BlockAxis(
         block=block,
-        measure_ids=ids,
-        loadings=lam.copy(),
-        contributions=contrib,
-        scores=model.scores[:, 0].copy(),
-        explained_variance_ratio=float(model.explained_variance_ratio[0]),
-        fallback=False,
+        measure_ids=tuple(nm.specs[j].id for j in idx),
+        loadings=lam,
+        contributions=lam**2 / float((lam**2).sum()),
+        scores=scores,
+        explained_variance_ratio=ratio,
+        fallback=fallback,
     )
 
 

@@ -53,7 +53,7 @@ from .pareto import (
     pareto_set,
     rays_to_reference,
 )
-from .profiles import AreaTable, RadialProfile, origami_profiles, ranked_areas
+from .profiles import AreaTable, RadialProfiles, origami_profiles, ranked_areas
 from .render import (
     render_biplot,
     render_blockwise,
@@ -216,17 +216,19 @@ class StudyResult:
         return blockwise_pca(self.nm)
 
     @_stage
-    def profiles(self) -> tuple[RadialProfile, ...]:
+    def profiles(self) -> RadialProfiles | None:
         if len(self.nm.specs) >= 3:
             return origami_profiles(self.nm, r_aux=self.config.options.r_aux)
         warnings.warn(
             "radial profiles skipped: they need at least 3 measures",
             UserWarning,
         )
-        return ()
+        return None
 
     @_stage
     def areas(self) -> AreaTable:
+        if self.profiles is None:
+            return AreaTable(entries=())
         return ranked_areas(self.profiles)
 
     @_stage
@@ -296,11 +298,10 @@ def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
 
 def _records(objs, *drop: str, **extra) -> _Table:
     """Dataclass records of one class as a table: a column per field, less
-    `drop`, plus the columns of `extra`; a field of arrays is stacked."""
+    `drop`, plus the columns of `extra`."""
     names = _field_names(type(objs[0]), drop) if objs else ()
-    columns = [[getattr(obj, name) for obj in objs] for name in names]
-    return _Table(**{name: np.stack(c) if isinstance(c[0], np.ndarray) else c
-                     for name, c in zip(names, columns)}, **extra)
+    return _Table(**{name: [getattr(obj, name) for obj in objs] for name in names},
+                  **extra)
 
 
 def normalized_json(result: StudyResult) -> dict:
@@ -377,10 +378,14 @@ def pca_json(result: StudyResult) -> dict:
 
 
 def profiles_json(result: StudyResult) -> dict:
+    p = result.profiles
     return {
         "r_aux": result.config.options.r_aux,
         "axis_order": [s.id for s in result.nm.specs],
-        "profiles": _records(result.profiles, "measure_ids", "r_aux"),
+        "profiles": [] if p is None else _Table(
+            id=list(p.ids), angles=np.broadcast_to(p.angles, p.radii.shape),
+            radii=p.radii, vertices=p.vertices, area_raw=p.area_raw,
+            area_normalized=p.area_normalized),
         **_fields(result.areas, "entries", areas=_records(result.areas.entries)),
     }
 
@@ -409,7 +414,7 @@ def default_origami_panels(result: StudyResult) -> list[tuple[str, ...]]:
 
 
 def _render_origami_figure(result: StudyResult) -> PlotDocument:
-    if not result.profiles:
+    if result.profiles is None:
         raise AnalysisError(
             "the origami figure needs at least 3 measures; declare more "
             "measures or use the other views"

@@ -10,7 +10,6 @@ exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,39 +22,33 @@ AREA_CAVEAT = (
 
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """Closed polygon over alternating measure and auxiliary spokes."""
+class RadialProfiles:
+    """Closed polygons over alternating measure and auxiliary spokes, one
+    row per approach, all on the same axes."""
 
-    id: str
+    ids: tuple[str, ...]
     measure_ids: tuple[str, ...]
-    angles: np.ndarray  # (2m,) strictly increasing over [0, 2*pi)
-    radii: np.ndarray  # (2m,) values on even spokes, r_aux on odd spokes
-    vertices: np.ndarray  # (2m, 2) Cartesian
     r_aux: float
-    area_raw: float
-    area_normalized: float
+    angles: np.ndarray  # (2m,) strictly increasing over [0, 2*pi)
+    radii: np.ndarray  # (n, 2m) values on even spokes, r_aux on odd spokes
+    vertices: np.ndarray  # (n, 2m, 2) Cartesian
+    area_raw: np.ndarray  # (n,)
+    area_normalized: np.ndarray  # (n,)
 
 
-def _profiles(ids: Sequence[str], values, measure_ids: Sequence[str],
-              r_aux: float) -> tuple[RadialProfile, ...]:
-    """One radial profile per row of `values`, all rows computed at once.
+def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> RadialProfiles:
+    """One radial profile per approach, axes in declared measure order.
 
-    The profiles share one read-only `angles` array. Each area is the
-    shoelace formula, with the vector products of `np.dot` row by row.
+    Each area is the shoelace formula, with the vector products of `np.dot`
+    row by row.
     """
-    vals = np.asarray(values, dtype=float)
-    m = vals.shape[1]
+    m = len(nm.specs)
     if m < 3:
         raise ValueError("a radial profile needs at least 3 measures")
-    if len(measure_ids) != m:
-        raise ValueError("one measure id per value required")
     if not 0.0 < r_aux < 1.0:
         raise ValueError(f"r_aux must be in (0, 1), got {r_aux}")
-    if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
-        raise ValueError("profile values must be normalized to [0, 1]")
 
     angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
-    angles.flags.writeable = False
 
     def polygons(radii_main: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         radii = np.empty((len(radii_main), 2 * m))
@@ -68,20 +61,12 @@ def _profiles(ids: Sequence[str], values, measure_ids: Sequence[str],
                  - y[:, None, :] @ np.roll(x, -1, axis=1)[:, :, None])
         return radii, xy, 0.5 * np.abs(cross[:, 0, 0])
 
-    radii, xy, areas = polygons(np.clip(vals, 0.0, 1.0))
-    ones_area = float(polygons(np.ones((1, m)))[2][0])
-    axes = tuple(measure_ids)
-    return tuple(
-        RadialProfile(id=str(pid), measure_ids=axes, angles=angles, radii=radii[i],
-                      vertices=xy[i], r_aux=float(r_aux), area_raw=area,
-                      area_normalized=area / ones_area)
-        for i, (pid, area) in enumerate(zip(ids, areas.tolist()))
-    )
-
-
-def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> tuple[RadialProfile, ...]:
-    """One radial profile per approach, axes in declared measure order."""
-    return _profiles(nm.labels, nm.values, tuple(s.id for s in nm.specs), r_aux)
+    # the matrix may hold values up to 1e-9 outside [0, 1]
+    radii, xy, areas = polygons(np.clip(nm.values, 0.0, 1.0))
+    ones_area = polygons(np.ones((1, m)))[2][0]
+    return RadialProfiles(ids=nm.labels, measure_ids=tuple(s.id for s in nm.specs),
+                          r_aux=float(r_aux), angles=angles, radii=radii, vertices=xy,
+                          area_raw=areas, area_normalized=areas / ones_area)
 
 
 @dataclass(frozen=True)
@@ -97,18 +82,11 @@ class AreaTable:
     caveat: str = AREA_CAVEAT
 
 
-def ranked_areas(profiles: Sequence[RadialProfile]) -> AreaTable:
+def ranked_areas(profiles: RadialProfiles) -> AreaTable:
     """Profiles ranked by normalized area, descending, ties by id."""
-    if profiles:
-        first = profiles[0]
-        for p in profiles[1:]:
-            if p.measure_ids != first.measure_ids or p.r_aux != first.r_aux:
-                raise ValueError("profiles must share axis order and r_aux")
-    ordered = sorted(profiles, key=lambda p: (-p.area_normalized, p.id))
+    areas = profiles.area_normalized.tolist()
+    ordered = sorted(zip(areas, profiles.ids), key=lambda e: (-e[0], e[1]))
     return AreaTable(
-        entries=tuple(
-            AreaEntry(id=p.id, area=p.area_normalized,
-                      display=f"{p.area_normalized:.2f}")
-            for p in ordered
-        )
+        entries=tuple(AreaEntry(id=pid, area=area, display=f"{area:.2f}")
+                      for area, pid in ordered)
     )

@@ -29,7 +29,7 @@ from .multivariate import (
 )
 from .ordering import Dendrogram
 from .pareto import CompositeFront, KneePoint, Ray
-from .profiles import RadialProfile
+from .profiles import RadialProfiles
 from .svg import (
     Batch,
     Circle,
@@ -48,7 +48,8 @@ NEUTRAL_COLOR = "#9a9a9a"
 REFERENCE_COLOR = "#000000"
 KNEE_COLOR = "#e08214"
 BLOCK_COLOR = {Block.RISK: RISK_COLOR, Block.UTILITY: UTILITY_COLOR}
-PALETTE = ("#2166ac", "#1b7837", "#e08214", "#762a83", "#b2182b", "#35978f")
+PALETTE = ("#2166ac", "#1b7837", "#e08214", "#762a83", "#b2182b", "#35978f",
+           "#8c510a", "#c51b7d", "#4393c3", "#5f5f5f")
 FLAG_COLORS = {
     OutlierFlag.REGULAR: "#808080",
     OutlierFlag.GOOD_LEVERAGE: "#2166ac",
@@ -62,7 +63,7 @@ UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 class LegendEntry:
     label: str
     color: str
-    marker: str = "swatch"  # swatch | line | dash | none
+    marker: str = "swatch"  # swatch | line | dash
 
 
 # legend entries for the markers that `_approaches` draws
@@ -500,7 +501,8 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
     parts = (max(len(risk_idx), 2), max(len(util_idx), 2))
     labels = nm.labels
     pareto_labels = sorted(l for l in labels if l in pareto_ids)
-    color_of = {lbl: PALETTE[i % len(PALETTE)] for i, lbl in enumerate(pareto_labels)}
+    # the lines a full legend cannot list share its last colour
+    color_of = {lbl: PALETTE[min(i, 9)] for i, lbl in enumerate(pareto_labels)}
     layer = [2 if row.is_reference else 3 if row.label in pareto_ids else 1
              for row in nm.rows]
     for z, style in ((1, dict(stroke="#c4c4c4", stroke_width=1.2)),
@@ -515,8 +517,8 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
 
     listed = [LegendEntry(lbl, color_of[lbl], marker="line") for lbl in pareto_labels]
     if len(listed) > 10:  # 3 rows of 4 entries fit: the first 9 and a count
-        listed[9:] = [LegendEntry(f"+{len(listed) - 9} more on the front", "",
-                                  marker="none")]
+        listed[9:] = [LegendEntry(f"+{len(listed) - 9} more on the front",
+                                  PALETTE[9], marker="line")]
     _legend(doc, [*listed,
                   LegendEntry("reference (original)", REFERENCE_COLOR, marker="dash"),
                   LegendEntry("dominated", "#c4c4c4", marker="line")],
@@ -525,15 +527,15 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
 
 
 def render_origami(
-    profiles: Sequence[RadialProfile],
+    profiles: RadialProfiles,
     panels: Sequence[Sequence[str]],
     block_by_measure: Mapping[str, Block],
 ) -> PlotDocument:
     """Radial profile panels; each panel overlays the named profiles."""
-    by_id = {p.id: p for p in profiles}
+    row_of = {pid: i for i, pid in enumerate(profiles.ids)}
     for panel in panels:
         for pid in panel:
-            if pid not in by_id:
+            if pid not in row_of:
                 raise ValueError(f"origami selection names unknown approach '{pid}'")
     if not panels:
         raise ValueError("origami rendering needs at least one panel")
@@ -552,16 +554,11 @@ def render_origami(
         radius = min(cell_w, cell_h) / 2 - 44
         doc.add(Text(cx, cy - radius - 26, _short(" vs ".join(panel), 34),
                      size=11, anchor="middle", weight="bold"))
-        sample = by_id[panel[0]]
-        m = len(sample.measure_ids)
-        ring = []
-        for j in range(2 * m):
-            ang = sample.angles[j]
-            ring.append((cx + radius * math.cos(ang), cy - radius * math.sin(ang)))
-        doc.add(Polygon(points=tuple(ring), fill="none", stroke="#dddddd",
+        ring = tuple((cx + radius * math.cos(ang), cy - radius * math.sin(ang))
+                     for ang in profiles.angles)
+        doc.add(Polygon(points=ring, fill="none", stroke="#dddddd",
                         stroke_width=1.0, dash="2,3"))
-        for i, mid in enumerate(sample.measure_ids):
-            ang = sample.angles[2 * i]
+        for mid, ang in zip(profiles.measure_ids, profiles.angles[0::2]):
             ex = cx + radius * math.cos(ang)
             ey = cy - radius * math.sin(ang)
             doc.add(Line(cx, cy, ex, ey, stroke="#e5e5e5", stroke_width=1.0))
@@ -575,10 +572,9 @@ def render_origami(
             doc.add(Text(lx, lyy + 3, _short(mid, 12), size=8, anchor=anchor,
                          fill=BLOCK_COLOR[block_by_measure[mid]]))
         for sidx, pid in enumerate(panel):
-            prof = by_id[pid]
             pts = tuple(
                 (cx + float(x) * radius, cy - float(y) * radius)
-                for x, y in prof.vertices
+                for x, y in profiles.vertices[row_of[pid]]
             )
             color = PALETTE[sidx % len(PALETTE)]
             doc.add(Polygon(points=pts, fill=color, opacity=0.25, title=pid), z=1)

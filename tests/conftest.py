@@ -26,7 +26,7 @@ from ruviz.model import (
 )
 from ruviz.multivariate import _direction_pairs
 from ruviz.pipeline import _Table
-from ruviz.profiles import _profiles
+from ruviz.profiles import origami_profiles
 from ruviz.svg import Batch, _instance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -81,10 +81,20 @@ def make_nm(
     return NormalizedMatrix(specs=specs, rows=rows, values=values, scales=scales)
 
 
+def profiles_nm(ids, values, measure_ids) -> NormalizedMatrix:
+    """Rows `ids` of normalized `values` over utility measures `measure_ids`."""
+    specs = tuple(MeasureSpec(mid, mid, Block.UTILITY, Direction.HIGHER)
+                  for mid in measure_ids)
+    return NormalizedMatrix(
+        specs=specs, rows=tuple(ApproachRecord(id=pid) for pid in ids),
+        values=np.reshape(values, (len(ids), -1)),
+        scales=tuple(ColumnScale(0.0, 1.0, False, False) for _ in specs))
+
+
 def build_origami(profile_id: str, values, measure_ids, r_aux: float = 0.1):
-    """One radial profile from normalized values; requires at least 3
-    measures and 0 < r_aux < 1."""
-    return _profiles((profile_id,), np.reshape(values, (1, -1)), measure_ids, r_aux)[0]
+    """The one-row radial profile product of normalized values; requires at
+    least 3 measures and 0 < r_aux < 1."""
+    return origami_profiles(profiles_nm((profile_id,), values, measure_ids), r_aux)
 
 
 def reconstruct(model, scores) -> np.ndarray:

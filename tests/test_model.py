@@ -15,6 +15,8 @@ from ruviz.model import (
     ingest,
 )
 
+from conftest import make_nm
+
 
 def small_config(n_risk=1, n_utility=1, directions=None, reference="orig"):
     specs = []
@@ -226,6 +228,19 @@ class TestHarmonizeNormalize:
         nm = harmonize_and_normalize(m)
         assert nm.values[0, 0] == 1.0  # reference is the risk max
         assert 0.0 < nm.values[2, 0] < 1.0
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, 1.0 + 1e-6])
+    def test_normalized_matrix_rejects_values_outside_unit_range(self, bad):
+        values = np.full((3, 4), 0.5)
+        values[2, 1] = bad
+        with pytest.raises(ValidationError,
+                           match=r"^normalized values: entry outside \[0, 1\]$"):
+            make_nm(values, 2)
+
+    def test_normalized_matrix_accepts_rounding_above_one(self):
+        values = np.full((3, 4), 0.5)
+        values[2, 1] = 1.0 + 1e-10
+        assert make_nm(values, 2).values[2, 1] == 1.0 + 1e-10
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

@@ -267,7 +267,7 @@ class TestOptions:
         result = run_study(matrix, config)
         # radial profiles are undefined below 3 measures but everything else
         # stays available
-        assert result.profiles == ()
+        assert result.profiles is None
         assert any("radial profiles skipped" in w for w in result.warnings)
         assert len(result.pareto.front.ids) >= 1
         assert_in_bounds(render_plot(result, "heatmap"))
@@ -280,7 +280,7 @@ class TestOptions:
     def test_warnings_follow_stage_order_not_read_order(self):
         matrix, config = _inputs(TWO_MEASURES, two_measure_csv())
         lazy = StudyResult(matrix, config)
-        assert lazy.profiles == ()
+        assert lazy.profiles is None
         assert lazy.warnings == (
             "radial profiles skipped: they need at least 3 measures",)
         lazy.blockwise  # an earlier stage, read later
@@ -354,7 +354,7 @@ GENERATED_SHA256 = {
     "origami.svg": "8e9b92bc072042282a11846564002a8c5e72ddb52b4c0c8eca9b3c43435ec9e2",
     "pareto.json": "ce44c63cdcd436568f33c895534a5c8599ef35c9f49235588b93441480a905d1",
     "pca.json": "d174a8f8c87b38022443eccd8c6c40d85dd04a6d4886890baa9d399cfec2e9d4",
-    "pcp.svg": "ea8d3d61523a2e3c0140f3b954a89df22fd543df098cf513454da8c5d08afbc2",
+    "pcp.svg": "cb7243bdd254e117a3b2ad272b79209fad64b5b67e7f1746cdbfec12bc0e591d",
     "profiles.json": "54ab450937b57ef82e846270e96727238e818ff56c6ed05eb9db5cf7bd45a969",
     "sdod.svg": "bcc26a1ebaf42468471bf50bea3ea10a4e3413ac3a30cb71ef815d49df908454",
 }

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from ruviz.profiles import AREA_CAVEAT, origami_profiles, ranked_areas
 
-from conftest import build_origami, make_nm
+from conftest import build_origami, make_nm, profiles_nm
 
 IDS5 = tuple(f"m{i}" for i in range(5))
 
@@ -26,13 +25,13 @@ def fan_area(radii: np.ndarray) -> float:
 class TestBuildOrigami:
     def test_all_ones_area_is_one(self):
         prof = build_origami("x", np.ones(5), IDS5, r_aux=0.1)
-        assert prof.area_normalized == pytest.approx(1.0, abs=1e-12)
+        assert prof.area_normalized[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_values_at_r_aux_regular_polygon(self):
         m, r_aux = 5, 0.3
         prof = build_origami("x", np.full(m, r_aux), IDS5, r_aux=r_aux)
         expected = m * r_aux**2 * math.sin(math.pi / m)
-        assert prof.area_raw == pytest.approx(expected, abs=1e-12)
+        assert prof.area_raw[0] == pytest.approx(expected, abs=1e-12)
 
     def test_random_profiles_match_fan_oracle(self):
         rng = np.random.default_rng(77)
@@ -41,14 +40,15 @@ class TestBuildOrigami:
             ids = tuple(f"m{i}" for i in range(m))
             vals = rng.random(m)
             prof = build_origami("x", vals, ids, r_aux=0.2)
-            assert prof.area_raw == pytest.approx(fan_area(prof.radii), abs=1e-10)
+            assert prof.area_raw[0] == pytest.approx(fan_area(prof.radii[0]), abs=1e-10)
 
     def test_angles_strictly_increasing_and_vertices_closed_shape(self):
         prof = build_origami("x", np.array([0.2, 0.5, 0.9]), ("a", "b", "c"))
         assert np.all(np.diff(prof.angles) > 0)
         assert prof.angles[0] == 0.0
         assert prof.angles[-1] < 2 * math.pi
-        assert prof.vertices.shape == (6, 2)
+        assert prof.radii.shape == (1, 6)
+        assert prof.vertices.shape == (1, 6, 2)
 
     def test_requires_three_measures(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -73,7 +73,7 @@ class TestAreaInvariances:
         base = build_origami("x", vals, ids, r_aux=0.15)
         rolled = np.roll(vals, shift % len(vals))
         rotated = build_origami("x", rolled, ids, r_aux=0.15)
-        assert rotated.area_raw == pytest.approx(base.area_raw, abs=1e-9)
+        assert rotated.area_raw[0] == pytest.approx(base.area_raw[0], abs=1e-9)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -85,7 +85,7 @@ class TestAreaInvariances:
         ids = tuple(f"m{i}" for i in range(len(vals)))
         base = build_origami("x", vals, ids)
         reflected = build_origami("x", vals[::-1].copy(), ids)
-        assert reflected.area_raw == pytest.approx(base.area_raw, abs=1e-9)
+        assert reflected.area_raw[0] == pytest.approx(base.area_raw[0], abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,37 +102,29 @@ class TestAreaInvariances:
         j = idx % len(vals)
         raised[j] = min(1.0, raised[j] + bump)
         bigger = build_origami("x", raised, ids)
-        assert bigger.area_raw >= base.area_raw - 1e-12
-        assert 0.0 < bigger.area_normalized <= 1.0 + 1e-12
+        assert bigger.area_raw[0] >= base.area_raw[0] - 1e-12
+        assert 0.0 < bigger.area_normalized[0] <= 1.0 + 1e-12
 
 
 class TestRankedAreas:
     def test_ordering_with_degenerate_profile(self):
-        ones = build_origami("full", np.ones(4), tuple("abcd"))
-        zeros = build_origami("empty", np.zeros(4), tuple("abcd"))
-        table = ranked_areas([zeros, ones])
+        nm = profiles_nm(("empty", "full"), [np.zeros(4), np.ones(4)], tuple("abcd"))
+        table = ranked_areas(origami_profiles(nm))
         assert [e.id for e in table.entries] == ["full", "empty"]
         assert table.entries[0].display == "1.00"
         assert table.entries[1].area == pytest.approx(0.0, abs=1e-12)
         assert table.caveat == AREA_CAVEAT
 
     def test_ties_stable_lexicographic(self):
-        a = build_origami("b", np.full(4, 0.5), tuple("wxyz"))
-        b = build_origami("a", np.full(4, 0.5), tuple("wxyz"))
-        table = ranked_areas([a, b])
+        nm = profiles_nm(("b", "a"), np.full((2, 4), 0.5), tuple("wxyz"))
+        table = ranked_areas(origami_profiles(nm))
         assert [e.id for e in table.entries] == ["a", "b"]
 
     def test_display_rounding_two_decimals(self):
         prof = build_origami("p", np.array([0.123, 0.456, 0.789]), tuple("abc"))
-        table = ranked_areas([prof])
-        assert table.entries[0].display == f"{prof.area_normalized:.2f}"
-        assert table.entries[0].area == prof.area_normalized  # full precision
-
-    def test_mismatched_axes_rejected(self):
-        a = build_origami("a", np.ones(3), ("x", "y", "z"))
-        b = build_origami("b", np.ones(3), ("x", "y", "q"))
-        with pytest.raises(ValueError, match="share axis order"):
-            ranked_areas([a, b])
+        table = ranked_areas(prof)
+        assert table.entries[0].display == f"{prof.area_normalized[0]:.2f}"
+        assert table.entries[0].area == prof.area_normalized[0]  # full precision
 
 
 def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):
@@ -140,10 +132,12 @@ def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):
 
     nm = harmonize_and_normalize(ingest(study_csv_bytes, study_config))
     profs = origami_profiles(nm, r_aux=0.1)
-    assert [p.id for p in profs] == list(nm.labels)
+    assert profs.ids == nm.labels
+    assert profs.measure_ids == tuple(s.id for s in nm.specs)
+    assert len(profs.radii) == len(profs.area_normalized) == len(nm.rows)
     # the reference row is at the normalized maximum everywhere
-    original = next(p for p in profs if p.id == "original")
-    assert original.area_normalized == pytest.approx(1.0, abs=1e-12)
+    original = profs.area_normalized[profs.ids.index("original")]
+    assert original == pytest.approx(1.0, abs=1e-12)
 
 
 def shoelace_oracle(values: np.ndarray, r_aux: float) -> float:
@@ -172,33 +166,15 @@ class TestOrigamiProfilesMatchOneRow:
         nm = make_nm(values, 1)
         profiles = origami_profiles(nm, r_aux=r_aux)
         ids = tuple(s.id for s in nm.specs)
-        assert [p.id for p in profiles] == list(nm.labels)
-        for prof, row, label in zip(profiles, values, nm.labels):
+        assert profiles.ids == nm.labels
+        for i, (row, label) in enumerate(zip(values, nm.labels)):
             one = build_origami(label, row, ids, r_aux=r_aux)
-            for name in ("angles", "radii", "vertices"):
-                assert np.array_equal(getattr(prof, name), getattr(one, name))
-            assert prof.area_raw == one.area_raw == shoelace_oracle(row, r_aux)
-            assert prof.area_normalized == one.area_normalized
-            assert prof.measure_ids == one.measure_ids and prof.r_aux == one.r_aux
-
-    def test_profiles_share_one_read_only_angles_array(self):
-        profiles = origami_profiles(make_nm(np.full((3, 4), 0.5), 2))
-        assert all(p.angles is profiles[0].angles for p in profiles)
-        with pytest.raises(ValueError):
-            profiles[0].angles[0] = 1.0
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, 1.0 + 1e-6])
-    def test_out_of_range_value_raises_as_one_row(self, bad):
-        values = np.full((3, 4), 0.5)
-        values[2, 1] = bad
-        # a NormalizedMatrix refuses such values itself, so a stand-in
-        # carries them
-        nm = make_nm(np.full((3, 4), 0.5), 2)
-        stand_in = SimpleNamespace(labels=nm.labels, values=values, specs=nm.specs)
-        with pytest.raises(ValueError, match=r"normalized to \[0, 1\]"):
-            origami_profiles(stand_in)
-        with pytest.raises(ValueError, match=r"normalized to \[0, 1\]"):
-            build_origami("x", values[2], tuple("abcd"))
+            assert np.array_equal(profiles.angles, one.angles)
+            for name in ("radii", "vertices", "area_raw", "area_normalized"):
+                assert np.array_equal(getattr(profiles, name)[i], getattr(one, name)[0])
+            assert profiles.area_raw[i] == shoelace_oracle(row, r_aux)
+            assert profiles.measure_ids == one.measure_ids
+            assert profiles.r_aux == one.r_aux
 
     def test_fewer_than_three_measures_raises_as_one_row(self):
         values = np.full((3, 2), 0.5)

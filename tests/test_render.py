@@ -335,6 +335,27 @@ class TestPcpRender:
             listed = [*front[:9], f"+{n_front - 9} more on the front"]
         assert legend == [*listed, "reference (original)", "dominated"]
 
+    @pytest.mark.parametrize("n_front", [6, 10, 11, 24])
+    def test_front_lines_take_their_legend_colour(self, n_front):
+        nm = make_nm(np.random.default_rng(51).random((30, 4)), 2)
+        front = sorted(f"a{i}" for i in range(n_front))
+        doc = render_pcp(nm, frozenset(front))
+        # every legend entry is a 2-px line mark, then its label
+        marks = [e.get("stroke") for e in svg_elements(doc, "line")
+                 if e.get("stroke-width") == "2.00"]
+        legend = [e.text for e in svg_elements(doc, "text")
+                  if e.get("font-size") == "10.00"]
+        assert len(marks) == len(legend)
+        colour = dict(zip(legend, marks))
+        front_marks = marks[:-2]  # less the reference and dominated entries
+        assert len(set(front_marks)) == len(front_marks)
+        more = colour.get(f"+{n_front - 9} more on the front")
+        assert (more is None) == (n_front <= 10)
+        strokes = {s["title"]: s["stroke"]
+                   for _, s in batch_rows(doc, Polyline, stroke_width=2.2)}
+        assert sorted(strokes) == front
+        assert all(stroke == colour.get(lbl, more) for lbl, stroke in strokes.items())
+
 
 class TestOrigamiRender:
     def test_panels_and_unknown_selection(self, study):
