@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .__about__ import NAME, VERSION
@@ -114,14 +114,11 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> tuple[StudyConfig, "object"]:
     config = StudyConfig.from_file(args.config)
-    opts = config.options
-    for f in fields(opts):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(opts, f.name, value)
+    flags = {f.name: getattr(args, f.name) for f in fields(config.options)
+             if getattr(args, f.name, None) is not None}
     if args.thresholds is not None:  # the flag names a file of cutoffs
-        opts.thresholds = load_thresholds(args.thresholds)
-    config.validate()
+        flags["thresholds"] = load_thresholds(args.thresholds)
+    config = replace(config, options=replace(config.options, **flags))
 
     data_path = Path(args.data)
     try:

@@ -32,7 +32,7 @@ def _check_thresholds(doc, where: str) -> None:
             raise ValidationError(f"{where}['{mid}']: must be in [0, 1], got {c!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyOptions:
     """Run options; every field has a documented default echoed into reports."""
 
@@ -48,7 +48,7 @@ class StudyOptions:
     thresholds: dict[str, float] | None = None
     out_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in dc_fields(self):
             value = getattr(self, f.name)
             if f.default is not None and not _has_type(value, type(f.default)):
@@ -75,7 +75,7 @@ class StudyOptions:
             _check_thresholds(self.thresholds, "options.thresholds")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """Parsed study configuration; measures are ordered risk block first."""
 
@@ -87,24 +87,19 @@ class StudyConfig:
         _validate_specs(self.measures)
         if not self.reference_id:
             raise ValidationError("config.reference: required")
-        self.validate()
         risk = tuple(s for s in self.measures if s.block is Block.RISK)
         util = tuple(s for s in self.measures if s.block is Block.UTILITY)
-        self.measures = risk + util
-
-    @property
-    def measure_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.measures)
-
-    def validate(self) -> None:
-        """Check the options, and that every threshold names a declared measure."""
-        self.options.validate()
+        object.__setattr__(self, "measures", risk + util)
         if self.options.thresholds is not None:
             unknown = sorted(set(self.options.thresholds) - set(self.measure_ids))
             if unknown:
                 raise ValidationError(
                     f"options.thresholds: unknown measure id(s) {unknown}"
                 )
+
+    @property
+    def measure_ids(self) -> tuple[str, ...]:
+        return tuple(s.id for s in self.measures)
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
@@ -126,24 +121,21 @@ class StudyConfig:
             if not isinstance(name, str):
                 raise ValidationError(f"config.measures[{i}].display_name: must be "
                                       f"a string, got {name!r}")
-            block = m.get("block")
-            if block not in ("risk", "utility"):
-                raise ValidationError(
-                    f"config.measures[{i}].block: must be 'risk' or 'utility', "
-                    f"got {block!r}"
-                )
-            direction = m.get("direction")
-            if direction not in ("higher", "lower"):
-                raise ValidationError(
-                    f"config.measures[{i}].direction: must be 'higher' or 'lower', "
-                    f"got {direction!r}"
-                )
+            kinds = {}
+            for key, kind in (("block", Block), ("direction", Direction)):
+                allowed = tuple(k.value for k in kind)
+                value = m.get(key)
+                if value not in allowed:
+                    raise ValidationError(
+                        f"config.measures[{i}].{key}: must be "
+                        f"{' or '.join(map(repr, allowed))}, got {value!r}"
+                    )
+                kinds[key] = kind(value)
             specs.append(
                 MeasureSpec(
                     id=_check_text(mid, f"config.measures[{i}].id"),
                     display_name=_check_text(name, f"config.measures[{i}].display_name"),
-                    block=Block(block),
-                    direction=Direction(direction),
+                    **kinds,
                 )
             )
 
@@ -159,9 +151,9 @@ class StudyConfig:
         unknown = sorted(set(opts_doc) - known)
         if unknown:
             raise ValidationError(f"config.options: unknown option(s) {unknown}")
-        options = StudyOptions(**opts_doc)
-
-        return cls(measures=tuple(specs), reference_id=reference, options=options)
+        _validate_specs(specs)  # measure faults are reported before option faults
+        return cls(measures=tuple(specs), reference_id=reference,
+                   options=StudyOptions(**opts_doc))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StudyConfig":
@@ -180,7 +172,7 @@ def _read_text(path: str | Path, where: str) -> str:
 def _parse_json(text: str, where: str) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer of more than 4,300 digits
+    except (ValueError, RecursionError) as exc:  # a 4,300-digit integer, deep nesting
         raise ValidationError(f"{where}: invalid JSON ({exc})") from None
 
 

@@ -207,7 +207,10 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"data: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text))
-    raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:  # a cell longer than the csv module's field size limit
+        raise ValidationError(f"data line {reader.line_num}: {exc}") from None
     if not raw_rows:
         raise ValidationError("data: empty CSV")
 
@@ -294,45 +297,37 @@ def harmonize_and_normalize(
     come from the candidate rows only and reference values are clamped into
     [0, 1]. Constant columns map to 0.5 everywhere and emit a warning.
     """
-    vals = np.array(matrix.values, dtype=float)
-    n = len(matrix.rows)
-    ref_mask = np.array([r.is_reference for r in matrix.rows], dtype=bool)
-    if exclude_reference_from_range:
-        pop_mask = ~ref_mask
-        if not pop_mask.any():
+    pop_mask = np.array([not (exclude_reference_from_range and r.is_reference)
+                         for r in matrix.rows])
+    if not pop_mask.any():
+        raise ValidationError(
+            "cannot exclude the reference from ranges: no candidate rows"
+        )
+    # a row per column, so that each column reduces as one 1-D array: that
+    # settles whether a zero range end is 0.0 or -0.0 (axis 0 may differ)
+    pop = matrix.values[pop_mask].T.copy()
+    lo, hi = pop.min(axis=1), pop.max(axis=1)
+    flip = [(s.block is Block.UTILITY) == (s.direction is Direction.LOWER)
+            for s in matrix.specs]
+    scales = tuple(ColumnScale(a, b, flipped=f, constant=a == b)
+                   for a, b, f in zip(lo.tolist(), hi.tolist(), flip))
+    for spec, sc in zip(matrix.specs, scales):  # in column order
+        if math.isinf(sc.raw_max - sc.raw_min):
             raise ValidationError(
-                "cannot exclude the reference from ranges: no candidate rows"
-            )
-    else:
-        pop_mask = np.ones(n, dtype=bool)
-
-    out = np.empty_like(vals)
-    scales: list[ColumnScale] = []
-    for j, spec in enumerate(matrix.specs):
-        col = vals[:, j]
-        pop = col[pop_mask]
-        lo = float(pop.min())
-        hi = float(pop.max())
-        if math.isinf(hi - lo):
-            raise ValidationError(f"measure '{spec.id}': range {lo:g} to {hi:g} overflows")
-        flip = (spec.block is Block.UTILITY) == (spec.direction is Direction.LOWER)
-        scales.append(ColumnScale(lo, hi, flipped=flip, constant=hi == lo))
-        if hi == lo:
+                f"measure '{spec.id}': range {sc.raw_min:g} to {sc.raw_max:g} overflows")
+        if sc.constant:
             warnings.warn(
                 f"measure '{spec.id}' is constant over the scaling population; "
                 "normalized to 0.5",
                 UserWarning,
                 stacklevel=2,
             )
-            out[:, j] = 0.5
-            continue
-        scaled = (col - lo) / (hi - lo)
-        if exclude_reference_from_range:
-            scaled = np.clip(scaled, 0.0, 1.0)
-        if flip:
-            scaled = 1.0 - scaled
-        out[:, j] = scaled
 
-    return NormalizedMatrix(
-        specs=matrix.specs, rows=matrix.rows, values=out, scales=tuple(scales)
-    )
+    constant = lo == hi
+    with np.errstate(over="ignore"):  # only a reference outside the range overflows
+        scaled = (matrix.values - lo) / np.where(constant, 1.0, hi - lo)
+    if exclude_reference_from_range:
+        scaled = np.clip(scaled, 0.0, 1.0)
+    out = np.where(constant, 0.5, np.where(flip, 1.0 - scaled, scaled))
+    return NormalizedMatrix(specs=matrix.specs, rows=matrix.rows, values=out,
+                            scales=scales)

@@ -95,7 +95,6 @@ class StudyResult:
     """
 
     def __init__(self, matrix: MeasureMatrix, config: StudyConfig) -> None:
-        config.validate()
         self.config = config
         self.matrix = matrix
         self._warnings: dict[str, tuple[str, ...]] = {}

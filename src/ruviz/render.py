@@ -497,8 +497,7 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
         return np.stack(np.broadcast_arrays(np.array(xs), ys),
                         axis=-1).reshape(len(nm.rows), -1)
 
-    points = np.hstack([vertices(idx, xs) for idx, xs in facets])
-    parts = (max(len(risk_idx), 2), max(len(util_idx), 2))
+    risk_points, util_points = (vertices(idx, xs) for idx, xs in facets)
     labels = nm.labels
     pareto_labels = sorted(l for l in labels if l in pareto_ids)
     # the lines a full legend cannot list share its last colour
@@ -509,11 +508,15 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
                      (2, dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")),
                      (3, dict(stroke_width=2.2))):
         at = [i for i, zi in enumerate(layer) if zi == z]
+        if not at:  # a lead needs rows; an empty layer draws nothing
+            continue
         ids = [labels[i] for i in at]
         if z == 3:
             style["stroke"] = [color_of[i] for i in ids]
-        doc.add(Batch(Polyline, points[at], parts=parts, fill="none", title=ids,
-                      **style), z=z)
+        # each line's risk facet, then its utility facet
+        lines = dict(fill="none", title=ids, **style)
+        doc.add(Batch(Polyline, util_points[at],
+                      lead=Batch(Polyline, risk_points[at], **lines), **lines), z=z)
 
     listed = [LegendEntry(lbl, color_of[lbl], marker="line") for lbl in pareto_labels]
     if len(listed) > 10:  # 3 rows of 4 entries fit: the first 9 and a count

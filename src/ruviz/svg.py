@@ -9,7 +9,6 @@ identical inputs yield byte-identical SVG.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -217,14 +216,11 @@ _FIELD = re.compile(r"%(%|\((\d+)\))")
 
 
 @functools.lru_cache(maxsize=256)
-def _template(cls: type, k: int, parts: tuple[int, ...], style: tuple):
+def _template(cls: type, k: int, style: tuple):
     """One batch row's SVG as a `%`-template, with a field for each of its
     k numbers and each string that `style` gives as a field, and the getter
     that puts a batch's columns in the template's field order."""
-    numbers = [_Field(i) for i in range(k)]
-    cuts = itertools.accumulate([2 * c for c in parts] or [k], initial=0)
-    text = "\n".join(_instance(cls, numbers[a:b], dict(style)).to_svg()
-                     for a, b in itertools.pairwise(cuts))
+    text = _instance(cls, [_Field(i) for i in range(k)], dict(style)).to_svg()
     order = [int(m[2]) for m in _FIELD.finditer(text) if m[2]]
     return _FIELD.sub(lambda m: "%" if m[2] else "%%", text), itemgetter(*order)
 
@@ -236,17 +232,14 @@ class Batch:
     A row holds an element's leading numbers (x, y, w, h for a `Rect`), or
     x0, y0, x1, y1, ... for a polyline or polygon. The keywords are the
     class's other fields; a sequence under `fill`, `stroke`, `anchor`,
-    `title` or `content` gives one string per row. A polyline or polygon
-    row may stand for several elements, `parts` giving each one's number
-    of vertices. `lead`, a batch of another class with one row per equal
-    group of rows, writes each of its rows before its group.
+    `title` or `content` gives one string per row. `lead`, a batch with
+    one row per equal group of rows, writes each of its rows before its
+    group.
     """
 
-    def __init__(self, cls: type, values, parts: tuple[int, ...] = (),
-                 lead: Batch | None = None, **style):
+    def __init__(self, cls: type, values, lead: Batch | None = None, **style):
         self.cls = cls
         self.values = np.asarray(values, dtype=float)
-        self.parts = parts
         if lead is not None and (not len(lead.values)
                                  or len(self.values) % len(lead.values)):
             raise ValueError("a lead needs one row per equal group of rows")
@@ -287,7 +280,7 @@ class Batch:
             style = {name: value.replace("%", "%%") if isinstance(value, str)
                      else value for name, value in self.style.items()}
             style.update(fields, **strings)
-            return _template(self.cls, k, self.parts, tuple(sorted(style.items())))
+            return _template(self.cls, k, tuple(sorted(style.items())))
 
         # each template's fields in its own order, one tuple per row
         titled, pick = template()

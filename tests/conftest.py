@@ -288,13 +288,11 @@ def corners(primitive) -> list[tuple[float, float]]:
     single elements its rows stand for, in row order, then its lead's."""
     if not isinstance(primitive, Batch):
         return list(primitive.coords())
-    cuts = list(itertools.accumulate([2 * c for c in primitive.parts], initial=0))
     out = []
     for i, numbers in enumerate(primitive.values.tolist()):
         style = {**primitive.style,
                  **{name: column[i] for name, column in primitive.columns.items()}}
-        for a, b in itertools.pairwise(cuts) if primitive.parts else [(0, None)]:
-            out += _instance(primitive.cls, numbers[a:b], style).coords()
+        out += _instance(primitive.cls, numbers, style).coords()
     return out + (corners(primitive.lead) if primitive.lead is not None else [])
 
 
@@ -325,14 +323,16 @@ def title_of(element: ET.Element) -> str | None:
     return None if title is None else title.text
 
 
-def batch_rows(doc, cls, **style) -> list[tuple[list[float], dict]]:
+def batch_rows(doc, cls, lead: bool = False, **style) -> list[tuple[list[float], dict]]:
     """(numbers, string fields) of every row of the `cls` batches in `doc`
-    whose shared fields include `style`, in drawing order."""
+    whose shared fields include `style`, in drawing order; with `lead`, of
+    those batches' leads."""
     return [
         (numbers, {**b.style, **{name: column[i] for name, column in b.columns.items()}})
-        for b in doc.primitives()
-        if isinstance(b, Batch) and b.cls is cls
-        and all(b.style.get(name) == value for name, value in style.items())
+        for top in doc.primitives()
+        if isinstance(top, Batch) and top.cls is cls
+        and all(top.style.get(name) == value for name, value in style.items())
+        for b in [top.lead if lead else top]
         for i, numbers in enumerate(b.values.tolist())
     ]
 

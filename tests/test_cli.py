@@ -129,6 +129,30 @@ class TestValidate:
         assert err.startswith(f"ruviz: {prefix}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,name,prefix", [
+        ("--config", "study.json", "config"),
+        ("--thresholds", "thresholds.json", "thresholds"),
+    ])
+    def test_deeply_nested_json_exit_1(self, tmp_path, capsys, flag, name, prefix):
+        # the json module recurses once per level, past the interpreter's limit
+        deep = tmp_path / name
+        deep.write_text("[" * 100_000)
+        assert main(["validate", *args_with_file(flag, deep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ruviz: {prefix}: invalid JSON (")
+        assert err.count("\n") == 1
+
+    def test_oversized_csv_cell_exit_1(self, tmp_path, capsys):
+        # the csv module reads no field over 131,072 characters by default
+        rows = (DATA / "measures.csv").read_text().splitlines()
+        rows[2] = "a" * 200_000 + rows[2][rows[2].index(","):]
+        data = tmp_path / "measures.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["validate", *args_with_file("--data", data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ruviz: data line 3: field larger than field limit")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,name", [
         ("--config", "study.json"),
         ("--data", "measures.csv"),

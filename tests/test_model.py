@@ -1,13 +1,19 @@
+import dataclasses
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruviz.config import StudyConfig
+from ruviz.config import StudyConfig, StudyOptions
 from ruviz.errors import ValidationError
 from ruviz.model import (
     ApproachRecord,
     Block,
+    ColumnScale,
     Direction,
     MeasureMatrix,
     MeasureSpec,
@@ -16,6 +22,13 @@ from ruviz.model import (
 )
 
 from conftest import make_nm
+
+
+def two_measure_doc() -> dict:
+    return {"measures": [
+        {"id": "r0", "block": "risk", "direction": "lower"},
+        {"id": "u0", "block": "utility", "direction": "higher"},
+    ], "reference": "orig"}
 
 
 def small_config(n_risk=1, n_utility=1, directions=None, reference="orig"):
@@ -125,6 +138,49 @@ class TestIngest:
             )
 
 
+class TestStudyConfig:
+    @pytest.mark.parametrize("value", ["Risk", 1, ["risk"], {"risk": "lower"}, None])
+    @pytest.mark.parametrize("key,allowed", [
+        ("block", "'risk' or 'utility'"),
+        ("direction", "'higher' or 'lower'"),
+    ])
+    def test_kind_outside_its_words_is_named(self, key, allowed, value):
+        doc = two_measure_doc()
+        doc["measures"][1][key] = value
+        if value is None:
+            del doc["measures"][1][key]
+        message = f"config.measures[1].{key}: must be {allowed}, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            StudyConfig.from_json(json.dumps(doc))
+
+    def test_duplicate_id_is_reported_before_a_bad_option(self):
+        doc = two_measure_doc()
+        doc["measures"][1]["id"] = "r0"
+        doc["options"] = {"r_aux": 7}
+        with pytest.raises(ValidationError, match="^measures: duplicate id 'r0'$"):
+            StudyConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("obj,name", [
+        *[("config", f.name) for f in dataclasses.fields(StudyConfig)],
+        *[("options", f.name) for f in dataclasses.fields(StudyOptions)],
+    ])
+    def test_fields_cannot_be_assigned(self, obj, name):
+        config = StudyConfig.from_json(json.dumps(two_measure_doc()))
+        target = config if obj == "config" else config.options
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, getattr(target, name))
+
+    def test_replace_checks_the_new_configuration(self):
+        config = StudyConfig.from_json(json.dumps(two_measure_doc()))
+        with pytest.raises(ValidationError, match=r"^options\.r_aux: "):
+            dataclasses.replace(config.options, r_aux=7.0)
+        with pytest.raises(ValidationError, match=r"unknown measure id\(s\) \['x'\]"):
+            dataclasses.replace(config, options=StudyOptions(thresholds={"x": 0.5}))
+        robust = dataclasses.replace(
+            config, options=dataclasses.replace(config.options, robust=True))
+        assert robust.options.robust and not config.options.robust
+
+
 def matrix_of(values, directions, n_risk=1, reference_index=None):
     """Build a MeasureMatrix with given raw values and per-column directions."""
     values = np.asarray(values, dtype=float)
@@ -219,6 +275,19 @@ class TestHarmonizeNormalize:
         with pytest.raises(ValidationError, match="^measure 'm0': range "):
             harmonize_and_normalize(m, exclude_reference_from_range=exclude)
 
+    def test_reference_past_the_float_range_clamps_without_warning(self):
+        # the reference's distance to the candidates' minimum overflows to inf
+        m = matrix_of(
+            [[1e308, 1.0], [-1e308, 0.5], [-1.1e308, 0.2], [-1e308, 0.3]],
+            ["lower", "higher"],
+            reference_index=0,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nm = harmonize_and_normalize(m, exclude_reference_from_range=True)
+        assert [str(w.message) for w in caught] == []
+        assert nm.values[0].tolist() == [1.0, 1.0]
+
     def test_reference_in_range_by_default(self):
         m = matrix_of(
             [[100.0, 0.0], [10.0, 1.0], [20.0, 3.0]],
@@ -310,3 +379,58 @@ def test_property_monotone_in_raw_order(data):
                         assert norm[i1] <= norm[i2]
                     else:
                         assert norm[i1] >= norm[i2]
+
+
+# few distinct values per column, so that ties and constant columns are
+# common, with both signed zeros and subnormal ranges among them
+special = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e6])
+
+
+@st.composite
+def scaling_cases(draw):
+    # past 8 rows numpy reduces in blocks, which can pick the other zero
+    n = draw(st.integers(2, 12))
+    p_risk, p_util = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(p_risk + p_util):
+        pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | special | finite,
+                             min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    directions = draw(st.lists(st.sampled_from(["higher", "lower"]),
+                               min_size=len(columns), max_size=len(columns)))
+    reference = draw(st.none() | st.integers(0, n - 1))
+    return (np.array(columns).T, directions, p_risk, reference, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaling_cases())
+def test_property_each_cell_is_its_defining_formula(case):
+    vals, directions, p_risk, reference, exclude = case
+    m = matrix_of(vals, directions, p_risk, reference_index=reference)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nm = harmonize_and_normalize(m, exclude_reference_from_range=exclude)
+    expected_warnings = []
+    for j, spec in enumerate(m.specs):
+        column = vals[:, j].tolist()
+        pop = [v for i, v in enumerate(column) if not (exclude and i == reference)]
+        # Python's min keeps the first of 0.0 and -0.0; the range ends are the
+        # column's 1-D numpy reduction, whose pick the cells carry
+        lo, hi = float(np.min(pop)), float(np.max(pop))
+        flip = (spec.block is Block.UTILITY) == (spec.direction is Direction.LOWER)
+        scale = ColumnScale(lo, hi, flipped=flip, constant=lo == hi)
+        assert repr(nm.scales[j]) == repr(scale)
+        if lo == hi:
+            expected_warnings.append(f"measure '{spec.id}' is constant over the "
+                                     "scaling population; normalized to 0.5")
+        cells = []
+        for v in column:
+            if lo == hi:
+                cells.append(0.5)
+                continue
+            x = (v - lo) / (hi - lo)
+            if exclude:
+                x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            cells.append(1.0 - x if flip else x)
+        assert [float(c).hex() for c in nm.values[:, j]] == [c.hex() for c in cells]
+    assert [str(w.message) for w in caught] == expected_warnings

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +164,8 @@ class TestMultiDataset:
 
 class TestOptions:
     def test_exclude_reference_from_range(self, study_config, study_csv_bytes):
-        import copy
-
-        cfg = copy.deepcopy(study_config)
-        cfg.options.exclude_reference_from_range = True
+        options = replace(study_config.options, exclude_reference_from_range=True)
+        cfg = replace(study_config, options=options)
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
         # candidates span [0, 1]; the clamped reference still sits at 1
@@ -174,10 +173,8 @@ class TestOptions:
         assert result.nm.values[ref_row].max() == 1.0
 
     def test_pca_exclude_reference(self, study_config, study_csv_bytes):
-        import copy
-
-        cfg = copy.deepcopy(study_config)
-        cfg.options.pca_exclude_reference = True
+        cfg = replace(study_config,
+                      options=replace(study_config.options, pca_exclude_reference=True))
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
         assert "original" not in result.pca_labels
@@ -186,10 +183,8 @@ class TestOptions:
         assert doc["alignment"]["includes_reference"] is False
 
     def test_orient_enabled(self, study_config, study_csv_bytes):
-        import copy
-
-        cfg = copy.deepcopy(study_config)
-        cfg.options.orient = True
+        cfg = replace(study_config,
+                      options=replace(study_config.options, orient=True))
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
         assert result.align.corr_utility >= 0.0
@@ -206,10 +201,8 @@ class TestOptions:
 
     def test_robust_option_flows_to_diagnostics(self, study_config,
                                                 study_csv_bytes):
-        import copy
-
-        cfg = copy.deepcopy(study_config)
-        cfg.options.robust = True
+        cfg = replace(study_config,
+                      options=replace(study_config.options, robust=True))
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
         doc = _documents(result)["pca"]
@@ -217,10 +210,8 @@ class TestOptions:
 
     def test_cluster_columns_reorders_within_blocks(self, study_config,
                                                     study_csv_bytes):
-        import copy
-
-        cfg = copy.deepcopy(study_config)
-        cfg.options.cluster_columns = True
+        cfg = replace(study_config,
+                      options=replace(study_config.options, cluster_columns=True))
         matrix = ingest(study_csv_bytes, cfg)
         result = run_study(matrix, cfg)
         assert result.column_order is not None
@@ -378,6 +369,12 @@ DEGENERATE_SHA256 = {
     "composite": "7003e16efb7b9ad31e9b30c766e13abe402a2806b46c96f6711477563e86d74f",
     "pca": "ae5dbe7e70607ede7fc7740d3203a16857db0dee7c7046eb966eb363070499db",
     "profiles": "e6619b825f41059644359d670391207570575bc558585952f0939bc1e39a3680",
+}
+
+# `plot rays` writes the one figure that the report leaves out
+RAYS_SHA256 = {
+    "fixture": "6087fbd62a938a3c04a3c05def84992d3a758e27e27533784c35853d1b070c0c",
+    "two_reference": "7aefa014d5ec8fcfd45209cf8aeba5c4b6aedbcbd6c5c8f6bb47655006ed9c1a",
 }
 
 
@@ -596,6 +593,17 @@ class TestPrintedDocuments:
         for cmd, name in PRINTED.items():
             assert main([cmd, *args]) == 0
             assert capsys.readouterr().out.encode("utf-8") == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("study", sorted(RAYS_SHA256))
+    def test_rays_plot_matches_pinned_hash(self, tmp_path, capsys, study):
+        if study == "fixture":
+            args = ["--config", str(DATA / "study.json"),
+                    "--data", str(DATA / "measures.csv")]
+        else:
+            args = _study_args(tmp_path, FOUR_MEASURES, TWO_REFERENCE_CSV)
+        assert main(["plot", "rays", *args, "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "rays.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == RAYS_SHA256[study]
 
     def test_subcommand_prints_only_the_warnings_of_its_stages(self, tmp_path, capsys):
         args = _study_args(tmp_path, TWO_MEASURES, two_measure_csv())

@@ -265,6 +265,15 @@ class TestRays:
         assert len(ray_lines) == len(points)
 
 
+def pcp_lines(doc, **style) -> list[tuple[list[float], dict]]:
+    """(numbers, string fields) of each PCP line drawn with `style`: its risk
+    facet's vertices, which the lead batch writes, then its utility facet's."""
+    risk = batch_rows(doc, Polyline, lead=True, **style)
+    util = batch_rows(doc, Polyline, **style)
+    assert [strings for _, strings in risk] == [strings for _, strings in util]
+    return [(r + u, strings) for (r, strings), (u, _) in zip(risk, util)]
+
+
 class TestPcpRender:
     def test_counts_and_determinism(self, study):
         nm, _, front = study
@@ -298,7 +307,7 @@ class TestPcpRender:
     def test_vertices_are_the_normalized_values(self):
         vals = np.random.default_rng(50).random((6, 5))
         doc = render_pcp(make_nm(vals, 2), frozenset())
-        rows = batch_rows(doc, Polyline)
+        rows = pcp_lines(doc)
         assert [strings["title"] for _, strings in rows] == [f"a{i}" for i in range(6)]
         numbers = np.array([n for n, _ in rows])
         # the plot spans y = 520 (value 0) to 80 (value 1)
@@ -309,12 +318,12 @@ class TestPcpRender:
     def test_flags_and_single_axis_doubled(self):
         vals = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
         doc = render_pcp(make_nm(vals, 1, reference_index=1), frozenset({"a0"}))
-        pareto = batch_rows(doc, Polyline, stroke_width=2.2)
-        reference = batch_rows(doc, Polyline, dash="6,3")
+        pareto = pcp_lines(doc, stroke_width=2.2)
+        reference = pcp_lines(doc, dash="6,3")
         assert [(s["title"], s["stroke"], s.get("dash")) for _, s in pareto] == [
             ("a0", PALETTE[0], None)]
         assert [(s["title"], s["stroke"]) for _, s in reference] == [("a1", "#000000")]
-        assert batch_rows(doc, Polyline, stroke="#c4c4c4") == []
+        assert pcp_lines(doc, stroke="#c4c4c4") == []
         for (numbers, _), row in zip(pareto + reference, vals):
             # the one risk axis is two vertices at the same x and value
             x0, y0, x1, y1, *util = numbers

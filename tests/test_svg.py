@@ -166,20 +166,22 @@ class TestBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
-    def test_polylines_write_one_element_per_part(self, first, second, data):
-        numbers = data.draw(rows(2 * (first + second)))
-        n = len(numbers)
+    def test_polylines_led_by_polylines_write_each_lead_first(self, first, second,
+                                                              data):
+        heads = data.draw(rows(2 * first))
+        n = len(heads)
+        lines = data.draw(st.lists(st.lists(coordinate, min_size=2 * second,
+                                            max_size=2 * second),
+                                   min_size=n, max_size=n))
         strokes = data.draw(st.lists(colour, min_size=n, max_size=n))
         titles = data.draw(st.lists(label, min_size=n, max_size=n))
-        batch = Batch(Polyline, numbers, parts=(first, second), fill="none",
-                      stroke=strokes, stroke_width=1.2, title=titles)
-        singles = []
-        for v, s, t in zip(numbers, strokes, titles):
-            points = tuple(zip(v[0::2], v[1::2]))
-            for part in (points[:first], points[first:]):
-                singles.append(Polyline(points=part, fill="none", stroke=s,
-                                        stroke_width=1.2, title=t))
-        single_and_batch_bytes(batch, singles)
+        style = dict(fill="none", stroke=strokes, stroke_width=1.2, title=titles)
+        batch = Batch(Polyline, lines, lead=Batch(Polyline, heads, **style), **style)
+        singles = [Polyline(points=tuple(zip(v[0::2], v[1::2])), fill="none", stroke=s,
+                            stroke_width=1.2, title=t)
+                   for h, l, s, t in zip(heads, lines, strokes, titles) for v in (h, l)]
+        assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
+        assert sorted(corners(batch)) == sorted(xy for e in singles for xy in e.coords())
 
     @settings(max_examples=40, deadline=None)
     @given(rows(8), st.sampled_from([None, "#888888"]))
