@@ -350,6 +350,10 @@ GENERATED_SHA256 = {
     "sdod.svg": "bcc26a1ebaf42468471bf50bea3ea10a4e3413ac3a30cb71ef815d49df908454",
 }
 
+# `pca.json` of the same study with `"options": {"robust": true}`
+GENERATED_ROBUST_PCA_SHA256 = (
+    "188f9b3c9f4883688a4a24943bf7ba2fe56df58b4c7226e6fd20898c6557228e")
+
 # A two-measure study whose documents reach the branches that neither study
 # above reaches: single-item blocks (null alpha, omega and explained variance,
 # the blockwise fallback), no radial profiles, no knee, and a candidate whose
@@ -405,6 +409,14 @@ class TestArtifacts:
         csv, config_doc = generated_study()
         matrix, config = _inputs(config_doc, csv)
         assert _artifact_hashes(run_study(matrix, config), tmp_path) == GENERATED_SHA256
+
+    def test_generated_study_robust_pca_matches_pinned_hash(self):
+        # past 50 rows the robust fit draws 250 seeded pairs and takes its
+        # outlyingness medians over (250, 60) arrays
+        csv, config_doc = generated_study()
+        matrix, config = _inputs({**config_doc, "options": {"robust": True}}, csv)
+        text = _dump_json(artifact_jsons(run_study(matrix, config))["pca"])
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_ROBUST_PCA_SHA256
 
     def test_degenerate_study_documents_match_pinned_hashes(self):
         matrix, config = _inputs(TWO_MEASURES, DEGENERATE_CSV)
