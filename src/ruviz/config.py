@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from .errors import ValidationError
 from .model import Block, Direction, MeasureSpec, _check_text, _validate_specs
@@ -24,7 +25,7 @@ def _has_type(value, expected: type) -> bool:
 
 
 def _check_thresholds(doc, where: str) -> None:
-    if not isinstance(doc, dict):
+    if not isinstance(doc, Mapping):
         raise ValidationError(f"{where}: must be an object {{measure id: cutoff}}")
     for mid, c in doc.items():
         # compare before converting: float() overflows on a huge JSON integer
@@ -45,7 +46,7 @@ class StudyOptions:
     robust: bool = False
     pca_exclude_reference: bool = False
     cluster_columns: bool = False
-    thresholds: dict[str, float] | None = None
+    thresholds: Mapping[str, float] | None = field(default=None, hash=False)
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -73,6 +74,7 @@ class StudyOptions:
             raise ValidationError("options.seed: must be a non-negative integer")
         if self.thresholds is not None:
             _check_thresholds(self.thresholds, "options.thresholds")
+            object.__setattr__(self, "thresholds", MappingProxyType(dict(self.thresholds)))
 
 
 @dataclass(frozen=True)

@@ -208,13 +208,14 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
         raise ValidationError(f"data: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text))
     try:
-        raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        raw_rows = [(reader.line_num, row) for row in reader
+                    if row and any(cell.strip() for cell in row)]
     except csv.Error as exc:  # a cell longer than the csv module's field size limit
         raise ValidationError(f"data line {reader.line_num}: {exc}") from None
     if not raw_rows:
         raise ValidationError("data: empty CSV")
 
-    header = [h.strip() for h in raw_rows[0]]
+    header = [h.strip() for h in raw_rows[0][1]]
     if not header or header[0] != "approach":
         raise ValidationError("data: first CSV column must be 'approach'")
     has_dataset = len(header) > 1 and header[1] == "dataset"
@@ -235,7 +236,7 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
 
     records: list[ApproachRecord] = []
     values: list[list[float]] = []
-    for line_no, row in enumerate(raw_rows[1:], start=2):
+    for line_no, row in raw_rows[1:]:
         if len(row) != len(header):
             raise ValidationError(
                 f"data line {line_no}: expected {len(header)} fields, got {len(row)}"

@@ -21,6 +21,7 @@ import warnings
 from enum import Enum
 from json.encoder import encode_basestring
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -501,7 +502,7 @@ def _encode(value: Any, newline: str) -> str:
     text = _TEXT.get(type(value))
     if text is not None:
         return text(value)
-    if isinstance(value, dict):
+    if isinstance(value, (dict, MappingProxyType)):
         if not value:
             return "{}"
         inner = newline + "  "

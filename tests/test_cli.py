@@ -153,6 +153,16 @@ class TestValidate:
         assert err.startswith("ruviz: data line 3: field larger than field limit")
         assert err.count("\n") == 1
 
+    def test_short_row_names_its_file_line_exit_1(self, tmp_path, capsys):
+        # blank lines count: the short row is on file line 5
+        header, first, second, *rest = (DATA / "measures.csv").read_text().splitlines()
+        data = tmp_path / "measures.csv"
+        short = second.rsplit(",", 1)[0]
+        data.write_text("\n".join([header, "", "", first, short, *rest]) + "\n")
+        assert main(["validate", *args_with_file("--data", data)]) == 1
+        assert capsys.readouterr().err == (
+            "ruviz: data line 5: expected 11 fields, got 10\n")
+
     @pytest.mark.parametrize("flag,name", [
         ("--config", "study.json"),
         ("--data", "measures.csv"),

@@ -180,6 +180,15 @@ class TestStudyConfig:
             config, options=dataclasses.replace(config.options, robust=True))
         assert robust.options.robust and not config.options.robust
 
+    def test_thresholds_are_read_only_and_the_configuration_hashable(self):
+        doc = {**two_measure_doc(), "options": {"thresholds": {"r0": 0.5}}}
+        config = StudyConfig.from_json(json.dumps(doc))
+        with pytest.raises(TypeError):
+            config.options.thresholds["nope"] = 1
+        assert hash(config) == hash(dataclasses.replace(config))
+        robust = dataclasses.replace(config.options, robust=True)
+        assert robust.thresholds == {"r0": 0.5}
+
 
 def matrix_of(values, directions, n_risk=1, reference_index=None):
     """Build a MeasureMatrix with given raw values and per-column directions."""
