@@ -279,9 +279,8 @@ class SdOdDiagnostics:
     components_used: int
 
 
-# The pipeline fits k = 2 components, so it needs only these quantiles; they
-# are scipy.stats 1.17's values. Other chi-square arguments, reached only
-# through `sd_od` with 3 or more components, are bisected from the CDF.
+# The pipeline fits k = 2 components, so `sd_od` and `group_summaries` need
+# only these quantiles; they are scipy.stats 1.17's values.
 _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 _CHI2_PPF = {
     (0.95, 2): 5.991464547107979,
@@ -290,56 +289,21 @@ _CHI2_PPF = {
 }
 
 
-def _chi2_cdf(x: float, df: int) -> float:
-    """P(X <= x) for X chi-square with integer df >= 1 and x > 0. With
-    h = x/2 it is 1 - sum_{k<df/2} e^-h h^k / k! for even df, and
-    erf(sqrt(h)) - sum_{k<(df-1)/2} e^-h h^(k+1/2) / Gamma(k+3/2) for odd
-    df. Each term is exp of its logarithm, since e^-h alone underflows for
-    a large df."""
-    h = x / 2.0
-    log_h = math.log(h)
-    shift = 0.5 * (df % 2)
-    head = math.erf(math.sqrt(h)) if df % 2 else 1.0
-    return head - sum(math.exp(-h + (k + shift) * log_h - math.lgamma(k + shift + 1.0))
-                      for k in range(df // 2))
-
-
-def _chi2_ppf(q: float, df: int) -> float:
-    """Chi-square quantile: scipy.stats 1.17's value at the pipeline's
-    arguments, else the CDF bisected until its bracket is two adjacent
-    floats."""
-    if (q, df) in _CHI2_PPF:
-        return _CHI2_PPF[q, df]
-    lo, hi = 0.0, float(df)
-    while _chi2_cdf(hi, df) < q:
-        lo, hi = hi, 2.0 * hi
-    mid = (lo + hi) / 2.0
-    while lo < mid < hi:
-        if _chi2_cdf(mid, df) < q:
-            lo = mid
-        else:
-            hi = mid
-        mid = (lo + hi) / 2.0
-    return hi
-
-
 def median(a, axis: int | None = None):
-    """`np.median(a, axis)` of a non-empty float array, bit for bit: the
-    same partition, the mean of the middle one or two values as numpy sums
-    them (from +0.0, so -0.0 becomes 0.0) and NaN wherever a NaN is in the
-    data. `np.median` loads `numpy.ma` for its NaN check."""
+    """`np.median(a, axis)` of a non-empty, NaN-free float array, bit for
+    bit: the mean of the middle one or two sorted values as numpy sums them
+    (from +0.0, so -0.0 becomes 0.0). `np.median` loads `numpy.ma` for its
+    NaN check."""
     a = np.asarray(a, dtype=float)
     if axis is None:
         a, axis = a.ravel(), 0
     n = a.shape[axis]
     half = n // 2
-    kth = [half - 1, half, -1] if n % 2 == 0 else [half, -1]
-    part = np.partition(a, kth, axis=axis)
-    mid = part.take(half, axis) + 0.0
+    ordered = np.sort(a, axis=axis)
+    mid = ordered.take(half, axis) + 0.0
     if n % 2 == 0:
-        mid = (part.take(half - 1, axis) + mid) / 2
-    last = part.take(-1, axis)  # a NaN sorts last
-    return np.where(np.isnan(last), last, mid)[()]
+        mid = (ordered.take(half - 1, axis) + mid) / 2
+    return mid
 
 
 def _madn(x: np.ndarray) -> float:
@@ -358,8 +322,8 @@ def sd_od(
     SD is the Mahalanobis-style distance of the score vector inside the
     retained component subspace, sqrt(sum t_j^2 / eigenvalue_j); OD is the
     Euclidean length of the reconstruction residual. The SD cutoff is
-    sqrt of the chi-square 0.975 quantile at k degrees of freedom. Two OD
-    cutoff modes exist:
+    sqrt of the chi-square 0.975 quantile at k degrees of freedom, for a
+    model of k = 1 or 2 components. Two OD cutoff modes exist:
 
     - "hubert" (default): (m + s * z_0.975)^(3/2) with m and s the median and
       normalized MAD of OD^(2/3), a scale-free construction;
@@ -369,6 +333,8 @@ def sd_od(
     """
     if od_cut_mode not in OD_CUT_MODES:
         raise ValueError(f"unknown od_cut_mode '{od_cut_mode}'")
+    if model.k > 2:
+        raise ValueError(f"sd_od takes a model of 1 or 2 components, got {model.k}")
     X = np.asarray(data, dtype=float)
     scores = model.transform(X)
     usable = model.eigenvalues > _EIGEN_EPS
@@ -388,7 +354,7 @@ def sd_od(
     resid = X - model.center - scores @ model.loadings.T
     od = np.linalg.norm(resid, axis=1)
 
-    sd_cut = float(np.sqrt(_chi2_ppf(0.975, n_usable)))
+    sd_cut = float(np.sqrt(_CHI2_PPF[0.975, n_usable]))
     if od_cut_mode == "hubert":
         od23 = od ** (2.0 / 3.0)
         od_cut = float((median(od23) + _madn(od23) * _Z975) ** 1.5)
@@ -474,10 +440,7 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
 
     h = math.ceil(0.75 * n)
     keep = np.sort(np.argsort(outlyingness, kind="stable")[:h])
-    subset_k = min(k, h - 1, p)
-    if subset_k < 1:
-        raise AnalysisError("robust PCA: h-subset too small for any component")
-    model = pca_fit(X[keep], subset_k)
+    model = pca_fit(X[keep], min(k, h - 1, p))
     return replace(model, scores=model.transform(X))
 
 
@@ -576,7 +539,7 @@ def group_summaries(
     pts = pts[:, :2]
     if len(groups) != pts.shape[0]:
         raise ValueError("one group label per score row required")
-    chi2_2 = _chi2_ppf(0.95, 2)
+    chi2_2 = _CHI2_PPF[0.95, 2]
     out = []
     for g in sorted(set(groups)):
         members = pts[np.array([lbl == g for lbl in groups], dtype=bool)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class FrontEdge:
 
 @dataclass(frozen=True)
 class CompositeFront:
-    points: tuple[FrontPoint, ...]  # sorted by utility ascending
+    points: tuple[FrontPoint, ...]  # sorted by (utility, risk, id)
     edges: tuple[FrontEdge, ...]
 
     @property
@@ -123,10 +123,9 @@ class KneePoint:
     concave: bool
 
 
-def knee_point(front: CompositeFront | Sequence[FrontPoint]) -> KneePoint | None:
-    """Knee of a 2-D front; None for fewer than 3 points or near-flat fronts."""
-    pts = list(front.points if isinstance(front, CompositeFront) else front)
-    pts.sort(key=lambda p: (p.utility, p.risk, p.id))
+def knee_point(front: CompositeFront) -> KneePoint | None:
+    """Knee of a composite front; None for fewer than 3 points or near-flat fronts."""
+    pts = front.points  # sorted by (utility, risk, id)
     if len(pts) < 3:
         return None
     a, b = pts[0], pts[-1]

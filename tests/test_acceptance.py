@@ -28,7 +28,7 @@ from ruviz.multivariate import (
     sd_od,
 )
 from ruviz.ordering import hclust
-from ruviz.pareto import FrontPoint, composite_front, knee_point, pareto_set
+from ruviz.pareto import composite_front, knee_point, pareto_set
 from ruviz.profiles import origami_profiles, ranked_areas
 
 from conftest import (
@@ -94,17 +94,18 @@ def test_criterion_02_knee_correctness():
 
         # parabola front: risk = utility^2, max chord distance at utility 0.5
         ts = np.linspace(0.0, 1.0, 21)  # includes 0.5 exactly
-        pts = [FrontPoint(f"p{i}", float(t), float(t * t))
-               for i, t in enumerate(ts)]
-        knee2 = knee_point(pts)
+        front2 = composite_front([(f"p{i}", float(t), float(t * t))
+                                  for i, t in enumerate(ts)])
+        assert len(front2.points) == 21
+        knee2 = knee_point(front2)
         assert knee2 is not None
         assert knee2.id == "p10"
         assert abs(knee2.distance - 0.25 / math.sqrt(2.0)) < 1e-9
         assert knee2.concave is True  # bows toward low risk
 
         # degenerate cases: collinear front and 2-point front have no knee
-        assert knee_point([FrontPoint("a", 0.0, 0.0), FrontPoint("b", 0.5, 0.5),
-                           FrontPoint("c", 1.0, 1.0)]) is None
+        assert knee_point(composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.5),
+                                           ("c", 1.0, 1.0)])) is None
         assert knee_point(composite_front([("a", 0.1, 0.2),
                                            ("b", 0.9, 0.9)])) is None
 

@@ -2,7 +2,6 @@ import ast
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import shutil
 import stat
@@ -11,13 +10,14 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ruviz
 from ruviz import cli
 from ruviz.cli import main
 from ruviz.config import StudyOptions
-from conftest import chi2_quantile_even_df
+from ruviz.multivariate import pca_fit, sd_od
 from test_pipeline import FIXTURE_SHA256
 
 DATA = Path(__file__).parent / "data"
@@ -588,27 +588,23 @@ def test_no_library_module_imports_scipy():
 
 
 def test_report_and_sd_od_run_without_scipy(tmp_path):
-    # with scipy unimportable, `report` writes the pinned artifacts and
-    # `sd_od` on a k = 4 model bisects its chi-square quantile
+    # with scipy unimportable, `report` writes the pinned artifacts; `sd_od`
+    # has quantiles for 1 or 2 components only, and refuses a k = 3 model
     src = Path(ruviz.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys; sys.modules['scipy'] = None\n"
-            "import numpy as np\n"
             "from ruviz.cli import main\n"
-            "from ruviz.multivariate import pca_fit, sd_od\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            "X = np.random.default_rng(4).random((12, 6))\n"
-            "print(repr(sd_od(pca_fit(X, 4), X).sd_cutoff))\n")
+            "assert main(sys.argv[1:]) == 0\n")
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-c", code, "report", *common_args(),
-                           "--out", str(out)], env=env, capture_output=True,
-                          text=True, check=True)
+    subprocess.run([sys.executable, "-c", code, "report", *common_args(),
+                    "--out", str(out)], env=env, capture_output=True, text=True,
+                   check=True)
     assert len(FIXTURE_SHA256) == 13
     assert {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
             for n in FIXTURE_SHA256} == FIXTURE_SHA256
-    sd_cutoff = float(proc.stdout.splitlines()[-1])
-    assert sd_cutoff == pytest.approx(math.sqrt(chi2_quantile_even_df(0.975, 4)),
-                                      rel=1e-9)
+    X = np.random.default_rng(4).random((12, 6))
+    with pytest.raises(ValueError, match="^sd_od takes a model of 1 or 2 components"):
+        sd_od(pca_fit(X, 3), X)
 
 
 def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from ruviz.pareto import (
     CompositeFront,
-    FrontPoint,
     composite_front,
     knee_point,
     pareto_set,
@@ -122,39 +122,35 @@ class TestKnee:
         assert knee.concave is False  # bows toward the high-risk side
 
     def test_concave_side_flag(self):
-        knee = knee_point(
-            [FrontPoint("a", 0.0, 0.0), FrontPoint("b", 0.9, 0.5),
-             FrontPoint("c", 1.0, 1.0)]
-        )
+        knee = knee_point(composite_front([("a", 0.0, 0.0), ("b", 0.9, 0.5),
+                                           ("c", 1.0, 1.0)]))
         assert knee is not None and knee.id == "b" and knee.concave is True
 
     def test_collinear_returns_none(self):
-        knee = knee_point(
-            [FrontPoint("a", 0.0, 0.0), FrontPoint("b", 0.5, 0.5),
-             FrontPoint("c", 1.0, 1.0)]
-        )
-        assert knee is None
+        front = composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.5), ("c", 1.0, 1.0)])
+        assert len(front.points) == 3
+        assert knee_point(front) is None
 
     def test_two_point_front_none(self):
         front = composite_front([("a", 0.1, 0.1), ("b", 0.9, 0.9)])
         assert knee_point(front) is None
 
     def test_order_invariance(self):
-        pts = [FrontPoint("a", 0.0, 0.0), FrontPoint("b", 0.5, 0.9),
-               FrontPoint("c", 1.0, 1.0)]
-        k1 = knee_point(pts)
-        k2 = knee_point(list(reversed(pts)))
-        assert k1 == k2
+        pts = [("a", 0.0, 0.0), ("b", 0.5, 0.9), ("c", 1.0, 1.0)]
+        k1 = knee_point(composite_front(pts))
+        for shuffled in itertools.permutations(pts):
+            assert knee_point(composite_front(shuffled)) == k1
 
     def test_tie_breaks_lower_risk_then_id(self):
-        pts = [
-            FrontPoint("a", 0.0, 0.0),
-            FrontPoint("z", 0.25, 0.45),
-            FrontPoint("b", 0.75, 0.95),
-            FrontPoint("c", 1.0, 1.0),
-        ]
+        front = composite_front([
+            ("a", 0.0, 0.0),
+            ("z", 0.25, 0.45),
+            ("b", 0.75, 0.95),
+            ("c", 1.0, 1.0),
+        ])
         # both interior points are 0.2/sqrt(2) from the chord
-        knee = knee_point(pts)
+        assert len(front.points) == 4
+        knee = knee_point(front)
         assert knee is not None and knee.id == "z"
 
 
