@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ruviz.pareto import (
-    CompositeFront,
     composite_front,
     knee_point,
     pareto_set,
