@@ -375,6 +375,23 @@ DEGENERATE_SHA256 = {
     "profiles": "e6619b825f41059644359d670391207570575bc558585952f0939bc1e39a3680",
 }
 
+# m2 and m3 are exact duplicates on the composite front, so the first edge
+# has no utility step and no slope
+DUPLICATE_FRONT_CSV = """approach,r0,r1,u0,u1
+orig,1.0,1.0,0.0,0.0
+m1,0.5,0.6,0.3,0.2
+m2,0.3,0.2,0.6,0.5
+m3,0.3,0.2,0.6,0.5
+m4,0.7,0.8,0.2,0.1
+m5,0.2,0.4,0.7,0.6
+"""
+
+DUPLICATE_FRONT_SHA256 = {
+    "normalized.json": "2d8883b5142b510d222b3eae113bc998fa00b1b3d9659a6cc2a0ea098c3f774c",
+    "pareto.json": "614e8f723862b73365eb0a81db69778b362f0896e80a5a8477a3c29d1844cd0d",
+    "composite_ru.svg": "30b57c31fe06c61ef5acfb7a9d75a59862a537661c17e5625b562954da2067ab",
+}
+
 # `plot rays` writes the one figure that the report leaves out
 RAYS_SHA256 = {
     "fixture": "6087fbd62a938a3c04a3c05def84992d3a758e27e27533784c35853d1b070c0c",
@@ -417,6 +434,20 @@ class TestArtifacts:
         matrix, config = _inputs({**config_doc, "options": {"robust": True}}, csv)
         text = _dump_json(artifact_jsons(run_study(matrix, config))["pca"])
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_ROBUST_PCA_SHA256
+
+    def test_undefined_front_slope_matches_pinned_hashes(self, tmp_path):
+        matrix, config = _inputs(FOUR_MEASURES, DUPLICATE_FRONT_CSV)
+        result = run_study(matrix, config)
+        pareto = _documents(result)["pareto"]
+        assert [p["id"] for p in pareto["front"]] == ["m2", "m3", "m1", "m4"]
+        assert pareto["edges"][0]["slope"] is None
+        hashes = _artifact_hashes(result, tmp_path)
+        assert {name: hashes[name] for name in DUPLICATE_FRONT_SHA256} == DUPLICATE_FRONT_SHA256
+
+    def test_undefined_front_slope_adds_no_warning(self):
+        # 0/0 on the duplicate edge must not reach normalized.json's warnings
+        matrix, config = _inputs(FOUR_MEASURES, DUPLICATE_FRONT_CSV)
+        assert _documents(run_study(matrix, config))["normalized"]["warnings"] == []
 
     def test_degenerate_study_documents_match_pinned_hashes(self):
         matrix, config = _inputs(TWO_MEASURES, DEGENERATE_CSV)
