@@ -9,7 +9,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .model import Block, Direction, MeasureSpec, _check_text, _validate_specs
+from .model import Block, MeasureSpec, _check_text, _validate_specs
 from .multivariate import OD_CUT_MODES
 from .ordering import LINKAGES
 
@@ -22,6 +22,12 @@ def _has_type(value, expected: type) -> bool:
     if expected is bool or isinstance(value, bool):
         return expected is bool and isinstance(value, bool)
     return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _check_reference(reference) -> None:
+    if not isinstance(reference, str) or not reference:
+        raise ValidationError("config.reference: required string (approach id)")
+    _check_text(reference, "config.reference")
 
 
 def _check_thresholds(doc, where: str) -> None:
@@ -87,8 +93,7 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         _validate_specs(self.measures)
-        if not self.reference_id:
-            raise ValidationError("config.reference: required")
+        _check_reference(self.reference_id)
         risk = tuple(s for s in self.measures if s.block is Block.RISK)
         util = tuple(s for s in self.measures if s.block is Block.UTILITY)
         object.__setattr__(self, "measures", risk + util)
@@ -116,35 +121,15 @@ class StudyConfig:
         for i, m in enumerate(raw_measures):
             if not isinstance(m, dict):
                 raise ValidationError(f"config.measures[{i}]: must be an object")
-            mid = m.get("id")
-            if not isinstance(mid, str) or not mid:
-                raise ValidationError(f"config.measures[{i}].id: required string")
-            name = m.get("display_name", mid)
-            if not isinstance(name, str):
-                raise ValidationError(f"config.measures[{i}].display_name: must be "
-                                      f"a string, got {name!r}")
-            kinds = {}
-            for key, kind in (("block", Block), ("direction", Direction)):
-                allowed = tuple(k.value for k in kind)
-                value = m.get(key)
-                if value not in allowed:
-                    raise ValidationError(
-                        f"config.measures[{i}].{key}: must be "
-                        f"{' or '.join(map(repr, allowed))}, got {value!r}"
-                    )
-                kinds[key] = kind(value)
-            specs.append(
-                MeasureSpec(
-                    id=_check_text(mid, f"config.measures[{i}].id"),
-                    display_name=_check_text(name, f"config.measures[{i}].display_name"),
-                    **kinds,
-                )
-            )
+            try:
+                specs.append(MeasureSpec(
+                    id=m.get("id"), display_name=m.get("display_name", m.get("id")),
+                    block=m.get("block"), direction=m.get("direction")))
+            except ValidationError as exc:
+                raise ValidationError(f"config.measures[{i}].{exc}") from None
 
         reference = doc.get("reference")
-        if not isinstance(reference, str) or not reference:
-            raise ValidationError("config.reference: required string (approach id)")
-        _check_text(reference, "config.reference")
+        _check_reference(reference)  # the reference is reported before the options
 
         opts_doc = doc.get("options", {})
         if not isinstance(opts_doc, dict):

@@ -38,14 +38,39 @@ class Direction(str, Enum):
     LOWER = "lower"
 
 
+# the characters outside XML 1.0's Char production (C0 controls but tab, LF, CR)
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_text(text: str, where: str) -> None:
+    """Raise unless XML 1.0 can carry `text`, which the figures print."""
+    if c := _NOT_XML_CHAR.search(text):
+        raise ValidationError(f"{where} holds U+{ord(c.group()):04X}, not allowed in XML 1.0")
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Declares one measure: block membership and raw-value direction."""
+    """Declares one measure: block membership and raw-value direction, each
+    given as a member or its value and held as the member."""
 
     id: str
     display_name: str
     block: Block
     direction: Direction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError("id: required string")
+        if not isinstance(self.display_name, str):
+            raise ValidationError(f"display_name: must be a string, got {self.display_name!r}")
+        for key, kind in (("block", Block), ("direction", Direction)):
+            allowed = tuple(k.value for k in kind)
+            if (value := getattr(self, key)) not in allowed:
+                raise ValidationError(f"{key}: must be {' or '.join(map(repr, allowed))}, "
+                                      f"got {value!r}")
+            object.__setattr__(self, key, kind(value))
+        _check_text(self.id, "id")
+        _check_text(self.display_name, "display_name")
 
 
 @dataclass(frozen=True)
@@ -56,20 +81,16 @@ class ApproachRecord:
     dataset: str | None = None
     is_reference: bool = False
 
+    def __post_init__(self) -> None:
+        _check_text(self.id, "approach id")
+        if not self.id:
+            raise ValidationError("empty approach id")
+        if self.dataset is not None:
+            _check_text(self.dataset, "dataset")
+
     @property
     def label(self) -> str:
         return self.id if self.dataset is None else f"{self.id}@{self.dataset}"
-
-
-# the characters outside XML 1.0's Char production (C0 controls but tab, LF, CR)
-_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
-def _check_text(text: str, where: str) -> str:
-    """`text`, which the figures print, if XML 1.0 can carry it."""
-    if c := _NOT_XML_CHAR.search(text):
-        raise ValidationError(f"{where} holds U+{ord(c.group()):04X}, not allowed in XML 1.0")
-    return text
 
 
 def _validate_specs(specs: Sequence[MeasureSpec]) -> None:
@@ -241,11 +262,13 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
             raise ValidationError(
                 f"data line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        approach_id = _check_text(row[0].strip(), f"data line {line_no}: approach id")
-        if not approach_id:
-            raise ValidationError(f"data line {line_no}: empty approach id")
-        dataset = (_check_text(row[1].strip(), f"data line {line_no}: dataset") or None
-                   if has_dataset else None)
+        approach_id = row[0].strip()
+        try:
+            records.append(ApproachRecord(
+                id=approach_id, dataset=row[1].strip() or None if has_dataset else None,
+                is_reference=approach_id == config.reference_id))
+        except ValidationError as exc:
+            raise ValidationError(f"data line {line_no}: {exc}") from None
         cells = []
         for spec in config.measures:
             raw = row[col_pos[spec.id]].strip()
@@ -262,13 +285,6 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
                     f"non-finite value '{raw}'"
                 )
             cells.append(v)
-        records.append(
-            ApproachRecord(
-                id=approach_id,
-                dataset=dataset,
-                is_reference=approach_id == config.reference_id,
-            )
-        )
         values.append(cells)
 
     matrix = MeasureMatrix(

@@ -190,6 +190,49 @@ class TestStudyConfig:
         assert robust.thresholds == {"r0": 0.5}
 
 
+class TestCodeBuiltInputs:
+    """A configuration or matrix built in code is checked as from_json and
+    ingest check theirs, less the location prefix."""
+
+    def test_measure_display_name_must_suit_xml(self):
+        with pytest.raises(ValidationError, match=r"^display_name holds U\+0001, "):
+            MeasureSpec("r0", "Replicated\x01uniques", Block.RISK, Direction.LOWER)
+
+    def test_approach_id_must_suit_xml(self):
+        with pytest.raises(ValidationError, match=r"^approach id holds U\+000B, "):
+            ApproachRecord("Di\x0bSCO")
+        with pytest.raises(ValidationError, match=r"^dataset holds U\+FFFF, "):
+            ApproachRecord("a", dataset="d\uffff")
+        with pytest.raises(ValidationError, match="^empty approach id$"):
+            ApproachRecord("")
+
+    def test_block_and_direction_given_by_value(self):
+        spec = MeasureSpec("x", "x", "risk", "higher")
+        assert spec.block is Block.RISK and spec.direction is Direction.HIGHER
+        assert spec == MeasureSpec("x", "x", Block.RISK, Direction.HIGHER)
+        config = StudyConfig((spec, MeasureSpec("y", "y", "utility", "lower")), "orig")
+        assert config.measure_ids == ("x", "y")
+        with pytest.raises(ValidationError, match=r"^block: must be 'risk' or 'utility', got 'Risk'$"):
+            MeasureSpec("x", "x", "Risk", "higher")
+
+    @pytest.mark.parametrize("reference", [5, "", None])
+    def test_reference_must_be_a_non_empty_string(self, reference):
+        specs = (MeasureSpec("r", "r", Block.RISK, Direction.LOWER),
+                 MeasureSpec("u", "u", Block.UTILITY, Direction.HIGHER))
+        with pytest.raises(ValidationError, match=r"^config\.reference: required string"):
+            StudyConfig(specs, reference)
+
+    def test_reference_fault_is_reported_before_option_faults(self):
+        doc = {**two_measure_doc(), "reference": 5, "options": []}
+        with pytest.raises(ValidationError, match=r"^config\.reference: required string"):
+            StudyConfig.from_json(json.dumps(doc))
+
+    def test_row_fault_is_reported_before_its_cells(self):
+        with pytest.raises(ValidationError,
+                           match=r"^data line 3: approach id holds U\+0001, "):
+            ingest("approach,r0,u0\norig,1,2\na\x01,x,4\n", small_config())
+
+
 def matrix_of(values, directions, n_risk=1, reference_index=None):
     """Build a MeasureMatrix with given raw values and per-column directions."""
     values = np.asarray(values, dtype=float)
