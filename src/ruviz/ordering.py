@@ -10,38 +10,33 @@ LINKAGES = ("complete", "average", "single")
 
 
 @dataclass(frozen=True)
-class Merge:
-    """One agglomeration step; `left` < `right` are cluster indices.
-
-    Original rows are clusters 0..n-1; the merge at step t creates cluster
-    n + t.
-    """
-
-    left: int
-    right: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
 class Dendrogram:
-    merges: tuple[Merge, ...]
+    """The merges as columns, one entry per agglomeration step: merge t joins
+    clusters `left[t]` < `right[t]` at `height[t]` into cluster n + t of
+    `size[t]` rows, where the original rows are clusters 0..n-1."""
+
+    left: np.ndarray
+    right: np.ndarray
+    height: np.ndarray
+    size: np.ndarray
     leaf_order: tuple[int, ...]
     linkage: str
 
 
-def _leaf_order(n: int, merges: tuple[Merge, ...]) -> tuple[int, ...]:
+def _leaf_order(left: np.ndarray, right: np.ndarray,
+                height: np.ndarray) -> tuple[int, ...]:
     """Depth-first leaf order, shallower subtree first, smaller index on ties."""
-    heights = [0.0] * n + [m.height for m in merges]
+    n = len(left) + 1
+    heights = [0.0] * n + height.tolist()
+    children = list(zip(left.tolist(), right.tolist()))
     order: list[int] = []
-    stack = [n + len(merges) - 1]
+    stack = [2 * n - 2]
     while stack:
         c = stack.pop()
         if c < n:
             order.append(c)
             continue
-        m = merges[c - n]
-        first, second = sorted((m.left, m.right), key=lambda x: (heights[x], x))
+        first, second = sorted(children[c - n], key=lambda x: (heights[x], x))
         stack += (second, first)
     return tuple(order)
 
@@ -102,10 +97,11 @@ def _mst_single(D: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _label(Z: np.ndarray, n: int) -> list[Merge]:
-    """scipy's `label`: the merges of height-sorted (x, y, height) rows with
-    slot indices turned into cluster ids (n + t for the t-th merge), by an
-    iterative union-find with path compression."""
+def _label(Z: np.ndarray, n: int) -> np.ndarray:
+    """scipy's `label`: the (left, right, size) columns of the merges of
+    height-sorted (x, y, height) rows, with slot indices turned into cluster
+    ids (n + t for the t-th merge), by an iterative union-find with path
+    compression."""
     parent = list(range(2 * n - 1))
     size = [1] * (2 * n - 1)
 
@@ -118,12 +114,12 @@ def _label(Z: np.ndarray, n: int) -> list[Merge]:
         return root
 
     merges = []
-    for t, (x, y, height) in enumerate(Z.tolist()):
-        a, b = sorted((find(int(x)), find(int(y))))
+    for t, (x, y) in enumerate(Z[:, :2].astype(np.intp).tolist()):
+        a, b = sorted((find(x), find(y)))
         parent[a] = parent[b] = n + t
         size[n + t] = size[a] + size[b]
-        merges.append(Merge(left=a, right=b, height=height, size=size[n + t]))
-    return merges
+        merges.append((a, b, size[n + t]))
+    return np.array(merges, dtype=np.intp).reshape(-1, 3).T
 
 
 def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
@@ -159,6 +155,8 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
     if np.count_nonzero(np.isfinite(D)) != n * (n - 1):
         raise ValueError("clustering requires finite distances between rows")
     Z = _mst_single(D) if linkage == "single" else _nn_chain(D, linkage)
-    merges = tuple(_label(Z[np.argsort(Z[:, 2], kind="stable")], n))
-    return Dendrogram(merges=merges, leaf_order=_leaf_order(n, merges),
-                      linkage=linkage)
+    Z = Z[np.argsort(Z[:, 2], kind="stable")]
+    left, right, size = _label(Z, n)
+    height = Z[:, 2].copy()
+    return Dendrogram(left=left, right=right, height=height, size=size,
+                      leaf_order=_leaf_order(left, right, height), linkage=linkage)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,31 +52,28 @@ def pareto_set(nm: NormalizedMatrix) -> DominanceResult:
 
 
 @dataclass(frozen=True)
-class FrontPoint:
-    id: str
-    utility: float
-    risk: float
-
-
-@dataclass(frozen=True)
-class FrontEdge:
-    """Step between consecutive front points; slope is the marginal risk cost."""
-
-    src: str
-    dst: str
-    d_utility: float
-    d_risk: float
-    slope: float | None  # None when d_utility is numerically zero
-
-
-@dataclass(frozen=True)
 class CompositeFront:
-    points: tuple[FrontPoint, ...]  # sorted by (utility, risk, id)
-    edges: tuple[FrontEdge, ...]
+    """The non-dominated points in (utility, risk, id) order, and the steps
+    between consecutive points: `slope[i]` is the marginal risk cost of step
+    i, NaN when its utility step is numerically zero."""
+
+    labels: tuple[str, ...]
+    utility: np.ndarray
+    risk: np.ndarray
+    d_utility: np.ndarray
+    d_risk: np.ndarray
+    slope: np.ndarray
 
     @property
     def ids(self) -> frozenset[str]:
-        return frozenset(p.id for p in self.points)
+        return frozenset(self.labels)
+
+
+def _slopes(d_risk: np.ndarray, d_utility: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """`d_risk / d_utility` where `defined`, else NaN; the quotients that
+    are dropped (0/0 among them) raise no warning."""
+    with np.errstate(all="ignore"):
+        return np.where(defined, d_risk / d_utility, np.nan)
 
 
 def composite_front(points: Iterable[tuple[str, float, float]]) -> CompositeFront:
@@ -86,27 +83,24 @@ def composite_front(points: Iterable[tuple[str, float, float]]) -> CompositeFron
     of the full-vector Pareto set. The front is sorted by utility ascending;
     its risk values are then non-decreasing (staircase property).
     """
-    pts = [FrontPoint(str(i), float(u), float(r)) for i, u, r in points]
+    pts = sorted((float(u), float(r), str(i)) for i, u, r in points)
     # Scan from the highest utility down. A point survives when its risk is
     # the lowest of its equal-utility group (exact duplicates all survive)
     # and strictly below every risk seen at higher utility.
-    front: list[FrontPoint] = []
+    front: list[tuple[float, float, str]] = []
     best_risk = math.inf
-    by_utility = sorted(pts, key=lambda p: (-p.utility, p.risk))
-    for _, group in itertools.groupby(by_utility, key=lambda p: p.utility):
+    for _, group in itertools.groupby(reversed(pts), key=lambda p: p[0]):
         group = list(group)
-        low = group[0].risk
+        low = group[-1][1]
         if low < best_risk:
-            front += [p for p in group if p.risk == low]
+            front += [p for p in group if p[1] == low]
             best_risk = low
-    front.sort(key=lambda p: (p.utility, p.risk, p.id))
-    edges = []
-    for a, b in zip(front, front[1:]):
-        du = b.utility - a.utility
-        dr = b.risk - a.risk
-        slope = dr / du if du > _SLOPE_EPS else None
-        edges.append(FrontEdge(src=a.id, dst=b.id, d_utility=du, d_risk=dr, slope=slope))
-    return CompositeFront(points=tuple(front), edges=tuple(edges))
+    front.reverse()
+    utility = np.array([p[0] for p in front])
+    risk = np.array([p[1] for p in front])
+    du, dr = np.diff(utility), np.diff(risk)
+    return CompositeFront(labels=tuple(p[2] for p in front), utility=utility, risk=risk,
+                          d_utility=du, d_risk=dr, slope=_slopes(dr, du, du > _SLOPE_EPS))
 
 
 @dataclass(frozen=True)
@@ -125,78 +119,62 @@ class KneePoint:
 
 def knee_point(front: CompositeFront) -> KneePoint | None:
     """Knee of a composite front; None for fewer than 3 points or near-flat fronts."""
-    pts = front.points  # sorted by (utility, risk, id)
-    if len(pts) < 3:
+    if len(front.labels) < 3:
         return None
-    a, b = pts[0], pts[-1]
-    chord = math.hypot(b.utility - a.utility, b.risk - a.risk)
+    u, r = front.utility, front.risk
+    du, dr = float(u[-1] - u[0]), float(r[-1] - r[0])
+    chord = math.hypot(du, dr)
     if chord < _SLOPE_EPS:
         return None
-    best: tuple[float, float, str] | None = None  # (-distance, risk, id)
-    best_cross = 0.0
-    for p in pts[1:-1]:
-        cross = (b.utility - a.utility) * (p.risk - a.risk) - (b.risk - a.risk) * (
-            p.utility - a.utility
-        )
-        dist = abs(cross) / chord
-        key = (-dist, p.risk, p.id)
-        if best is None or key < best:
-            best = key
-            best_cross = cross
-    assert best is not None
-    distance = -best[0]
-    if distance < _KNEE_MIN_DISTANCE:
+    cross = du * (r[1:-1] - r[0]) - dr * (u[1:-1] - u[0])
+    # the inner point of greatest distance, then lowest risk, then id
+    neg_distance, _, knee, knee_cross = min(zip(
+        (-np.abs(cross) / chord).tolist(), r[1:-1].tolist(), front.labels[1:-1],
+        cross.tolist()))
+    if -neg_distance < _KNEE_MIN_DISTANCE:
         return None
     # cross > 0 puts the point on the high-risk side of the low-to-high chord
-    return KneePoint(id=best[2], distance=distance, concave=best_cross < 0.0)
+    return KneePoint(id=knee, distance=-neg_distance, concave=knee_cross < 0.0)
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Slope and straight-line distance from one approach to the reference."""
+class Rays:
+    """Slope and straight-line distance from each approach to its reference,
+    grouped by reference: ray i runs to `references[reference[i]]`, a
+    (label, utility, risk) tuple. `slope` is NaN where the utility
+    displacement is ~0."""
 
-    id: str
-    utility: float
-    risk: float
-    slope: float | None  # None when the utility displacement is ~0
-    l2: float
+    ids: tuple[str, ...]
+    utility: np.ndarray
+    risk: np.ndarray
+    slope: np.ndarray
+    l2: np.ndarray
+    reference: np.ndarray
+    references: tuple[tuple[str, float, float], ...]
 
 
 def rays_to_reference(
-    points: Iterable[tuple[str, float, float]], reference: tuple[float, float]
-) -> tuple[Ray, ...]:
-    """Per approach: (risk delta)/(utility delta) and L2 distance to the reference."""
-    u0, r0 = float(reference[0]), float(reference[1])
-    rays = []
-    for pid, u, r in points:
-        du = float(u) - u0
-        dr = float(r) - r0
-        slope = dr / du if abs(du) >= _SLOPE_EPS else None
-        rays.append(
-            Ray(id=str(pid), utility=float(u), risk=float(r), slope=slope,
-                l2=math.hypot(du, dr))
-        )
-    return tuple(rays)
+    points: Sequence[tuple[str, float, float]], reference: Sequence[int],
+    references: Sequence[tuple[str, float, float]],
+) -> Rays:
+    """Per approach: (risk delta)/(utility delta) and L2 distance to its
+    reference, `references[reference[i]]` for point i."""
+    utility = np.array([p[1] for p in points], dtype=float)
+    risk = np.array([p[2] for p in points], dtype=float)
+    reference = np.array(reference, dtype=np.intp)
+    origin = np.array([ref[1:] for ref in references], dtype=float).reshape(-1, 2)
+    du, dr = utility - origin[reference, 0], risk - origin[reference, 1]
+    return Rays(ids=tuple(str(p[0]) for p in points), utility=utility, risk=risk,
+                slope=_slopes(dr, du, np.abs(du) >= _SLOPE_EPS),
+                l2=np.array([math.hypot(a, b) for a, b in zip(du.tolist(), dr.tolist())]),
+                reference=reference, references=tuple(references))
 
 
 @dataclass(frozen=True)
 class ParetoResult:
-    """Aggregate of the full-vector set, composite front, knee, and rays.
-
-    `rays_by_reference` pairs each reference row's (label, utility, risk),
-    in row order, with the rays of its dataset's candidates.
-    """
+    """Aggregate of the full-vector set, composite front, knee, and rays."""
 
     dominance: DominanceResult
     front: CompositeFront
     knee: KneePoint | None
-    rays_by_reference: tuple[tuple[tuple[str, float, float], tuple[Ray, ...]], ...]
-
-    @property
-    def rays(self) -> tuple[Ray, ...]:
-        return tuple(ray for _, rays in self.rays_by_reference for ray in rays)
-
-    @property
-    def reference_label(self) -> str | None:
-        """The first reference's label; None when the study has no reference."""
-        return self.rays_by_reference[0][0][0] if self.rays_by_reference else None
+    rays: Rays

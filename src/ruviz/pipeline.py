@@ -141,17 +141,17 @@ class StudyResult:
         points = _candidate_points(nm, scores)
         front = composite_front(points)
         knee = knee_point(front)
-        # each candidate is measured against its own dataset's reference
-        candidate_rows = [r for r in nm.rows if not r.is_reference]
-        rays_by_reference = []
-        for ref in (r for r in nm.rows if r.is_reference):
-            u0, r0 = scores.point(ref.label)
-            same_ds = [p for p, row in zip(points, candidate_rows)
-                       if row.dataset == ref.dataset]
-            rays_by_reference.append(
-                ((ref.label, u0, r0), rays_to_reference(same_ds, (u0, r0))))
-        return ParetoResult(dominance=dom, front=front, knee=knee,
-                            rays_by_reference=tuple(rays_by_reference))
+        # each candidate is measured against its own dataset's reference, and
+        # the rays are grouped by reference in row order
+        refs = [r for r in nm.rows if r.is_reference]
+        ref_of = {ref.dataset: k for k, ref in enumerate(refs)}
+        cands = [r.dataset for r in nm.rows if not r.is_reference]
+        order = sorted((i for i, ds in enumerate(cands) if ds in ref_of),
+                       key=lambda i: ref_of[cands[i]])
+        rays = rays_to_reference([points[i] for i in order],
+                                 [ref_of[cands[i]] for i in order],
+                                 [(ref.label, *scores.point(ref.label)) for ref in refs])
+        return ParetoResult(dominance=dom, front=front, knee=knee, rays=rays)
 
     @_stage
     def dendrogram(self) -> Dendrogram:
@@ -228,7 +228,7 @@ class StudyResult:
     @_stage
     def areas(self) -> AreaTable:
         if self.profiles is None:
-            return AreaTable(entries=())
+            return AreaTable(ids=(), areas=np.empty(0))
         return ranked_areas(self.profiles)
 
     @_stage
@@ -296,23 +296,18 @@ def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
     return {name: getattr(obj, name) for name in _field_names(type(obj), drop)} | extra
 
 
-def _records(objs, *drop: str, **extra) -> _Table:
-    """Dataclass records of one class as a table: a column per field, less
-    `drop`, plus the columns of `extra`."""
-    names = _field_names(type(objs[0]), drop) if objs else ()
-    return _Table(**{name: [getattr(obj, name) for obj in objs] for name in names},
-                  **extra)
-
-
 def normalized_json(result: StudyResult) -> dict:
-    nm = result.nm
+    nm, dend = result.nm, result.dendrogram
     return {
-        "approaches": _records(nm.rows, label=[r.label for r in nm.rows]),
+        "approaches": _Table(id=[r.id for r in nm.rows], dataset=[r.dataset for r in nm.rows],
+                             is_reference=[r.is_reference for r in nm.rows],
+                             label=list(nm.labels)),
         "measures": nm.specs,
         "values": nm.values,
         "scales": {s.id: _fields(sc) for s, sc in zip(nm.specs, nm.scales)},
-        "row_order": _fields(result.dendrogram, "merges",
-                             merges=_records(result.dendrogram.merges)),
+        "row_order": {"leaf_order": dend.leaf_order, "linkage": dend.linkage,
+                      "merges": _Table(left=dend.left, right=dend.right,
+                                       height=dend.height, size=dend.size)},
         "column_order": (
             None if result.column_order is None
             else [nm.specs[j].id for j in result.column_order]
@@ -323,18 +318,19 @@ def normalized_json(result: StudyResult) -> dict:
 
 def pareto_json(result: StudyResult) -> dict:
     pr = result.pareto
-    dom, edges, rays = pr.dominance, pr.front.edges, pr.rays
+    dom, front, rays = pr.dominance, pr.front, pr.rays
     return {
         "pareto_full": sorted(dom.pareto_ids),
-        "pareto_composite": sorted(pr.front.ids),
-        "front": pr.front.points,
+        "pareto_composite": sorted(front.ids),
+        "front": _Table(id=list(front.labels), utility=front.utility, risk=front.risk),
         "knee": None if pr.knee is None else pr.knee.id,
         "knee_distance": None if pr.knee is None else pr.knee.distance,
         "knee_concave": None if pr.knee is None else pr.knee.concave,
-        "edges": _records(edges, "src", "dst", **{"from": [e.src for e in edges],
-                                                  "to": [e.dst for e in edges]}),
-        "rays": _records(rays, slope_defined=[ray.slope is not None for ray in rays]),
-        "reference": pr.reference_label,
+        "edges": _Table(**{"from": list(front.labels[:-1]), "to": list(front.labels[1:])},
+                        d_utility=front.d_utility, d_risk=front.d_risk, slope=front.slope),
+        "rays": _Table(id=list(rays.ids), utility=rays.utility, risk=rays.risk,
+                       slope=rays.slope, l2=rays.l2, slope_defined=~np.isnan(rays.slope)),
+        "reference": rays.references[0][0] if rays.references else None,
         "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.astype(int)),
     }
 
@@ -378,7 +374,7 @@ def pca_json(result: StudyResult) -> dict:
 
 
 def profiles_json(result: StudyResult) -> dict:
-    p = result.profiles
+    p, areas = result.profiles, result.areas
     return {
         "r_aux": result.config.options.r_aux,
         "axis_order": [s.id for s in result.nm.specs],
@@ -386,7 +382,9 @@ def profiles_json(result: StudyResult) -> dict:
             id=list(p.ids), angles=np.broadcast_to(p.angles, p.radii.shape),
             radii=p.radii, vertices=p.vertices, area_raw=p.area_raw,
             area_normalized=p.area_normalized),
-        **_fields(result.areas, "entries", areas=_records(result.areas.entries)),
+        "areas": _Table(id=list(areas.ids), area=areas.areas,
+                        display=[f"{a:.2f}" for a in areas.areas.tolist()]),
+        "caveat": areas.caveat,
     }
 
 
@@ -406,7 +404,7 @@ def artifact_jsons(result: StudyResult) -> dict[str, dict]:
 
 def default_origami_panels(result: StudyResult) -> list[tuple[str, ...]]:
     """Pairwise panels over the composite Pareto set, capped at six."""
-    ids = [p.id for p in result.pareto.front.points]
+    ids = result.pareto.front.labels
     if len(ids) == 1:
         return [(ids[0],)]
     pairs = list(itertools.combinations(ids, 2))
@@ -419,7 +417,7 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
             "the origami figure needs at least 3 measures; declare more "
             "measures or use the other views"
         )
-    if not result.pareto.front.points:
+    if not result.pareto.front.labels:
         raise AnalysisError("origami plot unavailable: no candidate rows")
     block_by_measure = {s.id: s.block for s in result.nm.specs}
     return render_origami(
@@ -428,10 +426,9 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
 
 
 def render_rays_plot(result: StudyResult) -> PlotDocument:
-    if not result.pareto.rays:
+    if not result.pareto.rays.ids:
         raise AnalysisError("rays plot unavailable: no candidate rows")
-    return render_rays(result.pareto.rays_by_reference,
-                       pareto_ids=result.pareto.front.ids)
+    return render_rays(result.pareto.rays, pareto_ids=result.pareto.front.ids)
 
 
 # the figures by artifact name, in the order `render_all` builds them; each

@@ -70,23 +70,17 @@ def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> RadialProfiles
 
 
 @dataclass(frozen=True)
-class AreaEntry:
-    id: str
-    area: float
-    display: str  # two-decimal rendering for tables
-
-
-@dataclass(frozen=True)
 class AreaTable:
-    entries: tuple[AreaEntry, ...]
+    """Approach ids and their normalized areas, largest area first."""
+
+    ids: tuple[str, ...]
+    areas: np.ndarray
     caveat: str = AREA_CAVEAT
 
 
 def ranked_areas(profiles: RadialProfiles) -> AreaTable:
     """Profiles ranked by normalized area, descending, ties by id."""
     areas = profiles.area_normalized.tolist()
-    ordered = sorted(zip(areas, profiles.ids), key=lambda e: (-e[0], e[1]))
-    return AreaTable(
-        entries=tuple(AreaEntry(id=pid, area=area, display=f"{area:.2f}")
-                      for area, pid in ordered)
-    )
+    order = sorted(range(len(areas)), key=lambda i: (-areas[i], profiles.ids[i]))
+    return AreaTable(ids=tuple(profiles.ids[i] for i in order),
+                     areas=profiles.area_normalized[order])

@@ -28,7 +28,7 @@ from .multivariate import (
     median,
 )
 from .ordering import Dendrogram
-from .pareto import CompositeFront, KneePoint, Ray
+from .pareto import CompositeFront, KneePoint, Rays
 from .profiles import RadialProfiles
 from .svg import (
     Batch,
@@ -350,8 +350,8 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     return doc
 
 
-def _slope_text(slope: float | None) -> str:
-    return "∞" if slope is None else f"{slope:.2f}"
+def _slope_text(slope: float) -> str:
+    return "∞" if math.isnan(slope) else f"{slope:.2f}"
 
 
 def render_composite_ru(
@@ -377,14 +377,13 @@ def render_composite_ru(
     doc.add(Batch(Line, bars[np.column_stack([su > 0.0, sr > 0.0])],
                   stroke="#bbbbbb", stroke_width=1.0))
 
-    pts = [(fr.sx(p.utility), fr.sy(p.risk)) for p in front.points]
-    if len(pts) >= 2:
-        doc.add(Polyline(points=tuple(pts), fill="none", stroke=PARETO_COLOR,
-                         stroke_width=2.0), z=1)
-    for edge, a, b in zip(front.edges, front.points, front.points[1:]):
-        mx = fr.sx((a.utility + b.utility) / 2)
-        my = fr.sy((a.risk + b.risk) / 2)
-        doc.add(Text(mx + 4, my + 10, f"ΔR/ΔU={_slope_text(edge.slope)}",
+    fu, fv = front.utility, front.risk
+    if len(front.labels) >= 2:
+        doc.add(Polyline(points=tuple(zip(fr.sx(fu).tolist(), fr.sy(fv).tolist())),
+                         fill="none", stroke=PARETO_COLOR, stroke_width=2.0), z=1)
+    for mx, my, slope in zip(fr.sx((fu[:-1] + fu[1:]) / 2).tolist(),
+                             fr.sy((fv[:-1] + fv[1:]) / 2).tolist(), front.slope.tolist()):
+        doc.add(Text(mx + 4, my + 10, f"ΔR/ΔU={_slope_text(slope)}",
                      size=9, fill="#555555"), z=2)
 
     _approaches(doc, x, y, scores.labels, front.ids, reference_labels, z=3)
@@ -414,33 +413,25 @@ def render_composite_ru(
     return doc
 
 
-def render_rays(
-    rays_by_reference: Sequence[tuple[tuple[str, float, float], Sequence[Ray]]],
-    pareto_ids: frozenset[str] = frozenset(),
-) -> PlotDocument:
-    """Rays from every approach to its reference, labeled with slope and L2.
-
-    Each item pairs one reference (label, utility, risk) with the rays
-    measured against it; a multi-dataset study has one per dataset.
-    """
+def render_rays(rays: Rays, pareto_ids: frozenset[str] = frozenset()) -> PlotDocument:
+    """Rays from every approach to its reference, labeled with slope and L2;
+    a multi-dataset study has one reference per dataset."""
     doc = _document("marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
-    rays = [ray for _, group in rays_by_reference for ray in group]
-    start = np.array([(fr.sx(ray.utility), fr.sy(ray.risk))
-                      for ray in rays]).reshape(-1, 2)
+    start = np.column_stack([fr.sx(rays.utility), fr.sy(rays.risk)])
     refs = np.array([(fr.sx(u0), fr.sy(r0))
-                     for (_, u0, r0), _ in rays_by_reference]).reshape(-1, 2)
-    end = np.repeat(refs, [len(group) for _, group in rays_by_reference], axis=0)
+                     for _, u0, r0 in rays.references]).reshape(-1, 2)
+    end = refs[rays.reference]
     doc.add(Batch(Line, np.hstack([start, end]), stroke="#c8c8c8", stroke_width=1.0))
     doc.add(Batch(Text, (start + end) / 2 + (3, -3), size=8, fill="#666666",
-                  content=[f"s={_slope_text(ray.slope)} d={ray.l2:.2f}"
-                           for ray in rays]), z=1)
-    doc.add(Batch(Circle, np.column_stack([start, np.full(len(rays), 4.5)]),
-                  fill=[PARETO_COLOR if ray.id in pareto_ids else NEUTRAL_COLOR
-                        for ray in rays],
-                  title=[ray.id for ray in rays]), z=2)
-    _point_labels(doc, start[:, 0], start[:, 1], [_short(ray.id, 14) for ray in rays])
-    ref_labels = [label for (label, _, _), _ in rays_by_reference]
+                  content=[f"s={_slope_text(s)} d={d:.2f}"
+                           for s, d in zip(rays.slope.tolist(), rays.l2.tolist())]), z=1)
+    doc.add(Batch(Circle, np.column_stack([start, np.full(len(rays.ids), 4.5)]),
+                  fill=[PARETO_COLOR if i in pareto_ids else NEUTRAL_COLOR
+                        for i in rays.ids],
+                  title=list(rays.ids)), z=2)
+    _point_labels(doc, start[:, 0], start[:, 1], [_short(i, 14) for i in rays.ids])
+    ref_labels = [label for label, _, _ in rays.references]
     doc.add(Batch(Rect, np.column_stack([refs - 5, np.full(refs.shape, 10.0)]),
                   fill=REFERENCE_COLOR, title=ref_labels), z=3)
     _point_labels(doc, refs[:, 0], refs[:, 1], [_short(l, 14) for l in ref_labels],

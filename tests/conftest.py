@@ -197,6 +197,60 @@ def oracle_front_ids(points: list[tuple[str, float, float]]) -> set[str]:
     return keep
 
 
+def oracle_front(points: list[tuple[str, float, float]]):
+    """The composite front record by record, as one loop per point and edge:
+    the (id, utility, risk) points in (utility, risk, id) order and the
+    (src, dst, d_utility, d_risk, slope) edges, slope None below 1e-12."""
+    pts = [(str(i), float(u), float(r)) for i, u, r in points]
+    front: list[tuple[str, float, float]] = []
+    best_risk = math.inf
+    by_utility = sorted(pts, key=lambda p: (-p[1], p[2]))
+    for _, group in itertools.groupby(by_utility, key=lambda p: p[1]):
+        group = list(group)
+        low = group[0][2]
+        if low < best_risk:
+            front += [p for p in group if p[2] == low]
+            best_risk = low
+    front.sort(key=lambda p: (p[1], p[2], p[0]))
+    edges = []
+    for a, b in zip(front, front[1:]):
+        du, dr = b[1] - a[1], b[2] - a[2]
+        edges.append((a[0], b[0], du, dr, dr / du if du > 1e-12 else None))
+    return front, edges
+
+
+def oracle_knee(front: list[tuple[str, float, float]]):
+    """(id, distance, concave) of the inner point farthest from the chord of
+    the sorted front, lowest risk then id on ties, or None."""
+    if len(front) < 3:
+        return None
+    (_, au, ar), (_, bu, br) = front[0], front[-1]
+    chord = math.hypot(bu - au, br - ar)
+    if chord < 1e-12:
+        return None
+    best = None  # (-distance, risk, id, cross)
+    for pid, u, r in front[1:-1]:
+        cross = (bu - au) * (r - ar) - (br - ar) * (u - au)
+        key = (-(abs(cross) / chord), r, pid, cross)
+        if best is None or key[:3] < best[:3]:
+            best = key
+    if -best[0] < 1e-9:
+        return None
+    return best[2], -best[0], best[3] < 0.0
+
+
+def oracle_rays(points: list[tuple[str, float, float]], reference: tuple[float, float]):
+    """(id, utility, risk, slope, l2) per point against one reference; slope
+    None where the utility displacement is below 1e-12."""
+    u0, r0 = float(reference[0]), float(reference[1])
+    rays = []
+    for pid, u, r in points:
+        du, dr = float(u) - u0, float(r) - r0
+        rays.append((str(pid), float(u), float(r),
+                     dr / du if abs(du) >= 1e-12 else None, math.hypot(du, dr)))
+    return rays
+
+
 def chi2_quantile_even_df(q: float, df: int) -> float:
     """Chi-square quantile for even df via the closed-form CDF and bisection.
 

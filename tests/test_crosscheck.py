@@ -29,8 +29,8 @@ class TestAgainstScipyLinkage:
             X = rng.random((n, 4))
             ours = hclust(X, linkage)
             Z = scipy_hierarchy.linkage(X, method=linkage)
-            got = [tuple(sorted((m.left, m.right))) + (m.height,)
-                   for m in ours.merges]
+            got = [tuple(sorted((a, b))) + (h,) for a, b, h in zip(
+                ours.left.tolist(), ours.right.tolist(), ours.height.tolist())]
             expected = [tuple(sorted((int(a), int(b)))) + (float(d),)
                         for a, b, d, _ in Z]
             assert [g[:2] for g in got] == [e[:2] for e in expected]
@@ -43,7 +43,7 @@ class TestAgainstScipyLinkage:
         X = rng.random((8, 3))
         ours = hclust(X, "average")
         Z = scipy_hierarchy.linkage(X, method="average")
-        assert [m.size for m in ours.merges] == [int(s) for *_, s in Z]
+        assert ours.size.tolist() == [int(s) for *_, s in Z]
 
 
 class TestAgainstSklearnPca:

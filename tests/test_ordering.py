@@ -7,9 +7,19 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import pdist
 
-from ruviz.ordering import Merge, _label, _leaf_order, hclust
+from ruviz.ordering import _label, _leaf_order, hclust
 
 from conftest import oracle_hclust
+
+
+def _merges(dend):
+    """The (left, right, height, size) of each merge, in merge order."""
+    return list(zip(dend.left.tolist(), dend.right.tolist(), dend.height.tolist(),
+                    dend.size.tolist()))
+
+
+def _scipy_merges(Z):
+    return [(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
 
 
 class TestHclust:
@@ -18,9 +28,8 @@ class TestHclust:
         X = rng.random((5, 3))
         X[3] = X[1]
         dend = hclust(X, "complete")
-        first = dend.merges[0]
-        assert first.height == 0.0
-        assert (first.left, first.right) == (1, 3)
+        assert dend.height[0] == 0.0
+        assert (dend.left[0], dend.right[0]) == (1, 3)
 
     @pytest.mark.parametrize("linkage,merges", [
         ("complete", [(0, 2), (1, 3), (4, 6), (7, 8), (5, 9)]),
@@ -33,14 +42,14 @@ class TestHclust:
         X = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0],
                       [0.0, 0.0], [1.0, 1.0], [3.0, 3.0]])
         dend = hclust(X, linkage)
-        assert [(m.left, m.right) for m in dend.merges] == merges
-        assert [m.height for m in dend.merges[:3]] == [0.0, 0.0, 0.0]
+        assert list(zip(dend.left.tolist(), dend.right.tolist())) == merges
+        assert dend.height[:3].tolist() == [0.0, 0.0, 0.0]
 
     def test_two_rows_single_merge(self):
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
         dend = hclust(X, "average")
-        assert len(dend.merges) == 1
-        assert dend.merges[0].height == pytest.approx(5.0)
+        assert len(dend.height) == 1
+        assert dend.height[0] == pytest.approx(5.0)
         assert sorted(dend.leaf_order) == [0, 1]
 
     @pytest.mark.parametrize("linkage", ["complete", "average", "single"])
@@ -51,10 +60,10 @@ class TestHclust:
             X = rng.random((n, 4))
             dend = hclust(X, linkage)
             expected = oracle_hclust(X, linkage)
-            got = [(m.left, m.right, m.height) for m in dend.merges]
-            assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in expected]
+            assert list(zip(dend.left.tolist(), dend.right.tolist())) == [
+                (a, b) for a, b, _ in expected]
             np.testing.assert_allclose(
-                [h for *_, h in got], [h for *_, h in expected],
+                dend.height, [h for *_, h in expected],
                 rtol=1e-9, atol=1e-12,
             )
 
@@ -64,8 +73,7 @@ class TestHclust:
         for _ in range(25):
             X = rng.random((7, 3))
             dend = hclust(X, linkage)
-            heights = [m.height for m in dend.merges]
-            assert heights == sorted(heights)
+            assert (np.diff(dend.height) >= 0).all()
 
     def test_leaf_order_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -77,16 +85,16 @@ class TestHclust:
         rng = np.random.default_rng(9)
         X = rng.random((8, 3))
         perm = rng.permutation(8)
-        h1 = sorted(m.height for m in hclust(X, "complete").merges)
-        h2 = sorted(m.height for m in hclust(X[perm], "complete").merges)
+        h1 = np.sort(hclust(X, "complete").height)
+        h2 = np.sort(hclust(X[perm], "complete").height)
         np.testing.assert_allclose(h1, h2, rtol=1e-12)
 
     def test_merge_count_and_sizes(self):
         rng = np.random.default_rng(2)
         X = rng.random((6, 2))
         dend = hclust(X, "single")
-        assert len(dend.merges) == 5
-        assert dend.merges[-1].size == 6
+        assert len(dend.left) == len(dend.right) == len(dend.height) == len(dend.size) == 5
+        assert dend.size[-1] == 6
 
     @pytest.mark.parametrize("linkage", ["complete", "average", "single"])
     def test_row_by_row_distances_match_all_pairs(self, linkage):
@@ -98,8 +106,7 @@ class TestHclust:
         i, j = np.triu_indices(len(X), 1)
         d = X[i] - X[j]
         Z = scipy_linkage(np.sqrt(np.vecdot(d, d)), method=linkage)
-        expected = [Merge(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
-        assert list(hclust(X, linkage).merges) == expected
+        assert _merges(hclust(X, linkage)) == _scipy_merges(Z)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -118,10 +125,10 @@ class TestHclust:
         if len(X) < 2:
             X = np.vstack([X, X])
         Z = scipy_linkage(pdist(X), method=linkage)
-        merges = hclust(X, linkage).merges
-        assert [(m.left, m.right, m.size) for m in merges] == [
+        dend = hclust(X, linkage)
+        assert list(zip(dend.left.tolist(), dend.right.tolist(), dend.size.tolist())) == [
             (int(a), int(b), int(s)) for a, b, _, s in Z]
-        assert np.array([m.height for m in merges]).tobytes() == Z[:, 2].tobytes()
+        assert dend.height.tobytes() == Z[:, 2].tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
@@ -140,10 +147,10 @@ class TestHclust:
         t = np.arange(n, dtype=float)
         X = (t * (t + 1) / 2)[:, None]
         Z = scipy_linkage(X, method=linkage)
-        expected = [Merge(int(a), int(b), float(h), int(s)) for a, b, h, s in Z]
-        assert list(hclust(X, linkage).merges) == expected
+        expected = _scipy_merges(Z)
+        assert _merges(hclust(X, linkage)) == expected
         if linkage == "single":
-            assert expected[1:] == [Merge(k + 1, n + k - 1, float(k + 1), k + 2)
+            assert expected[1:] == [(k + 1, n + k - 1, float(k + 1), k + 2)
                                     for k in range(1, n - 1)]
 
     def test_unknown_linkage(self):
@@ -161,10 +168,11 @@ class TestLeafOrder:
         # dendrogram 1,099 merges deep. Each leaf is shallower than its
         # sibling cluster and comes first; leaves 0 and 1 tie at height 0.
         n = 1100
-        merges = (Merge(0, 1, 0.0, 2),) + tuple(
-            Merge(t + 1, n + t - 1, float(t), t + 2) for t in range(1, n - 1)
-        )
-        assert _leaf_order(n, merges) == tuple(range(n - 1, 1, -1)) + (0, 1)
+        t = np.arange(1, n - 1)
+        left = np.r_[0, t + 1]
+        right = np.r_[1, n + t - 1]
+        height = np.r_[0.0, t.astype(float)]
+        assert _leaf_order(left, right, height) == tuple(range(n - 1, 1, -1)) + (0, 1)
 
 
 def test_relabelling_a_deep_chain_is_linear():
@@ -186,10 +194,9 @@ def test_relabelling_a_deep_chain_is_linear():
     previous = sys.gettrace()
     sys.settrace(trace_find)
     try:
-        merges = _label(Z, n)
+        left, right, size = _label(Z, n)
     finally:
         sys.settrace(previous)
-    assert merges[0] == Merge(0, n - 1, 0.0, 2)
-    assert merges[1:] == [Merge(t, n + t - 1, float(t), t + 2)
-                          for t in range(1, n - 1)]
+    assert list(zip(left.tolist(), right.tolist(), size.tolist())) == [(0, n - 1, 2)] + [
+        (t, n + t - 1, t + 2) for t in range(1, n - 1)]
     assert lines < 30 * n

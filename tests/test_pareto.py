@@ -13,7 +13,15 @@ from ruviz.pareto import (
     rays_to_reference,
 )
 
-from conftest import dominates, make_nm, oracle_front_ids, oracle_pareto_ids
+from conftest import (
+    dominates,
+    make_nm,
+    oracle_front,
+    oracle_front_ids,
+    oracle_knee,
+    oracle_pareto_ids,
+    oracle_rays,
+)
 
 
 def random_values(rng, shape, levels=None):
@@ -85,10 +93,10 @@ class TestCompositeFront:
         front = composite_front(
             [("a", 0.2, 0.1), ("b", 0.5, 0.3), ("c", 0.9, 0.8)]
         )
-        assert [p.id for p in front.points] == ["a", "b", "c"]
-        assert len(front.edges) == 2
-        assert front.edges[0].slope == pytest.approx(0.2 / 0.3)
-        assert front.edges[1].slope == pytest.approx(0.5 / 0.4)
+        assert front.labels == ("a", "b", "c")
+        assert len(front.d_utility) == len(front.d_risk) == len(front.slope) == 2
+        assert front.slope[0] == pytest.approx(0.2 / 0.3)
+        assert front.slope[1] == pytest.approx(0.5 / 0.4)
 
     def test_dominated_point_absent(self):
         front = composite_front([("good", 0.8, 0.2), ("bad", 0.5, 0.4)])
@@ -97,7 +105,7 @@ class TestCompositeFront:
     def test_duplicate_points_both_kept(self):
         front = composite_front([("x", 0.5, 0.5), ("y", 0.5, 0.5)])
         assert front.ids == {"x", "y"}
-        assert front.edges[0].slope is None  # zero utility step
+        assert np.isnan(front.slope[0])  # zero utility step
 
     def test_staircase_property_random(self):
         # levels=4 puts points on a 4 x 4 grid: equal utilities and duplicates
@@ -106,8 +114,7 @@ class TestCompositeFront:
             pts = [(f"p{i}", float(u), float(r))
                    for i, (u, r) in enumerate(random_values(rng, (10, 2), levels))]
             front = composite_front(pts)
-            risks = [p.risk for p in front.points]
-            assert risks == sorted(risks)
+            assert (np.diff(front.risk) >= 0).all()
             assert front.ids == oracle_front_ids(pts)
 
 
@@ -127,7 +134,7 @@ class TestKnee:
 
     def test_collinear_returns_none(self):
         front = composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.5), ("c", 1.0, 1.0)])
-        assert len(front.points) == 3
+        assert len(front.labels) == 3
         assert knee_point(front) is None
 
     def test_two_point_front_none(self):
@@ -148,32 +155,88 @@ class TestKnee:
             ("c", 1.0, 1.0),
         ])
         # both interior points are 0.2/sqrt(2) from the chord
-        assert len(front.points) == 4
+        assert len(front.labels) == 4
         knee = knee_point(front)
         assert knee is not None and knee.id == "z"
 
 
 class TestRays:
     def test_diagonal(self):
-        rays = rays_to_reference([("p", 0.5, 0.5)], (1.0, 1.0))
-        assert rays[0].slope == pytest.approx(1.0)
-        assert rays[0].l2 == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        rays = rays_to_reference([("p", 0.5, 0.5)], [0], [("o", 1.0, 1.0)])
+        assert rays.slope[0] == pytest.approx(1.0)
+        assert rays.l2[0] == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_zero_displacement_flagged(self):
-        rays = rays_to_reference([("p", 1.0, 1.0)], (1.0, 1.0))
-        assert rays[0].slope is None
-        assert rays[0].l2 == 0.0
+        rays = rays_to_reference([("p", 1.0, 1.0)], [0], [("o", 1.0, 1.0)])
+        assert np.isnan(rays.slope[0])
+        assert rays.l2[0] == 0.0
 
     def test_random_matches_direct_recomputation(self):
         rng = np.random.default_rng(9)
         pts = [(f"p{i}", float(u), float(r))
                for i, (u, r) in enumerate(rng.random((20, 2)))]
         u0, r0 = 0.9, 0.85
-        for ray in rays_to_reference(pts, (u0, r0)):
-            u, r = ray.utility, ray.risk
-            assert ray.l2 == pytest.approx(math.hypot(u - u0, r - r0), abs=1e-12)
-            if ray.slope is not None:
-                assert ray.slope == pytest.approx((r - r0) / (u - u0), abs=1e-12)
+        rays = rays_to_reference(pts, [0] * len(pts), [("o", u0, r0)])
+        for u, r, slope, l2 in zip(rays.utility, rays.risk, rays.slope, rays.l2):
+            assert l2 == pytest.approx(math.hypot(u - u0, r - r0), abs=1e-12)
+            if not np.isnan(slope):
+                assert slope == pytest.approx((r - r0) / (u - u0), abs=1e-12)
+
+    def test_each_ray_runs_to_its_own_reference(self):
+        rays = rays_to_reference([("p", 0.5, 0.5), ("q", 0.5, 0.5)], [0, 1],
+                                 [("o1", 1.0, 1.0), ("o2", 0.0, 0.0)])
+        assert rays.reference.tolist() == [0, 1]
+        assert rays.slope.tolist() == [1.0, 1.0]
+        assert rays.l2[0] == rays.l2[1] == math.hypot(0.5, 0.5)
+
+    def test_no_points(self):
+        rays = rays_to_reference([], [], [("o", 1.0, 1.0)])
+        assert rays.ids == () and len(rays.slope) == len(rays.l2) == 0
+        front = composite_front([])
+        assert front.labels == () and len(front.slope) == 0
+        assert knee_point(front) is None
+
+
+def _same_bits(column, oracle) -> bool:
+    """A float column holds the oracle's values bit for bit, NaN where the
+    oracle gives None."""
+    want = np.array([np.nan if v is None else v for v in oracle], dtype=float)
+    undefined = np.isnan(want)
+    return (column.dtype == np.float64 and np.array_equal(np.isnan(column), undefined)
+            and column[~undefined].tobytes() == want[~undefined].tobytes())
+
+
+# a few grid values give equal utilities, exact duplicates, zero steps and
+# both signs of zero
+coordinate = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(st.tuples(coordinate, coordinate), max_size=10),
+       references=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=3),
+       picks=st.lists(st.integers(0, 20), min_size=10, max_size=10),
+       on_point=st.booleans())
+def test_columns_equal_the_record_oracles(coords, references, picks, on_point):
+    points = [(f"p{i}", u, r) for i, (u, r) in enumerate(coords)]
+    if on_point and points:  # a zero-displacement ray
+        references[0] = coords[0]
+    front = composite_front(points)
+    want_points, want_edges = oracle_front(points)
+    assert front.labels == tuple(p[0] for p in want_points)
+    assert _same_bits(front.utility, [p[1] for p in want_points])
+    assert _same_bits(front.risk, [p[2] for p in want_points])
+    for k, column in enumerate((front.d_utility, front.d_risk, front.slope), start=2):
+        assert _same_bits(column, [e[k] for e in want_edges])
+    knee, want_knee = knee_point(front), oracle_knee(want_points)
+    assert (None if knee is None else (knee.id, knee.distance, knee.concave)) == want_knee
+
+    reference = [k % len(references) for k in picks[:len(points)]]
+    rays = rays_to_reference(points, reference, [("ref", u, r) for u, r in references])
+    want = [oracle_rays([p], references[k])[0] for p, k in zip(points, reference)]
+    assert rays.ids == tuple(w[0] for w in want)
+    for k, column in enumerate((rays.utility, rays.risk, rays.slope, rays.l2), start=1):
+        assert _same_bits(column, [w[k] for w in want])
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

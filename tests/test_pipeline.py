@@ -114,8 +114,11 @@ class TestMultiDataset:
         assert result.groups is not None
         assert sorted(g.label for g in result.groups) == ["d1", "d2"]
         # rays exist for every candidate, computed against its own reference
-        assert len(result.pareto.rays) == 8
-        assert {r.id.split("@")[1] for r in result.pareto.rays} == {"d1", "d2"}
+        rays = result.pareto.rays
+        assert len(rays.ids) == 8
+        assert {i.split("@")[1] for i in rays.ids} == {"d1", "d2"}
+        assert [rays.references[k][0].split("@")[1] for k in rays.reference] == [
+            i.split("@")[1] for i in rays.ids]
 
     def test_labels_carry_dataset(self):
         matrix, config = multi_dataset_inputs()
@@ -139,16 +142,16 @@ class TestMultiDataset:
         assert {"orig@d1", "orig@d2"} <= texts
         ends = [(v[2], v[3]) for v, _ in
                 batch_rows(doc, Line, stroke="#c8c8c8", stroke_width=1.0)]
-        expected = [refs["orig@" + ray.id.split("@")[1]]
-                    for ray in result.pareto.rays]
+        expected = [refs["orig@" + i.split("@")[1]] for i in result.pareto.rays.ids]
         assert ends == [pytest.approx(e) for e in expected]
 
     def test_reference_only_dataset_has_an_empty_ray_group(self, tmp_path):
         # d2 holds its reference row and no candidates
         matrix, config = _inputs(FOUR_MEASURES, TWO_REFERENCE_CSV.split("m1,d2")[0])
         result = run_study(matrix, config)
-        groups = [(ref[0], len(rays)) for ref, rays in result.pareto.rays_by_reference]
-        assert groups == [("orig@d1", 3), ("orig@d2", 0)]
+        rays = result.pareto.rays
+        assert [ref[0] for ref in rays.references] == ["orig@d1", "orig@d2"]
+        assert rays.reference.tolist() == [0, 0, 0]
         doc = render_plot(result, "rays")
         assert "orig@d2" in {title_of(e) for e in svg_elements(doc, "rect")}
         write_report(result, tmp_path)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruviz.pipeline import _dump_json, profiles_json, run_study
 from ruviz.profiles import AREA_CAVEAT, origami_profiles, ranked_areas
 
 from conftest import build_origami, make_nm, profiles_nm
@@ -110,21 +112,24 @@ class TestRankedAreas:
     def test_ordering_with_degenerate_profile(self):
         nm = profiles_nm(("empty", "full"), [np.zeros(4), np.ones(4)], tuple("abcd"))
         table = ranked_areas(origami_profiles(nm))
-        assert [e.id for e in table.entries] == ["full", "empty"]
-        assert table.entries[0].display == "1.00"
-        assert table.entries[1].area == pytest.approx(0.0, abs=1e-12)
+        assert table.ids == ("full", "empty")
+        assert table.areas[0] == 1.0
+        assert table.areas[1] == pytest.approx(0.0, abs=1e-12)
         assert table.caveat == AREA_CAVEAT
 
     def test_ties_stable_lexicographic(self):
         nm = profiles_nm(("b", "a"), np.full((2, 4), 0.5), tuple("wxyz"))
         table = ranked_areas(origami_profiles(nm))
-        assert [e.id for e in table.entries] == ["a", "b"]
+        assert table.ids == ("a", "b")
 
-    def test_display_rounding_two_decimals(self):
-        prof = build_origami("p", np.array([0.123, 0.456, 0.789]), tuple("abc"))
-        table = ranked_areas(prof)
-        assert table.entries[0].display == f"{prof.area_normalized[0]:.2f}"
-        assert table.entries[0].area == prof.area_normalized[0]  # full precision
+    def test_display_rounding_two_decimals(self, study_matrix, study_config):
+        # profiles.json writes the display next to the full-precision area
+        result = run_study(study_matrix, study_config)
+        entries = json.loads(_dump_json(profiles_json(result)))["areas"]
+        assert [e["id"] for e in entries] == list(result.areas.ids)
+        assert [e["area"] for e in entries] == result.areas.areas.tolist()
+        assert [e["display"] for e in entries] == [
+            f"{a:.2f}" for a in result.areas.areas.tolist()]
 
 
 def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):

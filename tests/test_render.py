@@ -214,9 +214,9 @@ class TestCompositeRu:
                                   reference_labels=frozenset({"original"}))
         well_formed(doc)
         slopes = [t for t in texts(doc) if t.startswith("ΔR/ΔU=")]
-        assert len(slopes) == len(front.edges)
+        assert len(slopes) == len(front.slope) == len(front.labels) - 1
         polylines = [p for p in doc.primitives() if isinstance(p, Polyline)]
-        assert any(len(p.points) == len(front.points) for p in polylines)
+        assert any(len(p.points) == len(front.labels) for p in polylines)
         assert any("α=" in t for t in texts(doc))
         # knee diamond present
         assert any(isinstance(p, Polygon) and p.stroke == "#e08214"
@@ -245,8 +245,7 @@ class TestCompositeRu:
 
 class TestRays:
     def test_undefined_slope_labeled_infinity(self):
-        rays = rays_to_reference([("p", 1.0, 0.4)], (1.0, 1.0))
-        doc = render_rays([(("orig", 1.0, 1.0), rays)])
+        doc = render_rays(rays_to_reference([("p", 1.0, 0.4)], [0], [("orig", 1.0, 1.0)]))
         assert any("s=∞" in e.text for e in svg_elements(doc, "text"))
         well_formed(doc)
 
@@ -257,9 +256,8 @@ class TestRays:
             for i, r in enumerate(nm.rows) if not r.is_reference
         ]
         u0, r0 = scores.point("original")
-        rays = rays_to_reference(points, (u0, r0))
-        doc = render_rays([(("original", u0, r0), rays)],
-                          pareto_ids=front.ids)
+        rays = rays_to_reference(points, [0] * len(points), [("original", u0, r0)])
+        doc = render_rays(rays, pareto_ids=front.ids)
         ray_lines = [e for e in svg_elements(doc, "line")
                      if e.get("stroke") == "#c8c8c8" and e.get("stroke-width") == "1.00"]
         assert len(ray_lines) == len(points)
