@@ -133,8 +133,8 @@ def _cmd_validate(args) -> int:
     config, matrix = _load(args)
     n_risk = len(matrix.block_indices(Block.RISK))
     n_util = len(matrix.block_indices(Block.UTILITY))
-    datasets = sorted({r.dataset for r in matrix.rows if r.dataset is not None})
-    print(f"rows: {len(matrix.rows)}")
+    datasets = [d for d in matrix.approaches.dataset_names if d is not None]
+    print(f"rows: {len(matrix.labels)}")
     print(f"measures: {len(matrix.specs)} ({n_risk} risk, {n_util} utility)")
     print(f"reference: {config.reference_id}")
     print(f"datasets: {', '.join(datasets) if datasets else '(single)'}")

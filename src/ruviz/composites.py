@@ -32,10 +32,6 @@ class CompositeScores:
     utility_sd: np.ndarray
     risk_sd: np.ndarray
 
-    def point(self, label: str) -> tuple[float, float]:
-        i = self.labels.index(label)
-        return float(self.utility[i]), float(self.risk[i])
-
 
 def _block_mean_sd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = block.mean(axis=1)
@@ -198,7 +194,7 @@ def _block_reliability(items: np.ndarray) -> BlockReliability:
 
 def reliability_report(nm: NormalizedMatrix) -> ReliabilityReport:
     """Alpha and omega per block, with a small-sample caveat."""
-    n = len(nm.rows)
+    n = len(nm.labels)
     return ReliabilityReport(
         risk=_block_reliability(nm.block_values(Block.RISK)),
         utility=_block_reliability(nm.block_values(Block.UTILITY)),

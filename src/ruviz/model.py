@@ -14,7 +14,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -73,24 +73,66 @@ class MeasureSpec:
         _check_text(self.display_name, "display_name")
 
 
-@dataclass(frozen=True)
-class ApproachRecord:
-    """One evaluated approach; `dataset` distinguishes multi-dataset studies."""
+def _check_approach(approach: object, dataset: object, is_reference: object) -> None:
+    """Raise unless one row's id, dataset and reference flag make an approach."""
+    if not isinstance(approach, str):
+        raise ValidationError(f"approach id: must be a string, got {approach!r}")
+    _check_text(approach, "approach id")
+    if not approach:
+        raise ValidationError("empty approach id")
+    if not (dataset is None or isinstance(dataset, str) and dataset):
+        raise ValidationError(f"dataset: must be a non-empty string or None, got {dataset!r}")
+    _check_text(dataset or "", "dataset")
+    if not isinstance(is_reference, (bool, np.bool_)):
+        raise ValidationError(f"is_reference: must be a bool, got {is_reference!r}")
 
-    id: str
-    dataset: str | None = None
-    is_reference: bool = False
+
+@dataclass(frozen=True)
+class Approaches:
+    """The evaluated approaches as columns, one entry per row: approach
+    `ids[i]` of dataset `datasets[i]` (None in a single-dataset study), the
+    reference of its dataset where `is_reference[i]`. Row i is named by
+    `labels[i]`, `id@dataset` within a dataset, and its dataset sits at
+    `dataset_index[i]` in `dataset_names`, which are sorted with None first."""
+
+    ids: tuple[str, ...]
+    datasets: tuple[str | None, ...]
+    is_reference: np.ndarray
+    labels: tuple[str, ...] = field(init=False)
+    dataset_names: tuple[str | None, ...] = field(init=False)
+    dataset_index: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_text(self.id, "approach id")
-        if not self.id:
-            raise ValidationError("empty approach id")
-        if self.dataset is not None:
-            _check_text(self.dataset, "dataset")
-
-    @property
-    def label(self) -> str:
-        return self.id if self.dataset is None else f"{self.id}@{self.dataset}"
+        ids, datasets, flags = tuple(self.ids), tuple(self.datasets), tuple(self.is_reference)
+        if not len(ids) == len(datasets) == len(flags):
+            raise ValidationError("approaches: ids, datasets and is_reference differ in length "
+                                  f"({len(ids)}, {len(datasets)}, {len(flags)})")
+        for row in zip(ids, datasets, flags):
+            _check_approach(*row)
+        labels = tuple(i if d is None else f"{i}@{d}" for i, d in zip(ids, datasets))
+        # a label names one row in every artifact and figure
+        first: dict[str, int] = {}
+        for i, label in enumerate(labels):
+            if (j := first.setdefault(label, i)) < i:
+                a, b = (ids[k] if datasets[k] is None else f"{ids[k]} in dataset {datasets[k]}"
+                        for k in (j, i))
+                raise ValidationError(
+                    f"data: duplicate approach row '{b}'" if datasets[j] == datasets[i]
+                    else f"data: approach rows '{a}' and '{b}' share the label '{label}'")
+        # "" stands for None, which it sorts before; an empty dataset is refused
+        names, index = np.unique([d or "" for d in datasets], return_inverse=True)
+        is_reference = np.array(flags, dtype=bool)
+        # the first reference row whose dataset holds another one
+        over = is_reference & (np.bincount(index[is_reference], minlength=names.size) > 1)[index]
+        if over.any():
+            ds = datasets[over.argmax()]
+            where = "" if ds is None else f" in dataset '{ds}'"
+            raise ValidationError(f"data: more than one reference row{where}")
+        index.setflags(write=False)
+        is_reference.setflags(write=False)
+        vars(self).update(ids=ids, datasets=datasets, is_reference=is_reference, labels=labels,
+                          dataset_names=tuple(d or None for d in names.tolist()),
+                          dataset_index=index)
 
 
 def _validate_specs(specs: Sequence[MeasureSpec]) -> None:
@@ -108,68 +150,42 @@ def _validate_specs(specs: Sequence[MeasureSpec]) -> None:
         )
 
 
-def _row_name(r: ApproachRecord) -> str:
-    return r.id if r.dataset is None else f"{r.id} in dataset {r.dataset}"
-
-
-def _validate_rows(rows: Sequence[ApproachRecord]) -> None:
-    if len(rows) < 2:
-        raise ValidationError(f"data: at least 2 rows required, got {len(rows)}")
-    # a label names one row in every artifact and figure
-    by_label: dict[str, ApproachRecord] = {}
-    ref_per_dataset: dict[str | None, int] = {}
-    for r in rows:
-        other = by_label.setdefault(r.label, r)
-        if other is not r and other.dataset == r.dataset:
-            raise ValidationError(f"data: duplicate approach row '{_row_name(r)}'")
-        if other is not r:
-            raise ValidationError(f"data: approach rows '{_row_name(other)}' and "
-                                  f"'{_row_name(r)}' share the label '{r.label}'")
-        if r.is_reference:
-            ref_per_dataset[r.dataset] = ref_per_dataset.get(r.dataset, 0) + 1
-    for ds, count in ref_per_dataset.items():
-        if count > 1:
-            where = "" if ds is None else f" in dataset '{ds}'"
-            raise ValidationError(f"data: more than one reference row{where}")
-
-
-class _Table:
-    """Row labels and block columns of a matrix over `rows` x `specs`."""
-
-    specs: tuple[MeasureSpec, ...]
-    rows: tuple[ApproachRecord, ...]
+class _Grid:
+    """Row labels and block columns of a matrix over `approaches` x `specs`."""
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.rows)
+        return self.approaches.labels
 
     def block_indices(self, block: Block) -> tuple[int, ...]:
         return tuple(j for j, s in enumerate(self.specs) if s.block is block)
 
 
 @dataclass(frozen=True)
-class MeasureMatrix(_Table):
+class MeasureMatrix(_Grid):
     """Raw measure values, rows = approaches, columns = declared measures."""
 
     specs: tuple[MeasureSpec, ...]
-    rows: tuple[ApproachRecord, ...]
+    approaches: Approaches
     values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (len(self.rows), len(self.specs)):
+        n = len(self.labels)
+        if vals.shape != (n, len(self.specs)):
             raise ValidationError(
                 f"values: shape {vals.shape} does not match "
-                f"{len(self.rows)} rows x {len(self.specs)} measures"
+                f"{n} rows x {len(self.specs)} measures"
             )
         if not np.all(np.isfinite(vals)):
             i, j = np.argwhere(~np.isfinite(vals))[0]
             raise ValidationError(
-                f"row '{self.rows[i].label}', column '{self.specs[j].id}': "
+                f"row '{self.labels[i]}', column '{self.specs[j].id}': "
                 "non-finite value"
             )
         _validate_specs(self.specs)
-        _validate_rows(self.rows)
+        if n < 2:
+            raise ValidationError(f"data: at least 2 rows required, got {n}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -185,17 +201,17 @@ class ColumnScale:
 
 
 @dataclass(frozen=True)
-class NormalizedMatrix(_Table):
+class NormalizedMatrix(_Grid):
     """Min-max scaled, direction-harmonized values in [0, 1]."""
 
     specs: tuple[MeasureSpec, ...]
-    rows: tuple[ApproachRecord, ...]
+    approaches: Approaches
     values: np.ndarray
     scales: tuple[ColumnScale, ...]
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (len(self.rows), len(self.specs)):
+        if vals.shape != (len(self.labels), len(self.specs)):
             raise ValidationError("normalized values: shape mismatch")
         if len(self.scales) != len(self.specs):
             raise ValidationError("normalized values: one scale per column required")
@@ -255,20 +271,22 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
         raise ValidationError(f"data: undeclared measure column(s): {extra}")
     col_pos = {m: offset + file_measures.index(m) for m in declared}
 
-    records: list[ApproachRecord] = []
-    values: list[list[float]] = []
+    ids, datasets, is_reference, values = [], [], [], []
     for line_no, row in raw_rows[1:]:
         if len(row) != len(header):
             raise ValidationError(
                 f"data line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
         approach_id = row[0].strip()
+        dataset = row[1].strip() or None if has_dataset else None
+        is_ref = approach_id == config.reference_id
         try:
-            records.append(ApproachRecord(
-                id=approach_id, dataset=row[1].strip() or None if has_dataset else None,
-                is_reference=approach_id == config.reference_id))
+            _check_approach(approach_id, dataset, is_ref)
         except ValidationError as exc:
             raise ValidationError(f"data line {line_no}: {exc}") from None
+        ids.append(approach_id)
+        datasets.append(dataset)
+        is_reference.append(is_ref)
         cells = []
         for spec in config.measures:
             raw = row[col_pos[spec.id]].strip()
@@ -289,17 +307,16 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
 
     matrix = MeasureMatrix(
         specs=tuple(config.measures),
-        rows=tuple(records),
+        approaches=Approaches(tuple(ids), tuple(datasets), is_reference),
         values=np.array(values, dtype=float),
     )
-    datasets = {r.dataset for r in matrix.rows}
-    for ds in sorted(datasets, key=lambda d: (d is not None, d)):
-        members = [r for r in matrix.rows if r.dataset == ds]
-        if not any(r.is_reference for r in members):
-            where = "" if ds is None else f" in dataset '{ds}'"
-            raise ValidationError(
-                f"data: reference approach '{config.reference_id}' not found{where}"
-            )
+    a = matrix.approaches
+    # the first dataset, in sorted order, that holds no reference row
+    missing = np.bincount(a.dataset_index[a.is_reference], minlength=len(a.dataset_names)) == 0
+    if missing.any():
+        ds = a.dataset_names[missing.argmax()]
+        where = "" if ds is None else f" in dataset '{ds}'"
+        raise ValidationError(f"data: reference approach '{config.reference_id}' not found{where}")
     return matrix
 
 
@@ -314,8 +331,7 @@ def harmonize_and_normalize(
     come from the candidate rows only and reference values are clamped into
     [0, 1]. Constant columns map to 0.5 everywhere and emit a warning.
     """
-    pop_mask = np.array([not (exclude_reference_from_range and r.is_reference)
-                         for r in matrix.rows])
+    pop_mask = ~(matrix.approaches.is_reference & exclude_reference_from_range)
     if not pop_mask.any():
         raise ValidationError(
             "cannot exclude the reference from ranges: no candidate rows"
@@ -346,5 +362,5 @@ def harmonize_and_normalize(
     if exclude_reference_from_range:
         scaled = np.clip(scaled, 0.0, 1.0)
     out = np.where(constant, 0.5, np.where(flip, 1.0 - scaled, scaled))
-    return NormalizedMatrix(specs=matrix.specs, rows=matrix.rows, values=out,
+    return NormalizedMatrix(specs=matrix.specs, approaches=matrix.approaches, values=out,
                             scales=scales)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def pareto_set(nm: NormalizedMatrix) -> DominanceResult:
     no_worse = (u_i >= u_j).all(axis=2) & (r_i <= r_j).all(axis=2)
     better = (u_i > u_j).any(axis=2) | (r_i < r_j).any(axis=2)
     matrix = no_worse & better
-    candidates = np.flatnonzero([not r.is_reference for r in nm.rows])
+    candidates = np.flatnonzero(~nm.approaches.is_reference)
     dominated = matrix[np.ix_(candidates, candidates)].any(axis=0)
     pareto = frozenset(labels[i] for i, d in zip(candidates, dominated) if not d)
     matrix.setflags(write=False)
@@ -76,14 +76,16 @@ def _slopes(d_risk: np.ndarray, d_utility: np.ndarray, defined: np.ndarray) -> n
         return np.where(defined, d_risk / d_utility, np.nan)
 
 
-def composite_front(points: Iterable[tuple[str, float, float]]) -> CompositeFront:
-    """Non-dominated subset of composite (utility, risk) points, with edges.
+def composite_front(labels: Sequence[str], utility: Sequence[float],
+                    risk: Sequence[float]) -> CompositeFront:
+    """Non-dominated subset of the composite points (`utility[i]`, `risk[i]`)
+    named `labels[i]`, with edges.
 
     Points re-enter the dominance check in 2-D composite space, independently
     of the full-vector Pareto set. The front is sorted by utility ascending;
     its risk values are then non-decreasing (staircase property).
     """
-    pts = sorted((float(u), float(r), str(i)) for i, u, r in points)
+    pts = sorted(zip(map(float, utility), map(float, risk), labels))
     # Scan from the highest utility down. A point survives when its risk is
     # the lowest of its equal-utility group (exact duplicates all survive)
     # and strictly below every risk seen at higher utility.
@@ -140,9 +142,9 @@ def knee_point(front: CompositeFront) -> KneePoint | None:
 @dataclass(frozen=True)
 class Rays:
     """Slope and straight-line distance from each approach to its reference,
-    grouped by reference: ray i runs to `references[reference[i]]`, a
-    (label, utility, risk) tuple. `slope` is NaN where the utility
-    displacement is ~0."""
+    grouped by reference: ray i runs to reference k = `reference[i]`, named
+    `reference_labels[k]` at (utility, risk) `origin[k]`. `slope` is NaN where
+    the utility displacement is ~0."""
 
     ids: tuple[str, ...]
     utility: np.ndarray
@@ -150,24 +152,24 @@ class Rays:
     slope: np.ndarray
     l2: np.ndarray
     reference: np.ndarray
-    references: tuple[tuple[str, float, float], ...]
+    reference_labels: tuple[str, ...]
+    origin: np.ndarray
 
 
 def rays_to_reference(
-    points: Sequence[tuple[str, float, float]], reference: Sequence[int],
-    references: Sequence[tuple[str, float, float]],
+    labels: Sequence[str], utility: Sequence[float], risk: Sequence[float],
+    reference: Sequence[int], reference_labels: Sequence[str], origin: Sequence,
 ) -> Rays:
     """Per approach: (risk delta)/(utility delta) and L2 distance to its
-    reference, `references[reference[i]]` for point i."""
-    utility = np.array([p[1] for p in points], dtype=float)
-    risk = np.array([p[2] for p in points], dtype=float)
+    reference, the (utility, risk) row `origin[reference[i]]` for point i."""
+    utility, risk = np.array(utility, dtype=float), np.array(risk, dtype=float)
     reference = np.array(reference, dtype=np.intp)
-    origin = np.array([ref[1:] for ref in references], dtype=float).reshape(-1, 2)
+    origin = np.array(origin, dtype=float).reshape(-1, 2)
     du, dr = utility - origin[reference, 0], risk - origin[reference, 1]
-    return Rays(ids=tuple(str(p[0]) for p in points), utility=utility, risk=risk,
+    return Rays(ids=tuple(labels), utility=utility, risk=risk,
                 slope=_slopes(dr, du, np.abs(du) >= _SLOPE_EPS),
                 l2=np.array([math.hypot(a, b) for a, b in zip(du.tolist(), dr.tolist())]),
-                reference=reference, references=tuple(references))
+                reference=reference, reference_labels=tuple(reference_labels), origin=origin)
 
 
 @dataclass(frozen=True)

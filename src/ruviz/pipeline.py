@@ -107,17 +107,15 @@ class StudyResult:
 
     @property
     def reference_labels(self) -> frozenset[str]:
-        return frozenset(r.label for r in self.nm.rows if r.is_reference)
+        return frozenset(itertools.compress(self.nm.labels, self.nm.approaches.is_reference))
 
     @property
-    def _fit_idx(self) -> list[int]:
-        if self.config.options.pca_exclude_reference:
-            return [i for i, r in enumerate(self.nm.rows) if not r.is_reference]
-        return list(range(len(self.nm.rows)))
+    def _fit_mask(self) -> np.ndarray:
+        return ~(self.nm.approaches.is_reference & self.config.options.pca_exclude_reference)
 
     @property
     def pca_labels(self) -> tuple[str, ...]:
-        return tuple(self.nm.rows[i].label for i in self._fit_idx)
+        return tuple(itertools.compress(self.nm.labels, self._fit_mask))
 
     @_stage
     def nm(self) -> NormalizedMatrix:
@@ -136,22 +134,21 @@ class StudyResult:
 
     @_stage
     def pareto(self) -> ParetoResult:
-        nm, scores = self.nm, self.scores
-        dom = pareto_set(nm)
-        points = _candidate_points(nm, scores)
-        front = composite_front(points)
-        knee = knee_point(front)
-        # each candidate is measured against its own dataset's reference, and
-        # the rays are grouped by reference in row order
-        refs = [r for r in nm.rows if r.is_reference]
-        ref_of = {ref.dataset: k for k, ref in enumerate(refs)}
-        cands = [r.dataset for r in nm.rows if not r.is_reference]
-        order = sorted((i for i, ds in enumerate(cands) if ds in ref_of),
-                       key=lambda i: ref_of[cands[i]])
-        rays = rays_to_reference([points[i] for i in order],
-                                 [ref_of[cands[i]] for i in order],
-                                 [(ref.label, *scores.point(ref.label)) for ref in refs])
-        return ParetoResult(dominance=dom, front=front, knee=knee, rays=rays)
+        a = self.nm.approaches
+        labels = np.array(a.labels, dtype=object)
+        points = np.column_stack([self.scores.utility, self.scores.risk])
+        front = composite_front(labels[~a.is_reference], *points[~a.is_reference].T)
+        # each candidate is measured against its own dataset's reference, the
+        # k-th in row order (k = -1 for none), and the rays are grouped by k
+        refs = np.flatnonzero(a.is_reference)
+        ref_of = np.full(len(a.dataset_names), -1)
+        ref_of[a.dataset_index[refs]] = np.arange(len(refs))
+        k = ref_of[a.dataset_index]
+        rows = np.flatnonzero(~a.is_reference & (k >= 0))
+        rows = rows[np.argsort(k[rows], kind="stable")]
+        rays = rays_to_reference(labels[rows], *points[rows].T, k[rows], labels[refs], points[refs])
+        return ParetoResult(dominance=pareto_set(self.nm), front=front,
+                            knee=knee_point(front), rays=rays)
 
     @_stage
     def dendrogram(self) -> Dendrogram:
@@ -176,8 +173,8 @@ class StudyResult:
 
     @_stage
     def pca(self) -> PcaModel:
-        fit_idx = self._fit_idx
-        fit_values = self.nm.values[fit_idx]
+        fit = self._fit_mask
+        fit_values = self.nm.values[fit]
         n_fit, p = fit_values.shape
         if n_fit < 4 or p < 2:
             raise AnalysisError(
@@ -192,20 +189,19 @@ class StudyResult:
             )
         if not self.config.options.orient:
             return model
-        return orient(model, self.scores.utility[fit_idx], self.scores.risk[fit_idx])
+        return orient(model, self.scores.utility[fit], self.scores.risk[fit])
 
     @_stage
     def align(self) -> AlignmentReport:
-        fit_idx = self._fit_idx
-        return alignment(self.pca, self.scores.utility[fit_idx],
-                         self.scores.risk[fit_idx])
+        fit = self._fit_mask
+        return alignment(self.pca, self.scores.utility[fit], self.scores.risk[fit])
 
     @_stage
     def diagnostics(self) -> SdOdDiagnostics:
         opts = self.config.options
         # the joint fit's row and rank checks hold for the robust model too
         diag_model = self.pca
-        fit_values = self.nm.values[self._fit_idx]
+        fit_values = self.nm.values[self._fit_mask]
         if opts.robust:
             diag_model = robust_pca(fit_values, k=2, seed=opts.seed)
         return sd_od(diag_model, fit_values, od_cut_mode=opts.od_cut_mode,
@@ -233,12 +229,10 @@ class StudyResult:
 
     @_stage
     def groups(self) -> tuple | None:
-        fit_rows = [self.nm.rows[i] for i in self._fit_idx]
-        if len({r.dataset for r in fit_rows}) < 2:
+        datasets = list(itertools.compress(self.nm.approaches.datasets, self._fit_mask))
+        if len(set(datasets)) < 2:
             return None
-        return group_summaries(
-            self.pca.scores[:, :2], [r.dataset or "" for r in fit_rows]
-        )
+        return group_summaries(self.pca.scores[:, :2], [d or "" for d in datasets])
 
     @_stage
     def acceptance(self) -> AcceptancePolygon | None:
@@ -250,14 +244,6 @@ class StudyResult:
 
 STAGES = tuple(name for name, attr in vars(StudyResult).items()
                if isinstance(attr, functools.cached_property))
-
-
-def _candidate_points(nm: NormalizedMatrix, scores: CompositeScores):
-    return [
-        (row.label, float(scores.utility[i]), float(scores.risk[i]))
-        for i, row in enumerate(nm.rows)
-        if not row.is_reference
-    ]
 
 
 def _compute_all(result: StudyResult) -> None:
@@ -297,11 +283,10 @@ def _fields(obj: Any, *drop: str, **extra: Any) -> dict:
 
 
 def normalized_json(result: StudyResult) -> dict:
-    nm, dend = result.nm, result.dendrogram
+    nm, dend, a = result.nm, result.dendrogram, result.nm.approaches
     return {
-        "approaches": _Table(id=[r.id for r in nm.rows], dataset=[r.dataset for r in nm.rows],
-                             is_reference=[r.is_reference for r in nm.rows],
-                             label=list(nm.labels)),
+        "approaches": _Table(id=a.ids, dataset=a.datasets, is_reference=a.is_reference,
+                             label=a.labels),
         "measures": nm.specs,
         "values": nm.values,
         "scales": {s.id: _fields(sc) for s, sc in zip(nm.specs, nm.scales)},
@@ -330,7 +315,7 @@ def pareto_json(result: StudyResult) -> dict:
                         d_utility=front.d_utility, d_risk=front.d_risk, slope=front.slope),
         "rays": _Table(id=list(rays.ids), utility=rays.utility, risk=rays.risk,
                        slope=rays.slope, l2=rays.l2, slope_defined=~np.isnan(rays.slope)),
-        "reference": rays.references[0][0] if rays.references else None,
+        "reference": rays.reference_labels[0] if rays.reference_labels else None,
         "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.astype(int)),
     }
 

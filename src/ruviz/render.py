@@ -232,7 +232,7 @@ def render_heatmap(
     order is kept by default).
     """
     doc = _document("normalized measures by approach")
-    n = len(nm.rows)
+    n = len(nm.labels)
     p = len(nm.specs)
     columns = list(column_order) if column_order is not None else list(range(p))
     if sorted(columns) != list(range(p)):
@@ -259,7 +259,7 @@ def render_heatmap(
     x = left + np.arange(p) * cell_w
     y = top + np.arange(n) * cell_h
     cells = np.stack(np.broadcast_arrays(x, y[:, None], cell_w, cell_h), axis=-1)
-    titles = [nm.rows[i].label for i in rows]
+    titles = [nm.labels[i] for i in rows]
     # each row's label, then its cells
     labels = Batch(Text, np.column_stack(np.broadcast_arrays(
         left - 8.0, top + (np.arange(n) + 0.5) * cell_h + 4)), size=11,
@@ -289,7 +289,7 @@ def render_heatmap(
 def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
     """Per-approach dots on a shared [0, 1] axis, one facet per block."""
     doc = _document("measure values by approach")
-    n = len(nm.rows)
+    n = len(nm.labels)
     left, top, gap = 150, 70, 50
     bottom = 150
     facet_w = (doc.width - left - 30 - gap) / 2
@@ -419,8 +419,7 @@ def render_rays(rays: Rays, pareto_ids: frozenset[str] = frozenset()) -> PlotDoc
     doc = _document("marginal trade-off against the reference")
     fr = _composite_axes(doc, right=240)
     start = np.column_stack([fr.sx(rays.utility), fr.sy(rays.risk)])
-    refs = np.array([(fr.sx(u0), fr.sy(r0))
-                     for _, u0, r0 in rays.references]).reshape(-1, 2)
+    refs = np.column_stack([fr.sx(rays.origin[:, 0]), fr.sy(rays.origin[:, 1])])
     end = refs[rays.reference]
     doc.add(Batch(Line, np.hstack([start, end]), stroke="#c8c8c8", stroke_width=1.0))
     doc.add(Batch(Text, (start + end) / 2 + (3, -3), size=8, fill="#666666",
@@ -431,10 +430,10 @@ def render_rays(rays: Rays, pareto_ids: frozenset[str] = frozenset()) -> PlotDoc
                         for i in rays.ids],
                   title=list(rays.ids)), z=2)
     _point_labels(doc, start[:, 0], start[:, 1], [_short(i, 14) for i in rays.ids])
-    ref_labels = [label for label, _, _ in rays.references]
     doc.add(Batch(Rect, np.column_stack([refs - 5, np.full(refs.shape, 10.0)]),
-                  fill=REFERENCE_COLOR, title=ref_labels), z=3)
-    _point_labels(doc, refs[:, 0], refs[:, 1], [_short(l, 14) for l in ref_labels],
+                  fill=REFERENCE_COLOR, title=list(rays.reference_labels)), z=3)
+    _point_labels(doc, refs[:, 0], refs[:, 1],
+                  [_short(l, 14) for l in rays.reference_labels],
                   color="#000000")
     _legend(doc, [
         *APPROACH_LEGEND,
@@ -486,20 +485,20 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
             idx, xs = idx * 2, xs * 2
         ys = top + plot_h - nm.values[:, list(idx)] * plot_h
         return np.stack(np.broadcast_arrays(np.array(xs), ys),
-                        axis=-1).reshape(len(nm.rows), -1)
+                        axis=-1).reshape(len(nm.labels), -1)
 
     risk_points, util_points = (vertices(idx, xs) for idx, xs in facets)
     labels = nm.labels
     pareto_labels = sorted(l for l in labels if l in pareto_ids)
     # the lines a full legend cannot list share its last colour
     color_of = {lbl: PALETTE[min(i, 9)] for i, lbl in enumerate(pareto_labels)}
-    layer = [2 if row.is_reference else 3 if row.label in pareto_ids else 1
-             for row in nm.rows]
+    layer = np.where(nm.approaches.is_reference, 2,
+                     np.where([l in pareto_ids for l in labels], 3, 1))
     for z, style in ((1, dict(stroke="#c4c4c4", stroke_width=1.2)),
                      (2, dict(stroke=REFERENCE_COLOR, stroke_width=1.8, dash="6,3")),
                      (3, dict(stroke_width=2.2))):
-        at = [i for i, zi in enumerate(layer) if zi == z]
-        if not at:  # a lead needs rows; an empty layer draws nothing
+        at = np.flatnonzero(layer == z)
+        if not at.size:  # a lead needs rows; an empty layer draws nothing
             continue
         ids = [labels[i] for i in at]
         if z == 3:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from ruviz.config import StudyConfig
-from ruviz.errors import AnalysisError
+from ruviz.errors import AnalysisError, ValidationError
 from ruviz.model import (
-    ApproachRecord,
+    Approaches,
     Block,
     ColumnScale,
     Direction,
@@ -59,6 +59,18 @@ def make_specs(n_risk: int, n_utility: int) -> tuple[MeasureSpec, ...]:
     return risk + util
 
 
+def make_approaches(ids, datasets=None, reference_index=None) -> Approaches:
+    """Approaches `ids`, in `datasets` (None throughout by default), with the
+    row at `reference_index` as the one reference."""
+    return Approaches(tuple(ids), tuple(datasets or [None] * len(ids)),
+                      [i == reference_index for i in range(len(ids))])
+
+
+def columns(points):
+    """The (labels, utility, risk) columns of (label, utility, risk) points."""
+    return [p[0] for p in points], [p[1] for p in points], [p[2] for p in points]
+
+
 def make_nm(
     values: np.ndarray,
     n_risk: int,
@@ -69,16 +81,9 @@ def make_nm(
     values = np.asarray(values, dtype=float)
     n, p = values.shape
     specs = make_specs(n_risk, p - n_risk)
-    rows = tuple(
-        ApproachRecord(
-            id=f"a{i}",
-            dataset=None if datasets is None else datasets[i],
-            is_reference=i == reference_index,
-        )
-        for i in range(n)
-    )
+    approaches = make_approaches([f"a{i}" for i in range(n)], datasets, reference_index)
     scales = tuple(ColumnScale(0.0, 1.0, False, False) for _ in range(p))
-    return NormalizedMatrix(specs=specs, rows=rows, values=values, scales=scales)
+    return NormalizedMatrix(specs=specs, approaches=approaches, values=values, scales=scales)
 
 
 def profiles_nm(ids, values, measure_ids) -> NormalizedMatrix:
@@ -86,7 +91,7 @@ def profiles_nm(ids, values, measure_ids) -> NormalizedMatrix:
     specs = tuple(MeasureSpec(mid, mid, Block.UTILITY, Direction.HIGHER)
                   for mid in measure_ids)
     return NormalizedMatrix(
-        specs=specs, rows=tuple(ApproachRecord(id=pid) for pid in ids),
+        specs=specs, approaches=make_approaches(ids),
         values=np.reshape(values, (len(ids), -1)),
         scales=tuple(ColumnScale(0.0, 1.0, False, False) for _ in specs))
 
@@ -249,6 +254,31 @@ def oracle_rays(points: list[tuple[str, float, float]], reference: tuple[float, 
         rays.append((str(pid), float(u), float(r),
                      dr / du if abs(du) >= 1e-12 else None, math.hypot(du, dr)))
     return rays
+
+
+def oracle_validate_rows(ids, datasets, is_reference) -> None:
+    """Raise the `ValidationError` of the first label two rows share, else of
+    the first dataset, by first reference, that holds two references."""
+
+    def row_name(k):
+        return ids[k] if datasets[k] is None else f"{ids[k]} in dataset {datasets[k]}"
+
+    by_label: dict[str, int] = {}
+    ref_per_dataset: dict[str | None, int] = {}
+    for i, (pid, ds, ref) in enumerate(zip(ids, datasets, is_reference)):
+        label = pid if ds is None else f"{pid}@{ds}"
+        j = by_label.setdefault(label, i)
+        if j != i and datasets[j] == ds:
+            raise ValidationError(f"data: duplicate approach row '{row_name(i)}'")
+        if j != i:
+            raise ValidationError(f"data: approach rows '{row_name(j)}' and "
+                                  f"'{row_name(i)}' share the label '{label}'")
+        if ref:
+            ref_per_dataset[ds] = ref_per_dataset.get(ds, 0) + 1
+    for ds, count in ref_per_dataset.items():
+        if count > 1:
+            where = "" if ds is None else f" in dataset '{ds}'"
+            raise ValidationError(f"data: more than one reference row{where}")
 
 
 def chi2_quantile_even_df(q: float, df: int) -> float:

@@ -33,6 +33,7 @@ from ruviz.profiles import origami_profiles, ranked_areas
 
 from conftest import (
     build_origami,
+    columns,
     chi2_quantile_even_df,
     make_nm,
     oracle_front_ids,
@@ -75,7 +76,7 @@ def test_criterion_01_pareto_oracle_equivalence():
 
             pts = [(f"a{i}", float(u), float(r))
                    for i, (u, r) in enumerate(rng.random((n, 2)))]
-            front = composite_front(pts)
+            front = composite_front(*columns(pts))
             assert front.ids == oracle_front_ids(pts)
             assert (np.diff(front.risk) >= 0).all()
         elapsed = time.perf_counter() - start
@@ -85,16 +86,16 @@ def test_criterion_01_pareto_oracle_equivalence():
 def test_criterion_02_knee_correctness():
     with criterion(2, "knee of constructed fronts is the known max-distance "
                       "point within 1e-9"):
-        front = composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.9),
-                                 ("c", 1.0, 1.0)])
+        front = composite_front(*columns([("a", 0.0, 0.0), ("b", 0.5, 0.9),
+                                          ("c", 1.0, 1.0)]))
         knee = knee_point(front)
         assert knee is not None and knee.id == "b"
         assert abs(knee.distance - 0.4 / math.sqrt(2.0)) < 1e-9
 
         # parabola front: risk = utility^2, max chord distance at utility 0.5
         ts = np.linspace(0.0, 1.0, 21)  # includes 0.5 exactly
-        front2 = composite_front([(f"p{i}", float(t), float(t * t))
-                                  for i, t in enumerate(ts)])
+        front2 = composite_front(*columns([(f"p{i}", float(t), float(t * t))
+                                           for i, t in enumerate(ts)]))
         assert len(front2.labels) == 21
         knee2 = knee_point(front2)
         assert knee2 is not None
@@ -103,10 +104,10 @@ def test_criterion_02_knee_correctness():
         assert knee2.concave is True  # bows toward low risk
 
         # degenerate cases: collinear front and 2-point front have no knee
-        assert knee_point(composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.5),
-                                           ("c", 1.0, 1.0)])) is None
-        assert knee_point(composite_front([("a", 0.1, 0.2),
-                                           ("b", 0.9, 0.9)])) is None
+        assert knee_point(composite_front(*columns([("a", 0.0, 0.0), ("b", 0.5, 0.5),
+                                                    ("c", 1.0, 1.0)]))) is None
+        assert knee_point(composite_front(*columns([("a", 0.1, 0.2),
+                                                    ("b", 0.9, 0.9)]))) is None
 
 
 def test_criterion_03_reliability():

@@ -63,9 +63,8 @@ class TestCompositeScores:
         shifted[:, 2:] += 0.3
         nm2 = make_nm(shifted, 2)
         s1, s2 = composite_scores(nm), composite_scores(nm2)
-        pts1 = list(zip(s1.labels, s1.utility, s1.risk))
-        pts2 = list(zip(s2.labels, s2.utility, s2.risk))
-        assert composite_front(pts1).ids == composite_front(pts2).ids
+        assert (composite_front(s1.labels, s1.utility, s1.risk).ids
+                == composite_front(s2.labels, s2.utility, s2.risk).ids)
 
 
 class TestCronbachAlpha:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ruviz.config import StudyConfig, StudyOptions
 from ruviz.errors import ValidationError
 from ruviz.model import (
-    ApproachRecord,
+    Approaches,
     Block,
     ColumnScale,
     Direction,
@@ -21,7 +21,7 @@ from ruviz.model import (
     ingest,
 )
 
-from conftest import make_nm
+from conftest import make_approaches, make_nm, oracle_validate_rows
 
 
 def two_measure_doc() -> dict:
@@ -49,14 +49,14 @@ def small_config(n_risk=1, n_utility=1, directions=None, reference="orig"):
 class TestIngest:
     def test_fixture_csv(self, study_config, study_csv_bytes):
         m = ingest(study_csv_bytes, study_config)
-        assert len(m.rows) == 9
+        assert len(m.labels) == 9
         assert len(m.specs) == 10
         assert len(m.block_indices(Block.RISK)) == 5
         assert len(m.block_indices(Block.UTILITY)) == 5
         # risk block declared first, retained in order
         assert [s.id for s in m.specs[:5]] == ["RepU", "DiSCO", "DCAP", "TCAP", "RAPID"]
-        ref = [r for r in m.rows if r.is_reference]
-        assert [r.id for r in ref] == ["original"]
+        a = m.approaches
+        assert [i for i, ref in zip(a.ids, a.is_reference) if ref] == ["original"]
 
     def test_columns_reordered_to_config(self, study_config, study_csv_bytes):
         # shuffle CSV columns; the matrix must come back in config order
@@ -114,8 +114,8 @@ class TestIngest:
             "orig,d1,1,2\na,d1,3,4\norig,d2,5,6\na,d2,7,8\n",
             cfg,
         )
-        assert [r.label for r in m.rows] == ["orig@d1", "a@d1", "orig@d2", "a@d2"]
-        assert sum(r.is_reference for r in m.rows) == 2
+        assert list(m.labels) == ["orig@d1", "a@d1", "orig@d2", "a@d2"]
+        assert m.approaches.is_reference.sum() == 2
 
     def test_bad_header(self):
         cfg = small_config()
@@ -200,11 +200,28 @@ class TestCodeBuiltInputs:
 
     def test_approach_id_must_suit_xml(self):
         with pytest.raises(ValidationError, match=r"^approach id holds U\+000B, "):
-            ApproachRecord("Di\x0bSCO")
+            make_approaches(["Di\x0bSCO"])
         with pytest.raises(ValidationError, match=r"^dataset holds U\+FFFF, "):
-            ApproachRecord("a", dataset="d\uffff")
+            make_approaches(["a"], ["d\uffff"])
         with pytest.raises(ValidationError, match="^empty approach id$"):
-            ApproachRecord("")
+            make_approaches([""])
+
+    @pytest.mark.parametrize("ids, datasets, flags, message", [
+        ((5,), (None,), (False,), r"^approach id: must be a string, got 5$"),
+        (("a",), (3,), (False,), r"^dataset: must be a non-empty string or None, got 3$"),
+        (("a",), ("",), (False,), r"^dataset: must be a non-empty string or None, got ''$"),
+        (("a",), (None,), ("yes",), r"^is_reference: must be a bool, got 'yes'$"),
+        (("a", "b"), (None,), (False, False),
+         r"^approaches: ids, datasets and is_reference differ in length \(2, 1, 2\)$"),
+    ])
+    def test_approach_fields_are_checked(self, ids, datasets, flags, message):
+        with pytest.raises(ValidationError, match=message):
+            Approaches(ids, datasets, flags)
+
+    def test_empty_dataset_cell_is_no_dataset(self):
+        m = ingest("approach,dataset,r0,u0\norig,,1,2\na, ,3,4\n", small_config())
+        assert m.approaches.datasets == (None, None)
+        assert m.labels == ("orig", "a")
 
     def test_block_and_direction_given_by_value(self):
         spec = MeasureSpec("x", "x", "risk", "higher")
@@ -233,6 +250,26 @@ class TestCodeBuiltInputs:
             ingest("approach,r0,u0\norig,1,2\na\x01,x,4\n", small_config())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "a@x", "orig"]),
+                          st.sampled_from([None, "x", "y", "x@y"]), st.booleans()),
+                max_size=8))
+def test_approaches_agree_with_the_row_oracle(rows):
+    ids, datasets, flags = (tuple(column) for column in zip(*rows)) if rows else ((),) * 3
+    try:
+        oracle_validate_rows(ids, datasets, flags)
+    except ValidationError as want:
+        with pytest.raises(ValidationError) as got:
+            Approaches(ids, datasets, flags)
+        assert str(got.value) == str(want)
+        return
+    a = Approaches(ids, datasets, flags)
+    assert a.labels == tuple(i if d is None else f"{i}@{d}" for i, d in zip(ids, datasets))
+    assert [a.dataset_names[k] for k in a.dataset_index] == list(datasets)
+    assert list(a.dataset_names) == [None] * (None in datasets) + sorted(set(datasets) - {None})
+    assert a.is_reference.tolist() == list(flags) and not a.is_reference.flags.writeable
+
+
 def matrix_of(values, directions, n_risk=1, reference_index=None):
     """Build a MeasureMatrix with given raw values and per-column directions."""
     values = np.asarray(values, dtype=float)
@@ -243,11 +280,8 @@ def matrix_of(values, directions, n_risk=1, reference_index=None):
         specs.append(
             MeasureSpec(f"m{j}", f"m{j}", block, Direction(directions[j]))
         )
-    rows = tuple(
-        ApproachRecord(id=f"a{i}", is_reference=i == reference_index)
-        for i in range(n)
-    )
-    return MeasureMatrix(specs=tuple(specs), rows=rows, values=values)
+    approaches = make_approaches([f"a{i}" for i in range(n)], reference_index=reference_index)
+    return MeasureMatrix(specs=tuple(specs), approaches=approaches, values=values)
 
 
 class TestHarmonizeNormalize:

@@ -14,6 +14,7 @@ from ruviz.pareto import (
 )
 
 from conftest import (
+    columns,
     dominates,
     make_nm,
     oracle_front,
@@ -91,7 +92,7 @@ class TestParetoSet:
 class TestCompositeFront:
     def test_three_point_front_edges(self):
         front = composite_front(
-            [("a", 0.2, 0.1), ("b", 0.5, 0.3), ("c", 0.9, 0.8)]
+            *columns([("a", 0.2, 0.1), ("b", 0.5, 0.3), ("c", 0.9, 0.8)])
         )
         assert front.labels == ("a", "b", "c")
         assert len(front.d_utility) == len(front.d_risk) == len(front.slope) == 2
@@ -99,11 +100,11 @@ class TestCompositeFront:
         assert front.slope[1] == pytest.approx(0.5 / 0.4)
 
     def test_dominated_point_absent(self):
-        front = composite_front([("good", 0.8, 0.2), ("bad", 0.5, 0.4)])
+        front = composite_front(*columns([("good", 0.8, 0.2), ("bad", 0.5, 0.4)]))
         assert front.ids == {"good"}
 
     def test_duplicate_points_both_kept(self):
-        front = composite_front([("x", 0.5, 0.5), ("y", 0.5, 0.5)])
+        front = composite_front(*columns([("x", 0.5, 0.5), ("y", 0.5, 0.5)]))
         assert front.ids == {"x", "y"}
         assert np.isnan(front.slope[0])  # zero utility step
 
@@ -113,14 +114,14 @@ class TestCompositeFront:
         for levels in [None] * 50 + [4] * 50:
             pts = [(f"p{i}", float(u), float(r))
                    for i, (u, r) in enumerate(random_values(rng, (10, 2), levels))]
-            front = composite_front(pts)
+            front = composite_front(*columns(pts))
             assert (np.diff(front.risk) >= 0).all()
             assert front.ids == oracle_front_ids(pts)
 
 
 class TestKnee:
     def test_known_knee(self):
-        front = composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.9), ("c", 1.0, 1.0)])
+        front = composite_front(*columns([("a", 0.0, 0.0), ("b", 0.5, 0.9), ("c", 1.0, 1.0)]))
         knee = knee_point(front)
         assert knee is not None
         assert knee.id == "b"
@@ -128,32 +129,32 @@ class TestKnee:
         assert knee.concave is False  # bows toward the high-risk side
 
     def test_concave_side_flag(self):
-        knee = knee_point(composite_front([("a", 0.0, 0.0), ("b", 0.9, 0.5),
-                                           ("c", 1.0, 1.0)]))
+        knee = knee_point(composite_front(*columns([("a", 0.0, 0.0), ("b", 0.9, 0.5),
+                                                    ("c", 1.0, 1.0)])))
         assert knee is not None and knee.id == "b" and knee.concave is True
 
     def test_collinear_returns_none(self):
-        front = composite_front([("a", 0.0, 0.0), ("b", 0.5, 0.5), ("c", 1.0, 1.0)])
+        front = composite_front(*columns([("a", 0.0, 0.0), ("b", 0.5, 0.5), ("c", 1.0, 1.0)]))
         assert len(front.labels) == 3
         assert knee_point(front) is None
 
     def test_two_point_front_none(self):
-        front = composite_front([("a", 0.1, 0.1), ("b", 0.9, 0.9)])
+        front = composite_front(*columns([("a", 0.1, 0.1), ("b", 0.9, 0.9)]))
         assert knee_point(front) is None
 
     def test_order_invariance(self):
         pts = [("a", 0.0, 0.0), ("b", 0.5, 0.9), ("c", 1.0, 1.0)]
-        k1 = knee_point(composite_front(pts))
+        k1 = knee_point(composite_front(*columns(pts)))
         for shuffled in itertools.permutations(pts):
-            assert knee_point(composite_front(shuffled)) == k1
+            assert knee_point(composite_front(*columns(shuffled))) == k1
 
     def test_tie_breaks_lower_risk_then_id(self):
-        front = composite_front([
+        front = composite_front(*columns([
             ("a", 0.0, 0.0),
             ("z", 0.25, 0.45),
             ("b", 0.75, 0.95),
             ("c", 1.0, 1.0),
-        ])
+        ]))
         # both interior points are 0.2/sqrt(2) from the chord
         assert len(front.labels) == 4
         knee = knee_point(front)
@@ -162,12 +163,12 @@ class TestKnee:
 
 class TestRays:
     def test_diagonal(self):
-        rays = rays_to_reference([("p", 0.5, 0.5)], [0], [("o", 1.0, 1.0)])
+        rays = rays_to_reference(["p"], [0.5], [0.5], [0], ["o"], [(1.0, 1.0)])
         assert rays.slope[0] == pytest.approx(1.0)
         assert rays.l2[0] == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_zero_displacement_flagged(self):
-        rays = rays_to_reference([("p", 1.0, 1.0)], [0], [("o", 1.0, 1.0)])
+        rays = rays_to_reference(["p"], [1.0], [1.0], [0], ["o"], [(1.0, 1.0)])
         assert np.isnan(rays.slope[0])
         assert rays.l2[0] == 0.0
 
@@ -176,23 +177,23 @@ class TestRays:
         pts = [(f"p{i}", float(u), float(r))
                for i, (u, r) in enumerate(rng.random((20, 2)))]
         u0, r0 = 0.9, 0.85
-        rays = rays_to_reference(pts, [0] * len(pts), [("o", u0, r0)])
+        rays = rays_to_reference(*columns(pts), [0] * len(pts), ["o"], [(u0, r0)])
         for u, r, slope, l2 in zip(rays.utility, rays.risk, rays.slope, rays.l2):
             assert l2 == pytest.approx(math.hypot(u - u0, r - r0), abs=1e-12)
             if not np.isnan(slope):
                 assert slope == pytest.approx((r - r0) / (u - u0), abs=1e-12)
 
     def test_each_ray_runs_to_its_own_reference(self):
-        rays = rays_to_reference([("p", 0.5, 0.5), ("q", 0.5, 0.5)], [0, 1],
-                                 [("o1", 1.0, 1.0), ("o2", 0.0, 0.0)])
+        rays = rays_to_reference(["p", "q"], [0.5, 0.5], [0.5, 0.5], [0, 1],
+                                 ["o1", "o2"], [(1.0, 1.0), (0.0, 0.0)])
         assert rays.reference.tolist() == [0, 1]
         assert rays.slope.tolist() == [1.0, 1.0]
         assert rays.l2[0] == rays.l2[1] == math.hypot(0.5, 0.5)
 
     def test_no_points(self):
-        rays = rays_to_reference([], [], [("o", 1.0, 1.0)])
+        rays = rays_to_reference([], [], [], [], ["o"], [(1.0, 1.0)])
         assert rays.ids == () and len(rays.slope) == len(rays.l2) == 0
-        front = composite_front([])
+        front = composite_front([], [], [])
         assert front.labels == () and len(front.slope) == 0
         assert knee_point(front) is None
 
@@ -221,7 +222,7 @@ def test_columns_equal_the_record_oracles(coords, references, picks, on_point):
     points = [(f"p{i}", u, r) for i, (u, r) in enumerate(coords)]
     if on_point and points:  # a zero-displacement ray
         references[0] = coords[0]
-    front = composite_front(points)
+    front = composite_front(*columns(points))
     want_points, want_edges = oracle_front(points)
     assert front.labels == tuple(p[0] for p in want_points)
     assert _same_bits(front.utility, [p[1] for p in want_points])
@@ -232,7 +233,8 @@ def test_columns_equal_the_record_oracles(coords, references, picks, on_point):
     assert (None if knee is None else (knee.id, knee.distance, knee.concave)) == want_knee
 
     reference = [k % len(references) for k in picks[:len(points)]]
-    rays = rays_to_reference(points, reference, [("ref", u, r) for u, r in references])
+    rays = rays_to_reference(*columns(points), reference, ["ref"] * len(references),
+                             references)
     want = [oracle_rays([p], references[k])[0] for p, k in zip(points, reference)]
     assert rays.ids == tuple(w[0] for w in want)
     for k, column in enumerate((rays.utility, rays.risk, rays.slope, rays.l2), start=1):

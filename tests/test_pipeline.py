@@ -117,7 +117,7 @@ class TestMultiDataset:
         rays = result.pareto.rays
         assert len(rays.ids) == 8
         assert {i.split("@")[1] for i in rays.ids} == {"d1", "d2"}
-        assert [rays.references[k][0].split("@")[1] for k in rays.reference] == [
+        assert [rays.reference_labels[k].split("@")[1] for k in rays.reference] == [
             i.split("@")[1] for i in rays.ids]
 
     def test_labels_carry_dataset(self):
@@ -150,7 +150,7 @@ class TestMultiDataset:
         matrix, config = _inputs(FOUR_MEASURES, TWO_REFERENCE_CSV.split("m1,d2")[0])
         result = run_study(matrix, config)
         rays = result.pareto.rays
-        assert [ref[0] for ref in rays.references] == ["orig@d1", "orig@d2"]
+        assert list(rays.reference_labels) == ["orig@d1", "orig@d2"]
         assert rays.reference.tolist() == [0, 0, 0]
         doc = render_plot(result, "rays")
         assert "orig@d2" in {title_of(e) for e in svg_elements(doc, "rect")}

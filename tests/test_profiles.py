@@ -139,7 +139,7 @@ def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):
     profs = origami_profiles(nm, r_aux=0.1)
     assert profs.ids == nm.labels
     assert profs.measure_ids == tuple(s.id for s in nm.specs)
-    assert len(profs.radii) == len(profs.area_normalized) == len(nm.rows)
+    assert len(profs.radii) == len(profs.area_normalized) == len(nm.labels)
     # the reference row is at the normalized maximum everywhere
     original = profs.area_normalized[profs.ids.index("original")]
     assert original == pytest.approx(1.0, abs=1e-12)

@@ -27,7 +27,7 @@ from ruviz.render import (
 )
 from ruviz.svg import Circle, Polygon, Polyline, Rect
 
-from conftest import assert_in_bounds, batch_rows, make_nm, svg_elements, title_of
+from conftest import assert_in_bounds, batch_rows, columns, make_nm, svg_elements, title_of
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +38,9 @@ def study(study_config):
     matrix = ingest(csv, study_config)
     nm = harmonize_and_normalize(matrix)
     scores = composite_scores(nm)
-    points = [
-        (r.label, float(scores.utility[i]), float(scores.risk[i]))
-        for i, r in enumerate(nm.rows)
-        if not r.is_reference
-    ]
-    front = composite_front(points)
+    candidate = ~nm.approaches.is_reference
+    front = composite_front([l for l, c in zip(nm.labels, candidate) if c],
+                            scores.utility[candidate], scores.risk[candidate])
     return nm, scores, front
 
 
@@ -139,9 +136,9 @@ class TestHeatmap:
             e.text for e in svg_texts
             if e.text.replace(".", "").isdigit() and len(e.text) == 4
         ]
-        assert len(cell_values) == len(nm.rows) * len(nm.specs)
+        assert len(cell_values) == len(nm.labels) * len(nm.specs)
         row_titles = [title_of(e) for e in svg_texts if e.get("font-size") == "11.00"]
-        assert row_titles == [nm.rows[i].label for i in dend.leaf_order]
+        assert row_titles == [nm.labels[i] for i in dend.leaf_order]
         well_formed(doc)
 
 
@@ -192,7 +189,7 @@ class TestDotplot:
         risk_x = [cx for cx, _, title in dots if title in risk_ids]
         util_x = [cx for cx, _, title in dots if title not in risk_ids]
         assert max(risk_x) < min(util_x)  # risk facet strictly left
-        assert len(dots) == len(nm.rows) * len(nm.specs)
+        assert len(dots) == len(nm.labels) * len(nm.specs)
 
     @pytest.mark.parametrize("k, columns", [(14, 2), (15, 3), (30, 5)])
     def test_measure_legend_stays_on_the_canvas(self, k, columns):
@@ -226,7 +223,7 @@ class TestCompositeRu:
         vals = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
         nm = make_nm(vals, 1)  # single measure per block -> sd 0
         scores = composite_scores(nm)
-        front = composite_front([("a0", 0.8, 0.2), ("a1", 0.5, 0.5)])
+        front = composite_front(*columns([("a0", 0.8, 0.2), ("a1", 0.5, 0.5)]))
         rel = reliability_report(nm)
         doc = render_composite_ru(scores, front, None, rel)
         bars = [e for e in svg_elements(doc, "line") if e.get("stroke") == "#bbbbbb"
@@ -245,18 +242,17 @@ class TestCompositeRu:
 
 class TestRays:
     def test_undefined_slope_labeled_infinity(self):
-        doc = render_rays(rays_to_reference([("p", 1.0, 0.4)], [0], [("orig", 1.0, 1.0)]))
+        doc = render_rays(rays_to_reference(["p"], [1.0], [0.4], [0], ["orig"], [(1.0, 1.0)]))
         assert any("s=∞" in e.text for e in svg_elements(doc, "text"))
         well_formed(doc)
 
     def test_one_ray_per_approach(self, study):
         nm, scores, front = study
-        points = [
-            (r.label, float(scores.utility[i]), float(scores.risk[i]))
-            for i, r in enumerate(nm.rows) if not r.is_reference
-        ]
-        u0, r0 = scores.point("original")
-        rays = rays_to_reference(points, [0] * len(points), [("original", u0, r0)])
+        is_ref = nm.approaches.is_reference
+        points = [l for l, ref in zip(nm.labels, is_ref) if not ref]
+        rays = rays_to_reference(points, scores.utility[~is_ref], scores.risk[~is_ref],
+                                 [0] * len(points), ["original"],
+                                 [(scores.utility[is_ref][0], scores.risk[is_ref][0])])
         doc = render_rays(rays, pareto_ids=front.ids)
         ray_lines = [e for e in svg_elements(doc, "line")
                      if e.get("stroke") == "#c8c8c8" and e.get("stroke-width") == "1.00"]
@@ -279,7 +275,7 @@ class TestPcpRender:
         well_formed(doc)
         lines = [e for e in svg_elements(doc, "polyline") if title_of(e) is not None]
         # one polyline per approach per facet
-        assert len(lines) == 2 * len(nm.rows)
+        assert len(lines) == 2 * len(nm.labels)
         assert render_pcp(nm, front.ids).to_svg() == doc.to_svg()
 
     def test_reference_dashed_pareto_colored(self, study):
@@ -403,7 +399,7 @@ class TestSdodRender:
         well_formed(doc)
         assert any(t.startswith("SD cutoff=2.716") for t in texts(doc))
         dots = [e for e in svg_elements(doc, "circle") if title_of(e)]
-        assert len(dots) == len(nm.rows)
+        assert len(dots) == len(nm.labels)
 
 
 class TestBlockwiseRender:
