@@ -178,15 +178,13 @@ def main(argv: list[str] | None = None) -> int:
                "report": _cmd_report}.get(args.command, _cmd_analysis)
     try:
         return handler(args)
-    except ValidationError as exc:
-        print(f"{NAME}: {exc}", file=sys.stderr)
-        return 1
+    except (ValidationError, OSError) as exc:
+        message, code = f"{NAME}: {exc}", 1
     except AnalysisError as exc:
-        print(f"{NAME}: analysis error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{NAME}: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"{NAME}: analysis error: {exc}", 2
+    # one line, whatever the input the message quotes holds
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,7 @@ _PAF_TOL = 1e-8
 _PAF_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeScores:
     """Per-approach block means and the dispersion across the block's columns."""
 

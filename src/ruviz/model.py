@@ -87,7 +87,7 @@ def _check_approach(approach: object, dataset: object, is_reference: object) -> 
         raise ValidationError(f"is_reference: must be a bool, got {is_reference!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Approaches:
     """The evaluated approaches as columns, one entry per row: approach
     `ids[i]` of dataset `datasets[i]` (None in a single-dataset study), the
@@ -161,7 +161,7 @@ class _Grid:
         return tuple(j for j, s in enumerate(self.specs) if s.block is block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureMatrix(_Grid):
     """Raw measure values, rows = approaches, columns = declared measures."""
 
@@ -200,7 +200,7 @@ class ColumnScale:
     constant: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizedMatrix(_Grid):
     """Min-max scaled, direction-harmonized values in [0, 1]."""
 

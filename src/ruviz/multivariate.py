@@ -24,7 +24,7 @@ _EIGEN_EPS = 1e-12
 OD_CUT_MODES = ("hubert", "literal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     """Centered linear model x ~ center + loadings @ scores.
 
@@ -189,7 +189,7 @@ def alignment(model: PcaModel, utility: np.ndarray, risk: np.ndarray) -> Alignme
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockAxis:
     """One block's first principal axis with per-measure contributions."""
 
@@ -267,7 +267,7 @@ def classify_sd_od(sd: float, od: float, sd_cut: float, od_cut: float) -> Outlie
     return OutlierFlag.REGULAR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdOdDiagnostics:
     labels: tuple[str, ...] | None
     sd: np.ndarray
@@ -444,7 +444,7 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     return replace(model, scores=model.transform(X))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcceptancePolygon:
     """Projection of the per-measure acceptance box into the component plane.
 
@@ -505,7 +505,7 @@ def project_acceptance_region(
     return AcceptancePolygon(vertices=convex_hull(projected), thresholds=resolved)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSummary:
     """Centroid plus a dispersion glyph (95% ellipse or convex hull) per group."""
 

@@ -9,7 +9,7 @@ import numpy as np
 LINKAGES = ("complete", "average", "single")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
     """The merges as columns, one entry per agglomeration step: merge t joins
     clusters `left[t]` < `right[t]` at `height[t]` into cluster n + t of

@@ -20,7 +20,7 @@ _SLOPE_EPS = 1e-12
 _KNEE_MIN_DISTANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceResult:
     """Pairwise dominance over all rows plus the non-dominated candidate set."""
 
@@ -51,7 +51,7 @@ def pareto_set(nm: NormalizedMatrix) -> DominanceResult:
     return DominanceResult(labels=labels, matrix=matrix, pareto_ids=pareto)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeFront:
     """The non-dominated points in (utility, risk, id) order, and the steps
     between consecutive points: `slope[i]` is the marginal risk cost of step
@@ -139,7 +139,7 @@ def knee_point(front: CompositeFront) -> KneePoint | None:
     return KneePoint(id=knee, distance=-neg_distance, concave=knee_cross < 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rays:
     """Slope and straight-line distance from each approach to its reference,
     grouped by reference: ray i runs to reference k = `reference[i]`, named

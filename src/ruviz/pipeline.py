@@ -387,15 +387,6 @@ def artifact_jsons(result: StudyResult) -> dict[str, dict]:
     return {name: build(result) for name, build in JSON_BUILDERS.items()}
 
 
-def default_origami_panels(result: StudyResult) -> list[tuple[str, ...]]:
-    """Pairwise panels over the composite Pareto set, capped at six."""
-    ids = result.pareto.front.labels
-    if len(ids) == 1:
-        return [(ids[0],)]
-    pairs = list(itertools.combinations(ids, 2))
-    return [tuple(p) for p in pairs[:6]]
-
-
 def _render_origami_figure(result: StudyResult) -> PlotDocument:
     if result.profiles is None:
         raise AnalysisError(
@@ -404,10 +395,7 @@ def _render_origami_figure(result: StudyResult) -> PlotDocument:
         )
     if not result.pareto.front.labels:
         raise AnalysisError("origami plot unavailable: no candidate rows")
-    block_by_measure = {s.id: s.block for s in result.nm.specs}
-    return render_origami(
-        result.profiles, default_origami_panels(result), block_by_measure
-    )
+    return render_origami(result.profiles, result.pareto.front, result.nm.specs)
 
 
 def render_rays_plot(result: StudyResult) -> PlotDocument:

@@ -21,7 +21,7 @@ AREA_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfiles:
     """Closed polygons over alternating measure and auxiliary spokes, one
     row per approach, all on the same axes."""
@@ -69,7 +69,7 @@ def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> RadialProfiles
                           area_raw=areas, area_normalized=areas / ones_area)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AreaTable:
     """Approach ids and their normalized areas, largest area first."""
 

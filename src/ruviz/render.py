@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -519,19 +519,14 @@ def render_pcp(nm: NormalizedMatrix, pareto_ids: frozenset[str]) -> PlotDocument
     return doc
 
 
-def render_origami(
-    profiles: RadialProfiles,
-    panels: Sequence[Sequence[str]],
-    block_by_measure: Mapping[str, Block],
-) -> PlotDocument:
-    """Radial profile panels; each panel overlays the named profiles."""
+def render_origami(profiles: RadialProfiles, front: CompositeFront,
+                   specs: Sequence[MeasureSpec]) -> PlotDocument:
+    """Radial profile panels that overlay the front's approaches: its first
+    six pairs, or its one approach."""
+    labels = front.labels
+    panels = list(itertools.islice(itertools.combinations(labels, 2), 6)) or [labels]
     row_of = {pid: i for i, pid in enumerate(profiles.ids)}
-    for panel in panels:
-        for pid in panel:
-            if pid not in row_of:
-                raise ValueError(f"origami selection names unknown approach '{pid}'")
-    if not panels:
-        raise ValueError("origami rendering needs at least one panel")
+    block_by_measure = {s.id: s.block for s in specs}
 
     doc = _document("radial measure profiles")
     n_panels = len(panels)

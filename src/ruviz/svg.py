@@ -9,17 +9,18 @@ identical inputs yield byte-identical SVG.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
 
 import numpy as np
 
 
 def fmt(v: float) -> str:
     s = f"{v:.2f}"
+    # the text, not the value, is tested: a template's fields pass here too
+    if s in ("nan", "inf", "-inf"):
+        raise ValueError(f"non-finite number {s} in an SVG element")
     return "0.00" if s == "-0.00" else s
 
 
@@ -71,10 +72,6 @@ class Rect:
     stroke_width: float | None = None
     title: str | None = None
 
-    def coords(self) -> Iterator[tuple[float, float]]:
-        yield (self.x, self.y)
-        yield (self.x + self.w, self.y + self.h)
-
     def to_svg(self) -> str:
         attrs = (
             f'x="{fmt(self.x)}" y="{fmt(self.y)}" '
@@ -94,10 +91,6 @@ class Line:
     stroke_width: float = 1.0
     dash: str | None = None
 
-    def coords(self) -> Iterator[tuple[float, float]]:
-        yield (self.x1, self.y1)
-        yield (self.x2, self.y2)
-
     def to_svg(self) -> str:
         return (
             f'<line x1="{fmt(self.x1)}" y1="{fmt(self.y1)}" '
@@ -116,9 +109,6 @@ class PolyBase:
     dash: str | None = None
     opacity: float | None = None
     title: str | None = None
-
-    def coords(self) -> Iterator[tuple[float, float]]:
-        yield from self.points
 
     def _svg(self, tag: str, fill: str | None) -> str:
         points = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in self.points)
@@ -149,10 +139,6 @@ class Circle:
     opacity: float | None = None
     title: str | None = None
 
-    def coords(self) -> Iterator[tuple[float, float]]:
-        yield (self.cx - self.r, self.cy - self.r)
-        yield (self.cx + self.r, self.cy + self.r)
-
     def to_svg(self) -> str:
         attrs = f'cx="{fmt(self.cx)}" cy="{fmt(self.cy)}" r="{fmt(self.r)}"' + (
             _style_attrs(self.fill, self.stroke, self.stroke_width, None,
@@ -172,9 +158,6 @@ class Text:
     weight: str | None = None
     rotate: float | None = None  # degrees, about (x, y)
     title: str | None = None
-
-    def coords(self) -> Iterator[tuple[float, float]]:
-        yield (self.x, self.y)
 
     def to_svg(self) -> str:
         attrs = (
@@ -240,6 +223,8 @@ class Batch:
     def __init__(self, cls: type, values, lead: Batch | None = None, **style):
         self.cls = cls
         self.values = np.asarray(values, dtype=float)
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"non-finite number in a batch of {cls.__name__}")
         if lead is not None and (not len(lead.values)
                                  or len(self.values) % len(lead.values)):
             raise ValueError("a lead needs one row per equal group of rows")
@@ -301,17 +286,8 @@ class PlotDocument:
         self._items: list[tuple[int, int, object]] = []
 
     def add(self, primitive, z: int = 0) -> None:
-        if isinstance(primitive, Batch):
-            if not len(primitive.values):
-                return  # no elements to draw
-            # the numbers it writes, its lead's included
-            finite = all(np.isfinite(b.values).all()
-                         for b in (primitive, primitive.lead) if b is not None)
-        else:
-            finite = all(math.isfinite(x) and math.isfinite(y)
-                         for x, y in primitive.coords())
-        if not finite:
-            raise ValueError(f"non-finite coordinate in {type(primitive).__name__}")
+        if isinstance(primitive, Batch) and not len(primitive.values):
+            return  # no elements to draw
         self._items.append((z, len(self._items), primitive))
 
     def primitives(self) -> list:

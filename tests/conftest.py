@@ -27,7 +27,7 @@ from ruviz.model import (
 from ruviz.multivariate import _direction_pairs
 from ruviz.pipeline import _Table
 from ruviz.profiles import origami_profiles
-from ruviz.svg import Batch, _instance
+from ruviz.svg import Batch
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -367,34 +367,43 @@ def sample_with_exact_cov(n: int, cov: np.ndarray, seed: int) -> np.ndarray:
     return math.sqrt(n - 1) * Q[:, :k] @ L.T
 
 
-def corners(primitive) -> list[tuple[float, float]]:
-    """The (x, y) corners of a primitive's extent; for a batch, those of the
-    single elements its rows stand for, in row order, then its lead's."""
-    if not isinstance(primitive, Batch):
-        return list(primitive.coords())
-    out = []
-    for i, numbers in enumerate(primitive.values.tolist()):
-        style = {**primitive.style,
-                 **{name: column[i] for name, column in primitive.columns.items()}}
-        out += _instance(primitive.cls, numbers, style).coords()
-    return out + (corners(primitive.lead) if primitive.lead is not None else [])
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def _extent(tag: str, element: ET.Element) -> list[tuple[float, float]]:
+    """The (x, y) corners of one written element's extent: a text's anchor,
+    a circle's bounding box, a shape's vertices or corners."""
+    def numbers(*names):
+        return [float(element.get(name)) for name in names]
+
+    if tag in ("polyline", "polygon"):
+        return [tuple(map(float, p.split(","))) for p in element.get("points").split()]
+    if tag == "circle":
+        cx, cy, r = numbers("cx", "cy", "r")
+        return [(cx - r, cy - r), (cx + r, cy + r)]
+    if tag == "line":
+        x1, y1, x2, y2 = numbers("x1", "y1", "x2", "y2")
+        return [(x1, y1), (x2, y2)]
+    if tag == "rect":
+        x, y, w, h = numbers("x", "y", "width", "height")
+        return [(x, y), (x + w, y + h)]
+    return [tuple(numbers("x", "y"))]
+
+
+def corners(doc) -> list[tuple[str, float, float]]:
+    """(tag, x, y) of the corners of every element the document's SVG
+    writes, in the order it writes them."""
+    tagged = [(el.tag.removeprefix(SVG_NS), el) for el in ET.fromstring(doc.to_svg())]
+    return [(tag, x, y) for tag, el in tagged for x, y in _extent(tag, el)]
 
 
 def assert_in_bounds(doc, slack: float = 0.5) -> None:
-    """Raise ValueError when a primitive of `doc` leaves its canvas."""
-    for p in doc.primitives():
-        for x, y in corners(p):
-            if not (-slack <= x <= doc.width + slack):
-                raise ValueError(
-                    f"{type(p).__name__} x={x:.2f} outside canvas 0..{doc.width}"
-                )
-            if not (-slack <= y <= doc.height + slack):
-                raise ValueError(
-                    f"{type(p).__name__} y={y:.2f} outside canvas 0..{doc.height}"
-                )
-
-
-SVG_NS = "{http://www.w3.org/2000/svg}"
+    """Raise ValueError when an element of `doc`'s SVG leaves its canvas."""
+    for tag, x, y in corners(doc):
+        if not (-slack <= x <= doc.width + slack):
+            raise ValueError(f"{tag} x={x:.2f} outside canvas 0..{doc.width}")
+        if not (-slack <= y <= doc.height + slack):
+            raise ValueError(f"{tag} y={y:.2f} outside canvas 0..{doc.height}")
 
 
 def svg_elements(doc, tag: str) -> list[ET.Element]:

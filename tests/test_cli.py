@@ -1,17 +1,24 @@
 import ast
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ruviz
 from ruviz import cli
@@ -718,3 +725,122 @@ def test_huge_threshold_in_options_exit_1(tmp_path, capsys, digits, message):
     assert main(["pca", "--config", str(cfg_path),
                  "--data", str(DATA / "measures.csv")]) == 1
     assert capsys.readouterr().err.startswith(f"ruviz: {message}")
+
+
+def quoted_line_break_csv() -> bytes:
+    """The fixture's CSV with a quote that opens MostlyAI's last cell and
+    one that closes it after the next row."""
+    lines = (DATA / "measures.csv").read_text().splitlines()
+    lines[3] = lines[3].replace(",0.10", ',"0.10')
+    lines[4] += '"'
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_quoted_line_break_prints_one_line_exit_1(tmp_path, capsys):
+    data = tmp_path / "measures.csv"
+    data.write_bytes(quoted_line_break_csv())
+    assert main(["validate", *args_with_file("--data", data)]) == 1
+    assert capsys.readouterr().err == (
+        "ruviz: row 'MostlyAI', column 'Energy': non-numeric value "
+        "'0.10\\nsimPop,12.0,25.0,0.33,0.30,0.24,0.20,0.160,0.24,0.19,0.18'\n")
+
+
+def test_approach_id_with_a_line_break_is_named_on_one_line(tmp_path, capsys):
+    lines = (DATA / "measures.csv").read_text().splitlines()
+    lines[2] = lines[2].replace("synthpop", '"synth\r\npop"')
+    lines[3] = lines[3].replace("MostlyAI", '"synth\r\npop"')
+    data = tmp_path / "measures.csv"
+    data.write_bytes(("\n".join(lines) + "\n").encode())
+    assert main(["pareto", *args_with_file("--data", data)]) == 1
+    assert capsys.readouterr().err == (
+        "ruviz: data: duplicate approach row 'synth\\r\\npop'\n")
+
+
+# what a mutated config field is set to; DELETE removes the field
+DELETE = object()
+FIELD_VALUES = [None, True, 0, -1, 1e308, math.nan, 2**70, "", "\x01", [1], {"a": 1},
+                DELETE]
+CSV_BYTES = b',\n"0123456789\x00\xff'
+
+
+def field_paths(value, path=()):
+    """The path of every field in a parsed JSON document, containers first."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def set_field(doc, path, value) -> None:
+    """Set or delete the field at `path`, if an earlier edit left its parents."""
+    *parents, key = path
+    try:
+        for step in parents:
+            doc = doc[step]
+        if value is DELETE:
+            del doc[key]
+        else:
+            doc[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier edit removed or replaced a container on the path
+
+
+STUDY = json.loads((DATA / "study.json").read_text())
+CONFIG_PATHS = [*field_paths(STUDY),
+                *(("options", f.name) for f in dataclasses.fields(StudyOptions))]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The fixture's config and CSV bytes, one of them mutated."""
+    config, csv = copy.deepcopy(STUDY), (DATA / "measures.csv").read_bytes()
+    if draw(st.booleans()):
+        for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), min_size=1, max_size=3)):
+            set_field(config, path, draw(st.sampled_from(FIELD_VALUES)))
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            # a cell's first byte, or any byte
+            starts = [i + 1 for i, b in enumerate(csv) if b in b",\n"]
+            at = draw(st.sampled_from(starts) | st.integers(0, len(csv)))
+            new = bytes(draw(st.lists(st.sampled_from(CSV_BYTES), max_size=3)))
+            cut = draw(st.integers(0, 3))  # bytes replaced; none is an insertion
+            csv = csv[:at] + new + csv[at + cut:]
+    return json.dumps(config).encode(), csv
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_inputs(), st.sampled_from(["validate", "pca", "pareto", "report"]))
+@example((json.dumps(STUDY).encode(), quoted_line_break_csv()), "validate")
+def test_mutated_inputs_keep_the_error_contract(inputs, cmd):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, data = Path(tmp, "study.json"), Path(tmp, "measures.csv")
+        config.write_bytes(inputs[0])
+        data.write_bytes(inputs[1])
+        out = ["--out", str(Path(tmp, "out"))] if cmd == "report" else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([cmd, "--config", str(config), "--data", str(data), *out])
+    assert code in (0, 1, 2)
+    err = stderr.getvalue()
+    if code:
+        assert err.startswith("ruviz: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_one_failing_hypothesis_test_ends_no_session(tmp_path):
+    # pytest's hypothesis plugin explains a failure with libcst, which warns
+    # on import; under the repo's warning filters the next test still runs
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(Path(__file__).parents[1] / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

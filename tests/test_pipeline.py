@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from dataclasses import replace
@@ -13,6 +14,7 @@ from ruviz.model import ingest
 from ruviz.multivariate import orient, pca_fit
 from ruviz.pipeline import (
     FIGURE_BUILDERS,
+    STAGES,
     StudyResult,
     _dump_json,
     artifact_jsons,
@@ -476,6 +478,21 @@ class TestArtifacts:
                 "pca.json", "profiles.json"} <= names
         assert sum(1 for n in names if n.endswith(".svg")) == 8
 
+    def test_a_non_finite_figure_number_writes_no_file(self, tmp_path, monkeypatch,
+                                                       study_config, study_csv_bytes):
+        draw = FIGURE_BUILDERS["sdod"]
+
+        def with_nan(result):
+            doc = draw(result)
+            doc.add(Line(0.0, 0.0, 1.0, float("nan")))
+            return doc
+
+        monkeypatch.setitem(FIGURE_BUILDERS, "sdod", with_nan)
+        result = run_study(ingest(study_csv_bytes, study_config), study_config)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report(result, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_render_plot_unknown_kind(self, study_config, study_csv_bytes):
         from ruviz.errors import ValidationError
 
@@ -576,6 +593,44 @@ def canvas_study(request):
 @pytest.mark.parametrize("kind", list(FIGURE_BUILDERS))
 def test_every_figure_stays_on_its_canvas(canvas_study, kind):
     assert_in_bounds(FIGURE_BUILDERS[kind](canvas_study))
+
+
+def products(value):
+    """Every dataclass object in `value`, in its fields, lists and dicts."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from products(item)
+
+
+ARRAY_PRODUCTS = {
+    "Approaches", "MeasureMatrix", "NormalizedMatrix", "CompositeScores",
+    "DominanceResult", "CompositeFront", "Rays", "Dendrogram", "PcaModel", "BlockAxis",
+    "SdOdDiagnostics", "AcceptancePolygon", "GroupSummary", "RadialProfiles", "AreaTable",
+}
+
+
+@pytest.mark.parametrize("study", ["fixture", "multi_dataset"])
+def test_products_compare_and_hash(study):
+    first, second = (run_study(*CANVAS_STUDIES[study]()) for _ in range(2))
+    ones, others = ([r.matrix, *(getattr(r, name) for name in STAGES)]
+                    for r in (first, second))
+    pairs = list(zip(products(ones), products(others), strict=True))
+    for one, other in pairs:
+        assert one == one and not one != one
+        assert (one == other) in (True, False)
+        hash(one)
+    kinds = {type(one).__name__ for one, _ in pairs}
+    assert {"ParetoResult", "BlockwisePca"} <= kinds
+    assert ARRAY_PRODUCTS - kinds == (
+        set() if study == "multi_dataset" else {"AcceptancePolygon", "GroupSummary"})
+    # an array product is equal to itself only, never to its equal-valued twin
+    assert all(one != other for one, other in pairs
+               if type(one).__name__ in ARRAY_PRODUCTS)
 
 
 ROOT_NAMES = {"__version__", "StudyConfig", "StudyResult", "ingest", "run_study",

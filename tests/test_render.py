@@ -1,3 +1,4 @@
+import itertools
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -361,17 +362,26 @@ class TestPcpRender:
 
 
 class TestOrigamiRender:
-    def test_panels_and_unknown_selection(self, study):
+    def test_panels_overlay_the_front_pairs(self, study):
         nm, _, front = study
-        profs = origami_profiles(nm)
-        blocks = {s.id: s.block for s in nm.specs}
-        doc = render_origami(profs, [("synthpop", "simPop")], blocks)
+        doc = render_origami(origami_profiles(nm), front, nm.specs)
         well_formed(doc)
-        outlines = [p for p in doc.primitives() if isinstance(p, Polygon)
+        outlines = [p.title for p in doc.primitives() if isinstance(p, Polygon)
                     and p.fill == "none" and p.title]
-        assert {p.title for p in outlines} == {"synthpop", "simPop"}
-        with pytest.raises(ValueError, match="unknown approach"):
-            render_origami(profs, [("nope",)], blocks)
+        pairs = list(itertools.combinations(front.labels, 2))[:6]
+        assert len(front.labels) == 6 and len(pairs) == 6
+        assert outlines == [pid for pair in pairs for pid in pair]
+        assert [" vs ".join(pair) for pair in pairs] == [
+            e.text for e in svg_elements(doc, "text") if e.get("font-weight") == "bold"][1:]
+
+    def test_one_front_approach_fills_one_panel(self, study):
+        nm, _, front = study
+        one = composite_front(front.labels[:1], front.utility[:1], front.risk[:1])
+        doc = render_origami(origami_profiles(nm), one, nm.specs)
+        well_formed(doc)
+        outlines = [p.title for p in doc.primitives() if isinstance(p, Polygon)
+                    and p.fill == "none" and p.title]
+        assert outlines == [front.labels[0]]
 
 
 class TestBiplotRender:

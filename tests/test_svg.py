@@ -35,13 +35,47 @@ class TestFormatting:
         assert "-0.00" not in doc.to_svg()
 
 
+def document(*primitives) -> PlotDocument:
+    doc = PlotDocument()
+    for p in primitives:
+        doc.add(p)
+    return doc
+
+
+# one element of each class, with each number it writes named by its field
+ELEMENTS = {
+    Rect: (dict(x=1.0, y=2.0, w=3.0, h=4.0, stroke_width=1.0), {}),
+    Line: (dict(x1=1.0, y1=2.0, x2=3.0, y2=4.0, stroke_width=1.0), {}),
+    Circle: (dict(cx=1.0, cy=2.0, r=3.0, stroke_width=1.0, opacity=0.5), {}),
+    Text: (dict(x=1.0, y=2.0, size=9.0, rotate=-30.0), dict(content="a")),
+    Polyline: (dict(stroke_width=1.0, opacity=0.5), dict(points=((1.0, 2.0), (3.0, 4.0)))),
+    Polygon: (dict(stroke_width=1.0, opacity=0.5), dict(points=((1.0, 2.0), (3.0, 4.0)))),
+}
+NUMBER_FIELDS = [(cls, name) for cls, (numbers, _) in ELEMENTS.items() for name in numbers]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
 class TestPlotDocument:
     def test_rejects_non_finite_coordinates(self):
-        doc = PlotDocument()
+        for element in (Circle(math.nan, 10, 3), Line(0, 0, math.inf, 1)):
+            doc = document(element)  # `add` checks nothing; writing does
+            with pytest.raises(ValueError, match="non-finite"):
+                doc.to_svg()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("cls, name", NUMBER_FIELDS)
+    def test_every_written_number_must_be_finite(self, cls, name, bad):
+        numbers, other = ELEMENTS[cls]
+        assert document(cls(**numbers, **other)).to_svg()
         with pytest.raises(ValueError, match="non-finite"):
-            doc.add(Circle(math.nan, 10, 3))
+            document(cls(**{**numbers, name: bad}, **other)).to_svg()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("cls", [Polyline, Polygon])
+    def test_every_written_vertex_must_be_finite(self, cls, bad):
+        numbers, _ = ELEMENTS[cls]
         with pytest.raises(ValueError, match="non-finite"):
-            doc.add(Line(0, 0, math.inf, 1))
+            document(cls(points=((1.0, 2.0), (3.0, bad)), **numbers)).to_svg()
 
     def test_z_order_stable(self):
         doc = PlotDocument()
@@ -128,7 +162,6 @@ def rows(width: int, min_size: int = 1):
 
 def single_and_batch_bytes(batch, singles) -> None:
     assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
-    assert corners(batch) == [xy for e in singles for xy in e.coords()]
 
 
 class TestBatch:
@@ -181,7 +214,6 @@ class TestBatch:
                             stroke_width=1.2, title=t)
                    for h, l, s, t in zip(heads, lines, strokes, titles) for v in (h, l)]
         assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
-        assert sorted(corners(batch)) == sorted(xy for e in singles for xy in e.coords())
 
     @settings(max_examples=40, deadline=None)
     @given(rows(8), st.sampled_from([None, "#888888"]))
@@ -209,18 +241,42 @@ class TestBatch:
         batch = Batch(Text, [[1.0, 2.0]], content="{x} {0}", title="{}")
         assert batch.to_svg() == Text(1.0, 2.0, "{x} {0}", title="{}").to_svg()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", NON_FINITE)
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_rejects_non_finite_coordinates(self, bad, column):
         numbers = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         numbers[1][column] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            PlotDocument().add(Batch(Circle, numbers, fill="#000000"))
+            Batch(Circle, numbers, fill="#000000")
 
     def test_rejects_non_finite_lead_coordinates(self):
-        lead = Batch(Text, [[10.0, math.inf]], content="a")
         with pytest.raises(ValueError, match="non-finite"):
-            PlotDocument().add(Batch(Rect, [[0, 0, 1, 1]], lead=lead))
+            Batch(Rect, [[0, 0, 1, 1]], lead=Batch(Text, [[10.0, math.inf]], content="a"))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("cls, name, width", [
+        (Rect, "stroke_width", 4), (Line, "stroke_width", 4),
+        (Circle, "stroke_width", 3), (Circle, "opacity", 3),
+        (Text, "size", 2), (Text, "rotate", 2),
+        (Polyline, "stroke_width", 4), (Polygon, "opacity", 4),
+    ])
+    def test_shared_numbers_must_be_finite(self, cls, name, width, bad):
+        content = dict(content="a") if cls is Text else {}
+        batch = Batch(cls, [[1.0] * width], **content, **{name: bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            batch.to_svg()
+        with pytest.raises(ValueError, match="non-finite"):
+            Batch(Rect, [[0, 0, 1, 1]], lead=batch).to_svg()
+
+    def test_corners_are_those_of_the_single_elements(self):
+        lead = Batch(Text, [[5.0, 6.0], [7.0, 8.0]], content="t")
+        batch = Batch(Circle, [[10, 20, 2], [30, 40, 3]], lead=lead)
+        singles = [Text(5.0, 6.0, "t"), Circle(10, 20, 2), Text(7.0, 8.0, "t"),
+                   Circle(30, 40, 3)]
+        assert corners(document(batch)) == corners(document(*singles))
+        assert corners(document(batch))[2:] == [  # after the background
+            ("text", 5.0, 6.0), ("circle", 8.0, 18.0), ("circle", 12.0, 22.0),
+            ("text", 7.0, 8.0), ("circle", 27.0, 37.0), ("circle", 33.0, 43.0)]
 
     def test_bounds_check_covers_every_batched_element(self):
         doc = PlotDocument()
@@ -285,7 +341,6 @@ class TestBatch:
             singles += [Rect(*v, fill="#ffffff")
                         for v in cells[i * group:(i + 1) * group]]
         assert batch.to_svg() == "\n".join(e.to_svg() for e in singles)
-        assert sorted(corners(batch)) == sorted(xy for e in singles for xy in e.coords())
 
     def test_string_array_columns_write_the_list_bytes(self):
         numbers = [[float(i), 2.0 * i, 5.0, 5.0] for i in range(4)]
