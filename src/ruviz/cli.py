@@ -39,10 +39,15 @@ from .pipeline import (
 PLOT_KINDS = tuple(FIGURE_BUILDERS)
 
 
+def _say(message: str) -> None:
+    """`message` on one stderr line, whatever the input it quotes holds."""
+    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # argparse prints its usage and exits 2
+        _say(f"{self.prog.replace(' ', ': ')}: {message}")  # "ruviz: plot: ..."
+        self.exit(1)
 
 
 @functools.cache  # one parser per process; each parse returns a new namespace
@@ -182,8 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"{NAME}: {exc}", 1
     except AnalysisError as exc:
         message, code = f"{NAME}: analysis error: {exc}", 2
-    # one line, whatever the input the message quotes holds
-    print(message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    _say(message)
     return code
 
 

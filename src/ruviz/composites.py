@@ -58,10 +58,6 @@ def cronbach_alpha(block: np.ndarray) -> float:
     warning when the row totals have zero variance.
     """
     items = np.asarray(block, dtype=float)
-    if items.ndim != 2 or items.shape[1] < 2:
-        raise ValueError("alpha requires a rows x items matrix with >= 2 items")
-    if items.shape[0] < 2:
-        raise ValueError("alpha requires >= 2 rows")
     k = items.shape[1]
     item_vars = items.var(axis=0, ddof=1)
     total_var = items.sum(axis=1).var(ddof=1)
@@ -85,8 +81,6 @@ def one_factor_loadings(corr: np.ndarray) -> np.ndarray:
         ConvergenceError: communalities did not stabilize within 200 passes.
     """
     R = np.asarray(corr, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 2:
-        raise ValueError("corr must be a square matrix of >= 2 items")
     if not np.all(np.isfinite(R)):
         raise AnalysisError("correlation matrix has non-finite entries "
                             "(constant item?)")
@@ -139,8 +133,6 @@ def mcdonald_omega(block: np.ndarray) -> float:
     standardized items.
     """
     items = np.asarray(block, dtype=float)
-    if items.ndim != 2 or items.shape[1] < 2:
-        raise ValueError("omega requires a rows x items matrix with >= 2 items")
     if items.shape[0] < 3:
         raise ValueError("omega requires >= 3 rows")
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -10,9 +10,9 @@ from typing import Any, Mapping
 
 from .errors import ValidationError
 from .model import Block, MeasureSpec, _check_text, _validate_specs
-from .multivariate import OD_CUT_MODES
-from .ordering import LINKAGES
 
+OD_CUT_MODES = ("hubert", "literal")
+LINKAGES = ("complete", "average", "single")
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string"}
 

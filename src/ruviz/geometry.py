@@ -12,8 +12,6 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     fewer than 3 vertices (a point or a segment).
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an (n, 2) array of points")
     uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
     if len(uniq) <= 2:
         return np.array(uniq, dtype=float).reshape(-1, 2)

@@ -321,13 +321,13 @@ def ingest(data: bytes | str, config: "StudyConfig") -> MeasureMatrix:
 
 
 def harmonize_and_normalize(
-    matrix: MeasureMatrix, exclude_reference_from_range: bool = False
+    matrix: MeasureMatrix, exclude_reference_from_range: bool
 ) -> NormalizedMatrix:
     """Min-max scale each column to [0, 1] and orient it to its block semantics.
 
     Utility columns end with higher = more utility, risk columns with
-    higher = more disclosure risk. By default the reference row takes part in
-    the per-column min/max; with `exclude_reference_from_range` the ranges
+    higher = more disclosure risk. The reference row takes part in the
+    per-column min/max unless `exclude_reference_from_range`, when the ranges
     come from the candidate rows only and reference values are clamped into
     [0, 1]. Constant columns map to 0.5 everywhere and emit a warning.
     """

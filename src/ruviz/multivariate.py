@@ -21,7 +21,6 @@ from .geometry import convex_hull
 from .model import Block, MeasureSpec, NormalizedMatrix
 
 _EIGEN_EPS = 1e-12
-OD_CUT_MODES = ("hubert", "literal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +75,7 @@ def pca_fit(data: np.ndarray, k: int) -> PcaModel:
     with a warning.
     """
     X = np.asarray(data, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("data must be a 2-D matrix")
-    n, p = X.shape
-    if n < 2:
-        raise ValueError("PCA requires at least 2 rows")
-    k_max = min(n - 1, p)
-    if not 1 <= k <= k_max:
-        raise ValueError(f"k must be in 1..{k_max}, got {k}")
+    n = X.shape[0]
     mu, Xc, s, vt, rank = _centred_svd(X)
     if k > rank:
         warnings.warn(
@@ -127,8 +119,6 @@ def orient(model: PcaModel, utility: np.ndarray, risk: np.ndarray) -> PcaModel:
     composite utility, and the second if it correlates negatively with the
     negated composite risk.
     """
-    if model.k < 2:
-        raise ValueError("orientation requires k >= 2")
     scores = model.scores.copy()
     loadings = model.loadings.copy()
     if _corr(scores[:, 0], utility) < 0.0:
@@ -162,12 +152,8 @@ def alignment(model: PcaModel, utility: np.ndarray, risk: np.ndarray) -> Alignme
     """
     t1 = model.scores[:, 0]
     n = t1.shape[0]
-    if n < 4:
-        raise ValueError("alignment requires at least 4 observations")
     u = np.asarray(utility, dtype=float)
     r = np.asarray(risk, dtype=float)
-    if u.shape != (n,) or r.shape != (n,):
-        raise ValueError("composite vectors must match the number of score rows")
     rho_u = _corr(t1, u)
     rho_r = _corr(t1, r)
     collinear = abs(_corr(u, r)) > 1.0 - 1e-10
@@ -269,7 +255,7 @@ def classify_sd_od(sd: float, od: float, sd_cut: float, od_cut: float) -> Outlie
 
 @dataclass(frozen=True, eq=False)
 class SdOdDiagnostics:
-    labels: tuple[str, ...] | None
+    labels: tuple[str, ...]
     sd: np.ndarray
     od: np.ndarray
     flags: tuple[OutlierFlag, ...]
@@ -312,10 +298,7 @@ def _madn(x: np.ndarray) -> float:
 
 
 def sd_od(
-    model: PcaModel,
-    data: np.ndarray,
-    od_cut_mode: str = "hubert",
-    labels: Sequence[str] | None = None,
+    model: PcaModel, data: np.ndarray, od_cut_mode: str, labels: Sequence[str]
 ) -> SdOdDiagnostics:
     """Score distance and orthogonal distance of each observation.
 
@@ -325,16 +308,12 @@ def sd_od(
     sqrt of the chi-square 0.975 quantile at k degrees of freedom, for a
     model of k = 1 or 2 components. Two OD cutoff modes exist:
 
-    - "hubert" (default): (m + s * z_0.975)^(3/2) with m and s the median and
+    - "hubert": (m + s * z_0.975)^(3/2) with m and s the median and
       normalized MAD of OD^(2/3), a scale-free construction;
     - "literal": median(OD) + z_0.975 * normalized MAD of the raw ODs.
 
     Components with eigenvalue below 1e-12 are dropped from SD with a warning.
     """
-    if od_cut_mode not in OD_CUT_MODES:
-        raise ValueError(f"unknown od_cut_mode '{od_cut_mode}'")
-    if model.k > 2:
-        raise ValueError(f"sd_od takes a model of 1 or 2 components, got {model.k}")
     X = np.asarray(data, dtype=float)
     scores = model.transform(X)
     usable = model.eigenvalues > _EIGEN_EPS
@@ -365,7 +344,7 @@ def sd_od(
         classify_sd_od(float(s), float(o), sd_cut, od_cut) for s, o in zip(sd, od)
     )
     return SdOdDiagnostics(
-        labels=tuple(labels) if labels is not None else None,
+        labels=tuple(labels),
         sd=sd,
         od=od,
         flags=flags,
@@ -416,7 +395,7 @@ def _direction_pairs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
+def robust_pca(data: np.ndarray, k: int, seed: int) -> PcaModel:
     """Outlier-resistant PCA: projection pursuit trimming plus a classical fit.
 
     Steps: (1) reduce to the affine span of the data, (2) compute
@@ -427,12 +406,7 @@ def robust_pca(data: np.ndarray, k: int, seed: int = 42) -> PcaModel:
     fixed seed.
     """
     X = np.asarray(data, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("data must be a 2-D matrix")
     n, p = X.shape
-    if n < 4:
-        raise ValueError("robust PCA requires at least 4 rows")
-
     _, Xc, _, vt, rank = _centred_svd(X)
     Y = Xc @ vt[:rank].T
 
@@ -472,20 +446,10 @@ def project_acceptance_region(
     polygon is exact for any number of measures.
     """
     p = len(specs)
-    if model.p != p:
-        raise ValueError("model dimension does not match the number of measures")
-    if model.k < 2:
-        raise ValueError("acceptance projection requires a k >= 2 model")
-    ids = [s.id for s in specs]
-    unknown = sorted(set(thresholds) - set(ids))
-    if unknown:
-        raise ValueError(f"thresholds name unknown measure(s): {unknown}")
     resolved: dict[str, float] = {}
     intervals: list[tuple[float, float]] = []
     for spec in specs:
         c = float(thresholds.get(spec.id, 1.0 if spec.block is Block.RISK else 0.0))
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(f"threshold for '{spec.id}' must be in [0, 1], got {c}")
         resolved[spec.id] = c
         intervals.append((0.0, c) if spec.block is Block.RISK else (c, 1.0))
 
@@ -534,11 +498,6 @@ def group_summaries(
     hull, singletons to the bare centroid.
     """
     pts = np.asarray(scores, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 2:
-        raise ValueError("group summaries require n x 2 score coordinates")
-    pts = pts[:, :2]
-    if len(groups) != pts.shape[0]:
-        raise ValueError("one group label per score row required")
     chi2_2 = _CHI2_PPF[0.95, 2]
     out = []
     for g in sorted(set(groups)):

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LINKAGES = ("complete", "average", "single")
-
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
@@ -122,7 +120,7 @@ def _label(Z: np.ndarray, n: int) -> np.ndarray:
     return np.array(merges, dtype=np.intp).reshape(-1, 3).T
 
 
-def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
+def hclust(points: np.ndarray, linkage: str) -> Dendrogram:
     """Agglomerative clustering on Euclidean distances, merge for merge as
     scipy 1.17's `linkage`.
 
@@ -138,11 +136,7 @@ def hclust(points: np.ndarray, linkage: str = "complete") -> Dendrogram:
     depth-first walk that visits the shallower subtree first, smaller index
     first at equal heights.
     """
-    if linkage not in LINKAGES:
-        raise ValueError(f"linkage must be one of {LINKAGES}, got '{linkage}'")
     X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("clustering requires an n x p matrix with n >= 2")
     n = X.shape[0]
 
     # one row of pairs at a time, so memory stays O(n^2), not O(n^2 p), with

@@ -92,10 +92,22 @@ class StudyResult:
     """Every analysis product of one study, each computed on first read.
 
     The products are defined below in the order `run_study` computes them,
-    which is also the order of `warnings`.
+    which is also the order of `warnings`. The matrix and the config check
+    their own fields; a result checks that the two agree, and its stages
+    raise `AnalysisError` where a study cannot give a product.
     """
 
     def __init__(self, matrix: MeasureMatrix, config: StudyConfig) -> None:
+        # the same measures, in any order: a matrix built in code may keep
+        # the declared order, where `ingest` puts the risk block first
+        if differ := set(matrix.specs) ^ set(config.measures):
+            raise ValidationError(f"matrix: measure(s) {sorted({s.id for s in differ})} "
+                                  "differ from the config's declarations")
+        a = matrix.approaches
+        for label, i, flag in zip(a.labels, a.ids, a.is_reference.tolist()):
+            if (i == config.reference_id) != flag:
+                raise ValidationError(f"matrix: the reference flag of row '{label}' "
+                                      f"disagrees with config.reference '{config.reference_id}'")
         self.config = config
         self.matrix = matrix
         self._warnings: dict[str, tuple[str, ...]] = {}

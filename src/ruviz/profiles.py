@@ -36,18 +36,13 @@ class RadialProfiles:
     area_normalized: np.ndarray  # (n,)
 
 
-def origami_profiles(nm: NormalizedMatrix, r_aux: float = 0.1) -> RadialProfiles:
+def origami_profiles(nm: NormalizedMatrix, r_aux: float) -> RadialProfiles:
     """One radial profile per approach, axes in declared measure order.
 
     Each area is the shoelace formula, with the vector products of `np.dot`
     row by row.
     """
     m = len(nm.specs)
-    if m < 3:
-        raise ValueError("a radial profile needs at least 3 measures")
-    if not 0.0 < r_aux < 1.0:
-        raise ValueError(f"r_aux must be in (0, 1), got {r_aux}")
-
     angles = np.arange(2 * m) * (2.0 * np.pi) / (2 * m)
 
     def polygons(radii_main: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

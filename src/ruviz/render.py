@@ -235,8 +235,6 @@ def render_heatmap(
     n = len(nm.labels)
     p = len(nm.specs)
     columns = list(column_order) if column_order is not None else list(range(p))
-    if sorted(columns) != list(range(p)):
-        raise ValueError("column_order must be a permutation of the measures")
     left, top, right, bottom = 160, 96, 30, 88
     grid_w = doc.width - left - right
     grid_h = doc.height - top - bottom
@@ -593,17 +591,14 @@ def render_biplot(
     groups: Sequence[GroupSummary] | None = None,
 ) -> PlotDocument:
     """Joint-PCA biplot: approach scores plus measure loading arrows."""
-    if model.k < 2:
-        raise ValueError("biplot requires a k >= 2 model")
     doc = _document("joint PCA biplot")
     scores = model.scores[:, :2]
-    span = float(np.abs(scores).max()) if scores.size else 1.0
-    span = max(span, 1e-9)
+    span = max(float(np.abs(scores).max()), 1e-9)
     load2 = model.loadings[:, :2]
-    max_load = float(np.linalg.norm(load2, axis=1).max())
-    arrow_scale = 0.75 * span / max_load if max_load > 1e-12 else 1.0
+    # the loading columns are orthonormal, so some row has a norm > 0
+    arrow_scale = 0.75 * span / float(np.linalg.norm(load2, axis=1).max())
     lim = 1.25 * span
-    extents = [np.abs(load2 * arrow_scale).max() if load2.size else 0.0]
+    extents = [np.abs(load2 * arrow_scale).max()]
     if acceptance is not None and len(acceptance.vertices):
         extents.append(float(np.abs(acceptance.vertices).max()))
     groups = groups or ()
@@ -678,9 +673,9 @@ def render_biplot(
 def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
     """Score-distance vs orthogonal-distance outlier map with cutoffs."""
     doc = _document("PCA outlier map")
-    sd_max = max(float(diag.sd.max()) if diag.sd.size else 0.0, diag.sd_cutoff)
-    od_max = max(float(diag.od.max()) if diag.od.size else 0.0, diag.od_cutoff)
-    sd_max = sd_max * 1.15 if sd_max > 0 else 1.0
+    sd_max = max(float(diag.sd.max()), diag.sd_cutoff) * 1.15  # the cutoff is > 0
+    # with 2 measures a 2-component model leaves every OD at 0
+    od_max = max(float(diag.od.max()), diag.od_cutoff)
     od_max = od_max * 1.15 if od_max > 0 else 1.0
     fr = Frame(x0=90, y0=60, w=doc.width - 90 - 250, h=doc.height - 60 - 90,
                xmin=0.0, xmax=sd_max, ymin=0.0, ymax=od_max)
@@ -701,13 +696,11 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
                  f"OD cutoff={diag.od_cutoff:.3f} ({diag.mode})", size=9,
                  fill="#555555"))
 
-    labels = diag.labels or tuple(str(i) for i in range(len(diag.sd)))
-    x = fr.sx(np.asarray(diag.sd, dtype=float))
-    y = fr.sy(np.asarray(diag.od, dtype=float))
+    x, y = fr.sx(diag.sd), fr.sy(diag.od)
     doc.add(Batch(Circle, np.column_stack(np.broadcast_arrays(x, y, 5.0)),
                   fill=[FLAG_COLORS[flag] for flag in diag.flags], stroke="#333333",
-                  stroke_width=0.6, title=labels), z=2)
-    _point_labels(doc, x, y, [_short(label, 14) for label in labels])
+                  stroke_width=0.6, title=diag.labels), z=2)
+    _point_labels(doc, x, y, [_short(label, 14) for label in diag.labels])
 
     _legend(doc, [LegendEntry(flag.value.replace("_", " "), color)
                   for flag, color in FLAG_COLORS.items()], doc.width - 235, 70)

@@ -102,6 +102,11 @@ def build_origami(profile_id: str, values, measure_ids, r_aux: float = 0.1):
     return origami_profiles(profiles_nm((profile_id,), values, measure_ids), r_aux)
 
 
+def row_ids(n: int) -> tuple[str, ...]:
+    """Labels r0, r1, ... for `n` rows, as `sd_od` takes them."""
+    return tuple(f"r{i}" for i in range(n))
+
+
 def reconstruct(model, scores) -> np.ndarray:
     """Data-space points of `scores` under a PCA model."""
     return model.center + np.asarray(scores, dtype=float) @ model.loadings.T

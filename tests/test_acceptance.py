@@ -40,6 +40,7 @@ from conftest import (
     oracle_hclust,
     oracle_pareto_ids,
     reconstruct,
+    row_ids,
     sample_with_exact_cov,
 )
 
@@ -158,7 +159,8 @@ def test_criterion_05_sd_od():
         rng = np.random.default_rng(44)
         data = rng.random((9, 5))
         model = pca_fit(data, 2)
-        diag = sd_od(model, np.vstack([data, model.center]))
+        probed = np.vstack([data, model.center])
+        diag = sd_od(model, probed, "hubert", row_ids(len(probed)))
         assert abs(diag.sd[-1]) < 1e-10
         assert abs(diag.od[-1]) < 1e-10
 
@@ -196,7 +198,7 @@ def test_criterion_06_robust_pca_trials():
             clean_pc1 = pca_fit(clean, 2).loadings[:, 0]
             rmodel = robust_pca(data, 2, seed=seed)
             cosang = abs(float(rmodel.loadings[:, 0] @ clean_pc1))
-            diag = sd_od(rmodel, data)
+            diag = sd_od(rmodel, data, "hubert", row_ids(len(data)))
             if cosang >= cos5 and diag.flags[-1] is OutlierFlag.BAD_LEVERAGE:
                 passes += 1
         assert passes >= 190, f"only {passes}/200 trials passed"
@@ -322,6 +324,6 @@ def test_criterion_11_fixture_study_smoke(tmp_path):
         from ruviz.config import StudyConfig
 
         cfg = StudyConfig.from_file(config_path)
-        nm = harmonize_and_normalize(ingest(csv_path.read_bytes(), cfg))
+        nm = harmonize_and_normalize(ingest(csv_path.read_bytes(), cfg), False)
         table = ranked_areas(origami_profiles(nm, r_aux=0.1))
         assert list(table.ids) == [a["id"] for a in areas]

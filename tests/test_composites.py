@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ruviz import composites
 from ruviz.composites import (
     ALPHA_THRESHOLD,
     composite_scores,
@@ -90,9 +91,14 @@ class TestCronbachAlpha:
         with pytest.warns(UserWarning, match="zero total variance"):
             assert np.isnan(cronbach_alpha(items))
 
-    def test_requires_two_items(self):
-        with pytest.raises(ValueError):
-            cronbach_alpha(np.ones((4, 1)))
+    def test_requires_two_items(self, monkeypatch):
+        # a one-item block gets no coefficients; alpha is never computed
+        monkeypatch.setattr(composites, "cronbach_alpha", None)
+        rel = reliability_report(make_nm(np.random.default_rng(3).random((6, 2)), 1))
+        for block in (rel.risk, rel.utility):
+            assert np.isnan(block.alpha) and block.omega is None
+            assert (block.n_items, block.verdict) == (1, "questionable")
+            assert block.note == "single item: consistency coefficients undefined"
 
     def test_permutation_and_scale_invariance(self):
         rng = np.random.default_rng(33)

@@ -288,20 +288,20 @@ class TestHarmonizeNormalize:
     def test_utility_lower_is_better_two_points(self):
         # raw {0.1, 0.3} with lower better flips to {1, 0}
         m = matrix_of([[0.0, 0.1], [1.0, 0.3]], ["lower", "lower"])
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         np.testing.assert_allclose(nm.values[:, 1], [1.0, 0.0])
 
     def test_affine_map_higher_is_better(self):
         m = matrix_of(
             [[0.0, 2.0], [0.5, 4.0], [1.0, 6.0]], ["lower", "higher"]
         )
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         np.testing.assert_allclose(nm.values[:, 1], [0.0, 0.5, 1.0])
 
     def test_risk_higher_is_better_flips(self):
         # risk with higher-is-better raw ends up inverted: higher = riskier
         m = matrix_of([[10.0, 0.0], [30.0, 1.0]], ["higher", "higher"])
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         np.testing.assert_allclose(nm.values[:, 0], [1.0, 0.0])
 
     def test_random_matrix_against_column_oracle(self):
@@ -309,7 +309,7 @@ class TestHarmonizeNormalize:
         vals = rng.normal(size=(6, 4)) * 10 + 3
         directions = ["lower", "higher", "lower", "higher"]
         m = matrix_of(vals, directions, n_risk=2)
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         # independent column-wise oracle using sorting to find extremes
         for j in range(4):
             ordered = sorted(vals[:, j])
@@ -326,14 +326,14 @@ class TestHarmonizeNormalize:
     def test_constant_column_maps_to_half_with_warning(self):
         m = matrix_of([[5.0, 1.0], [5.0, 2.0]], ["lower", "higher"])
         with pytest.warns(UserWarning, match="constant"):
-            nm = harmonize_and_normalize(m)
+            nm = harmonize_and_normalize(m, False)
         np.testing.assert_array_equal(nm.values[:, 0], [0.5, 0.5])
         assert nm.scales[0].constant
 
     def test_nonconstant_columns_attain_0_and_1(self):
         rng = np.random.default_rng(11)
         m = matrix_of(rng.normal(size=(5, 3)), ["lower", "higher", "lower"], 1)
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         for j in range(3):
             assert nm.values[:, j].min() == 0.0
             assert nm.values[:, j].max() == 1.0
@@ -380,7 +380,7 @@ class TestHarmonizeNormalize:
             ["lower", "higher"],
             reference_index=0,
         )
-        nm = harmonize_and_normalize(m)
+        nm = harmonize_and_normalize(m, False)
         assert nm.values[0, 0] == 1.0  # reference is the risk max
         assert 0.0 < nm.values[2, 0] < 1.0
 
@@ -424,10 +424,10 @@ def test_property_idempotent_on_normalized(data):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk))
+        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk), False)
         # re-feed with directions matching the block semantics
         semantic = ["lower"] * p_risk + ["higher"] * (vals.shape[1] - p_risk)
-        again = harmonize_and_normalize(matrix_of(nm.values, semantic, p_risk))
+        again = harmonize_and_normalize(matrix_of(nm.values, semantic, p_risk), False)
     np.testing.assert_allclose(again.values, nm.values, atol=1e-12)
 
 
@@ -441,8 +441,8 @@ def test_property_row_permutation_invariance(data, rnd):
     rnd.shuffle(perm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk))
-        nm_p = harmonize_and_normalize(matrix_of(vals[perm], directions, p_risk))
+        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk), False)
+        nm_p = harmonize_and_normalize(matrix_of(vals[perm], directions, p_risk), False)
     np.testing.assert_array_equal(nm.values[perm], nm_p.values)
 
 
@@ -454,7 +454,7 @@ def test_property_monotone_in_raw_order(data):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk))
+        nm = harmonize_and_normalize(matrix_of(vals, directions, p_risk), False)
     for j in range(p_risk, vals.shape[1]):  # utility columns
         raw = vals[:, j]
         norm = nm.values[:, j]

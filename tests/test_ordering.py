@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import pdist
 
+from ruviz.config import StudyOptions
+from ruviz.errors import ValidationError
 from ruviz.ordering import _label, _leaf_order, hclust
 
 from conftest import oracle_hclust
@@ -154,12 +156,10 @@ class TestHclust:
                                     for k in range(1, n - 1)]
 
     def test_unknown_linkage(self):
-        with pytest.raises(ValueError, match="linkage"):
-            hclust(np.eye(3), "ward")
-
-    def test_needs_two_rows(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            hclust(np.ones((1, 3)))
+        # the options own the linkage; `hclust` takes it as given
+        with pytest.raises(ValidationError, match=r"^options\.linkage: must be one of "
+                           r"\('complete', 'average', 'single'\), got 'ward'$"):
+            StudyOptions(linkage="ward")
 
 
 class TestLeafOrder:

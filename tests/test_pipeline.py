@@ -6,14 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ruviz.cli import main
-from ruviz.config import StudyConfig
-from ruviz.errors import AnalysisError
-from ruviz.model import ingest
+from ruviz.config import LINKAGES, OD_CUT_MODES, StudyConfig, StudyOptions
+from ruviz.errors import AnalysisError, RuvizError, ValidationError
+from ruviz.model import Approaches, Block, Direction, MeasureMatrix, MeasureSpec, ingest
 from ruviz.multivariate import orient, pca_fit
 from ruviz.pipeline import (
     FIGURE_BUILDERS,
+    JSON_BUILDERS,
     STAGES,
     StudyResult,
     _dump_json,
@@ -294,6 +298,94 @@ class TestOptions:
         matrix = ingest("approach,r0,u0\norig,1,2\nm1,3,4\nm2,5,6\n", config)
         with pytest.raises(AnalysisError, match="at least 4"):
             run_study(matrix, config)
+
+
+class TestMatrixAgreesWithConfig:
+    """A result refuses a matrix and a configuration that disagree; each of
+    the two checks its own fields when it is built."""
+
+    def test_thresholds_name_a_measure_the_matrix_lacks(self):
+        three = {**FOUR_MEASURES, "measures": FOUR_MEASURES["measures"][:3]}
+        matrix, _ = _inputs(three, "approach,r0,r1,u0\norig,1,1,0\nm1,0.5,0.6,0.3\n"
+                                   "m2,0.3,0.2,0.6\nm3,0.6,0.4,0.3\nm4,0.2,0.1,0.8\n")
+        config = StudyConfig.from_json(json.dumps(
+            {**FOUR_MEASURES, "options": {"thresholds": {"u1": 0.3}}}))
+        with pytest.raises(ValidationError, match=r"^matrix: measure\(s\) \['u1'\] "
+                                                  r"differ from the config's declarations$"):
+            StudyResult(matrix, config)
+
+    def test_reference_flags_disagree_with_the_config(self, study_config, study_matrix):
+        config = replace(study_config, reference_id="base")
+        with pytest.raises(ValidationError, match=r"^matrix: the reference flag of row "
+                                                  r"'original' disagrees with "
+                                                  r"config.reference 'base'$"):
+            StudyResult(study_matrix, config)
+
+    def test_measures_in_declared_order_are_accepted(self, study_config, study_matrix):
+        # `ingest` puts the risk block first; a matrix built in code need not
+        m = study_matrix
+        order = m.block_indices(Block.UTILITY) + m.block_indices(Block.RISK)
+        matrix = MeasureMatrix(tuple(m.specs[j] for j in order), m.approaches,
+                               m.values[:, order])
+        result, expected = run_study(matrix, study_config), run_study(m, study_config)
+        assert result.pareto.front.ids == expected.pareto.front.ids
+        assert result.reference_labels == expected.reference_labels == {"original"}
+
+
+@st.composite
+def code_built_studies(draw):
+    """A matrix and a configuration built in code, as their own checks allow:
+    2 to 12 rows in 1 to 3 datasets, each with or without its reference, 2
+    to 8 measures in any order, constant columns, duplicate rows, and any
+    options."""
+    specs = [MeasureSpec(f"{block.value[0]}{i}", f"{block.value} {i}", block,
+                         draw(st.sampled_from(Direction)))
+             for block in Block for i in range(draw(st.integers(1, 4)))]
+    n, p = draw(st.integers(2, 12)), len(specs)
+    names = draw(st.sampled_from([(None,), ("d1", "d2"), ("d1", "d2", "d3")]))
+    datasets = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    ids, with_reference = [], set()
+    for i, (dataset, reference) in enumerate(zip(datasets, draw(
+            st.lists(st.booleans(), min_size=n, max_size=n)))):
+        if reference and dataset not in with_reference:
+            with_reference.add(dataset)
+            ids.append("orig")
+        else:
+            ids.append(f"m{i}")
+    values = draw(hnp.arrays(float, (n, p), elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        values[-1] = values[0]
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, p - 1))] = 0.5
+    options = draw(st.builds(
+        StudyOptions, exclude_reference_from_range=st.booleans(), orient=st.booleans(),
+        od_cut_mode=st.sampled_from(OD_CUT_MODES), r_aux=st.floats(0.01, 0.99),
+        linkage=st.sampled_from(LINKAGES), seed=st.integers(0, 2**32 - 1),
+        robust=st.booleans(), pca_exclude_reference=st.booleans(),
+        cluster_columns=st.booleans(),
+        thresholds=st.none() | st.dictionaries(st.sampled_from([s.id for s in specs]),
+                                               st.floats(0.0, 1.0))))
+    matrix = MeasureMatrix(tuple(draw(st.permutations(specs))),
+                           Approaches(tuple(ids), tuple(datasets), [i == "orig" for i in ids]),
+                           values)
+    return matrix, StudyConfig(tuple(specs), "orig", options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_built_studies())
+def test_code_built_studies_keep_the_error_contract(study):
+    # every document and figure is written, or a RuvizError says why not
+    result = StudyResult(*study)
+    for build in JSON_BUILDERS.values():
+        try:
+            _dump_json(build(result))
+        except RuvizError:
+            pass
+    for kind in FIGURE_BUILDERS:
+        try:
+            render_plot(result, kind).to_svg()
+        except RuvizError:
+            pass
 
 
 # SHA-256 of every artifact of the fixture report (tests/data). A refactor

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruviz.config import StudyOptions
+from ruviz.errors import ValidationError
 from ruviz.pipeline import _dump_json, profiles_json, run_study
 from ruviz.profiles import AREA_CAVEAT, origami_profiles, ranked_areas
 
@@ -52,14 +54,11 @@ class TestBuildOrigami:
         assert prof.radii.shape == (1, 6)
         assert prof.vertices.shape == (1, 6, 2)
 
-    def test_requires_three_measures(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            build_origami("x", np.array([0.1, 0.2]), ("a", "b"))
-
     def test_r_aux_bounds(self):
+        # the options own the radius; `origami_profiles` takes it as given
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError, match="r_aux"):
-                build_origami("x", np.ones(3), ("a", "b", "c"), r_aux=bad)
+            with pytest.raises(ValidationError, match=r"^options\.r_aux: must be in \(0, 1\)"):
+                StudyOptions(r_aux=bad)
 
 
 class TestAreaInvariances:
@@ -111,7 +110,7 @@ class TestAreaInvariances:
 class TestRankedAreas:
     def test_ordering_with_degenerate_profile(self):
         nm = profiles_nm(("empty", "full"), [np.zeros(4), np.ones(4)], tuple("abcd"))
-        table = ranked_areas(origami_profiles(nm))
+        table = ranked_areas(origami_profiles(nm, 0.1))
         assert table.ids == ("full", "empty")
         assert table.areas[0] == 1.0
         assert table.areas[1] == pytest.approx(0.0, abs=1e-12)
@@ -119,7 +118,7 @@ class TestRankedAreas:
 
     def test_ties_stable_lexicographic(self):
         nm = profiles_nm(("b", "a"), np.full((2, 4), 0.5), tuple("wxyz"))
-        table = ranked_areas(origami_profiles(nm))
+        table = ranked_areas(origami_profiles(nm, 0.1))
         assert table.ids == ("a", "b")
 
     def test_display_rounding_two_decimals(self, study_matrix, study_config):
@@ -135,7 +134,7 @@ class TestRankedAreas:
 def test_origami_profiles_covers_every_row(study_config, study_csv_bytes):
     from ruviz.model import harmonize_and_normalize, ingest
 
-    nm = harmonize_and_normalize(ingest(study_csv_bytes, study_config))
+    nm = harmonize_and_normalize(ingest(study_csv_bytes, study_config), False)
     profs = origami_profiles(nm, r_aux=0.1)
     assert profs.ids == nm.labels
     assert profs.measure_ids == tuple(s.id for s in nm.specs)
@@ -180,10 +179,3 @@ class TestOrigamiProfilesMatchOneRow:
             assert profiles.area_raw[i] == shoelace_oracle(row, r_aux)
             assert profiles.measure_ids == one.measure_ids
             assert profiles.r_aux == one.r_aux
-
-    def test_fewer_than_three_measures_raises_as_one_row(self):
-        values = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError, match="at least 3"):
-            origami_profiles(make_nm(values, 1))
-        with pytest.raises(ValueError, match="at least 3"):
-            build_origami("x", values[0], ("a", "b"))

@@ -37,7 +37,7 @@ def study(study_config):
 
     csv = (Path(__file__).parent / "data" / "measures.csv").read_bytes()
     matrix = ingest(csv, study_config)
-    nm = harmonize_and_normalize(matrix)
+    nm = harmonize_and_normalize(matrix, False)
     scores = composite_scores(nm)
     candidate = ~nm.approaches.is_reference
     front = composite_front([l for l, c in zip(nm.labels, candidate) if c],
@@ -364,7 +364,7 @@ class TestPcpRender:
 class TestOrigamiRender:
     def test_panels_overlay_the_front_pairs(self, study):
         nm, _, front = study
-        doc = render_origami(origami_profiles(nm), front, nm.specs)
+        doc = render_origami(origami_profiles(nm, 0.1), front, nm.specs)
         well_formed(doc)
         outlines = [p.title for p in doc.primitives() if isinstance(p, Polygon)
                     and p.fill == "none" and p.title]
@@ -377,7 +377,7 @@ class TestOrigamiRender:
     def test_one_front_approach_fills_one_panel(self, study):
         nm, _, front = study
         one = composite_front(front.labels[:1], front.utility[:1], front.risk[:1])
-        doc = render_origami(origami_profiles(nm), one, nm.specs)
+        doc = render_origami(origami_profiles(nm, 0.1), one, nm.specs)
         well_formed(doc)
         outlines = [p.title for p in doc.primitives() if isinstance(p, Polygon)
                     and p.fill == "none" and p.title]
@@ -404,7 +404,7 @@ class TestSdodRender:
     def test_cutoff_line_at_sd_cut(self, study):
         nm, _, _ = study
         model = pca_fit(nm.values, 2)
-        diag = sd_od(model, nm.values, labels=nm.labels)
+        diag = sd_od(model, nm.values, "hubert", nm.labels)
         doc = render_sdod(diag)
         well_formed(doc)
         assert any(t.startswith("SD cutoff=2.716") for t in texts(doc))
