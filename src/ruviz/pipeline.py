@@ -187,11 +187,10 @@ class StudyResult:
     def pca(self) -> PcaModel:
         fit = self._fit_mask
         fit_values = self.nm.values[fit]
-        n_fit, p = fit_values.shape
-        if n_fit < 4 or p < 2:
+        n_fit = len(fit_values)
+        if n_fit < 4:  # p >= 2 always: a matrix has a risk and a utility measure
             raise AnalysisError(
-                "the joint PCA pipeline needs at least 4 fitted rows and "
-                f"2 measures (got {n_fit} rows, {p} measures)"
+                f"the joint PCA pipeline needs at least 4 fitted rows (got {n_fit} rows)"
             )
         model = pca_fit(fit_values, k=2)
         if model.k < 2:

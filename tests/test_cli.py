@@ -24,6 +24,7 @@ import ruviz
 from ruviz import cli
 from ruviz.cli import main
 from ruviz.config import StudyOptions
+from conftest import generated_study
 from test_pipeline import FIXTURE_SHA256
 
 DATA = Path(__file__).parent / "data"
@@ -643,6 +644,84 @@ def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"  # after the report's summary
     assert len(list((tmp_path / "out").iterdir())) == 14
+
+
+# the process entry, `ruviz.__main__.run`, as `python -m ruviz` and as the
+# console script calls it
+ENTRIES = {"module": ["-m", "ruviz"],
+           "function": ["-c", "from ruviz.__main__ import run; run()"]}
+
+# a stdout that takes every write and fails its flush, as a pipe whose reader
+# has gone would; installed through `sitecustomize` before either entry runs
+CLOSED_PIPE = """\
+import io, sys
+
+
+class ClosedPipe(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+sys.stdout = ClosedPipe()
+"""
+
+
+def run_entry(entry, argv, site_dir=None):
+    """`ruviz argv` in a fresh interpreter, started through the process entry."""
+    path = [str(Path(ruviz.__file__).resolve().parent.parent)]
+    if site_dir is not None:
+        path.insert(0, str(site_dir))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *ENTRIES[entry], *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+class TestProcessEntry:
+    def test_report_writes_the_pinned_artifacts(self, tmp_path, entry):
+        proc = run_entry(entry, ["report", *common_args(), "--out", str(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout.splitlines()) == 14
+        assert {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest()
+                for n in FIXTURE_SHA256} == FIXTURE_SHA256
+
+    def test_stdout_beyond_a_pipe_buffer_is_all_written(self, tmp_path, capsys, entry):
+        # the flush before the hard exit writes what the buffer still holds
+        csv, config_doc = generated_study(80)
+        (tmp_path / "study.json").write_text(json.dumps(config_doc))
+        (tmp_path / "measures.csv").write_text(csv)
+        argv = ["pareto", "--config", str(tmp_path / "study.json"),
+                "--data", str(tmp_path / "measures.csv")]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        assert len(expected) > 65536
+        proc = run_entry(entry, argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == expected
+
+    def test_analysis_error_exit_2(self, tmp_path, entry):
+        proc = run_entry(entry, ["pca", *three_measure_args(tmp_path, n_rows=3)])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"ruviz: analysis error: ")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_unknown_flag_exit_1(self, entry):
+        proc = run_entry(entry, ["validate", *common_args(), "--frobnicate"])
+        assert proc.returncode == 1
+        assert proc.stderr == b"ruviz: unrecognized arguments: --frobnicate\n"
+
+    def test_version_exit_0(self, entry):
+        proc = run_entry(entry, ["--version"])
+        version = f"ruviz {ruviz.__version__}\n".encode()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, version, b"")
+
+    def test_failed_final_flush_exit_1(self, tmp_path, entry):
+        # a real pipe closed by its reader is no use here: on some hosts a
+        # 2 MB write to one still succeeds
+        (tmp_path / "sitecustomize.py").write_text(CLOSED_PIPE)
+        proc = run_entry(entry, ["validate", *common_args()], site_dir=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == b"ruviz: [Errno 32] Broken pipe\n"
 
 
 # argparse lays help out differently from one Python minor version to the next

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ruviz.__about__ import VERSION
 from ruviz.cli import main
 from ruviz.config import LINKAGES, OD_CUT_MODES, StudyConfig, StudyOptions
 from ruviz.errors import AnalysisError, RuvizError, ValidationError
@@ -737,6 +741,28 @@ class TestPackage:
         assert sorted(ruviz.__all__) == sorted(ROOT_NAMES)
         for name in ruviz.__all__:
             assert getattr(ruviz, name) is not None
+
+    def test_import_loads_neither_numpy_nor_the_pipeline(self):
+        # `python -m ruviz` imports the package before its entry sets up the
+        # process, and a caller that only wants the version pays for nothing
+        code = ("import sys, ruviz; ruviz.__version__; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'numpy' or m == 'ruviz.pipeline'))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("name", sorted(ROOT_NAMES))
+    def test_each_root_name_imports_from_the_package(self, name):
+        namespace = {}
+        exec(f"from ruviz import {name}", namespace)
+        value = namespace[name]
+        assert value == VERSION if name == "__version__" else value.__name__ == name
+
+    def test_dir_lists_the_root_names(self):
+        import ruviz
+
+        assert set(ruviz.__all__) <= set(dir(ruviz))
 
     def test_readme_library_snippet_writes_the_fixture_report(self, tmp_path):
         library = README.read_text(encoding="utf-8").split("## Library")[1]
