@@ -30,7 +30,8 @@ from .pipeline import (
     JSON_BUILDERS,
     StudyResult,
     _atomic_write,
-    _dump_json,
+    _chunks,
+    _json_pieces,
     render_plot,
     run_study,
     write_report,
@@ -150,7 +151,8 @@ def _cmd_validate(args) -> int:
 def _cmd_analysis(args) -> int:
     config, matrix = _load(args)
     key = {"normalize": "normalized"}.get(args.command, args.command)
-    sys.stdout.write(_dump_json(JSON_BUILDERS[key](StudyResult(matrix, config))))
+    doc = JSON_BUILDERS[key](StudyResult(matrix, config))
+    sys.stdout.writelines(_chunks(_json_pieces(doc)))
     return 0
 
 
@@ -160,7 +162,7 @@ def _cmd_plot(args) -> int:
     out = Path(args.out if args.out is not None else config.options.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.kind}.svg"
-    _atomic_write(path, doc.to_svg().encode("utf-8"))
+    _atomic_write(path, (doc.to_svg(),))
     print(f"wrote {path}")
     return 0
 
@@ -192,4 +194,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    # `python -m ruviz.cli` takes the one process entry, as `python -m ruviz` does
+    from .__main__ import run
+
+    run()

@@ -10,6 +10,7 @@ the seed only picks the direction pairs of a robust PCA fit on more than
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -327,7 +328,7 @@ def pareto_json(result: StudyResult) -> dict:
         "rays": _Table(id=list(rays.ids), utility=rays.utility, risk=rays.risk,
                        slope=rays.slope, l2=rays.l2, slope_defined=~np.isnan(rays.slope)),
         "reference": rays.reference_labels[0] if rays.reference_labels else None,
-        "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.astype(int)),
+        "dominance": _fields(dom, "matrix", "pareto_ids", matrix=dom.matrix.view(np.uint8)),
     }
 
 
@@ -454,12 +455,17 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
 
 
 # the JSON text of each scalar type, by exact type (a subclass such as an enum
-# or a numpy float64 takes `_encode`'s other branches); NaN and infinity as null
+# or a numpy float64 takes `_runs`' other branches); NaN and infinity as null
 _TEXT = {str: encode_basestring, int: repr, type(None): lambda _: "null",
          float: lambda x: repr(x) if math.isfinite(x) else "null",
          bool: {True: "true", False: "false"}.__getitem__}
 # the C encoder, used for one scalar at a time
 _encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+# about how many fields one piece of a sequence fills, and how many cells of
+# a list of plain scalars one run holds
+_BLOCK = 1 << 10
+# about how many characters are encoded, hashed and written at a time
+_CHUNK = 1 << 16
 
 
 def _dump_json(doc: Any) -> str:
@@ -470,44 +476,139 @@ def _dump_json(doc: Any) -> str:
     a table as its records, and every NaN or infinity as null.
 
     With `indent` set, the stdlib encodes in pure Python, one call per
-    element. Here a plain scalar is one lookup in `_TEXT`, every sequence is
-    one `%` into n copies of its cell template, and every other scalar goes
-    through the C encoder. Nothing is kept between calls. A key that is not
-    a `str` raises `TypeError` (the stdlib converts number, bool and None keys).
+    element. Here a plain scalar is one lookup in `_TEXT`, a block of cells
+    of a table or a number array is one `%` into copies of its cell
+    template, and every other scalar goes through the C encoder. Nothing is
+    kept between calls. A key that is not a `str` raises `TypeError` (the
+    stdlib converts number, bool and None keys). `_json_pieces` gives the
+    same text in pieces.
     """
-    return _encode(doc, "\n") + "\n"
+    return "".join(_json_pieces(doc))
 
 
-def _encode(value: Any, newline: str) -> str:
-    """One value in the indented layout; `newline` ends at its own indent."""
+def _json_pieces(doc: Any):
+    """The text of `_dump_json(doc)` as an iterator of pieces."""
+    return itertools.chain(itertools.chain.from_iterable(_runs(doc, "\n")), ("\n",))
+
+
+def _runs(value: Any, newline: str):
+    """One value in the indented layout, as runs of text pieces: iterables
+    of strings that, in order, join to its text. `newline` ends at the
+    value's own indent.
+
+    A dict gives each `"key": ` prefix (with the value, for a plain scalar)
+    before its value's pieces, and a list of containers gives each one's
+    pieces in turn, so no container's text is built whole or copied into
+    its parent's. A sequence's cells come a block of about `_BLOCK` fields
+    or scalars per piece (`_block_runs`, `_item_runs`), which bounds a
+    piece and keeps the cells out of the generator frames.
+    """
     text = _TEXT.get(type(value))
     if text is not None:
-        return text(value)
-    if isinstance(value, (dict, MappingProxyType)):
+        yield (text(value),)
+    elif isinstance(value, (dict, MappingProxyType)):
         if not value:
-            return "{}"
+            yield ("{}",)
+            return
         inner = newline + "  "
-        body = ("," + inner).join(
-            f"{encode_basestring(key)}: {_encode(item, inner)}"
-            for key, item in sorted(value.items())
-        )
-        return "{" + inner + body + newline + "}"
-    if isinstance(value, np.ndarray) and not value.ndim:
-        return _encode(value.item(), newline)
-    if isinstance(value, (list, tuple, np.ndarray, _Table)):
+        sep, comma, run = "{" + inner, "," + inner, []
+        for key, item in sorted(value.items()):
+            text = _TEXT.get(type(item))
+            if text is None and not isinstance(item, Enum):
+                run.append(f"{sep}{encode_basestring(key)}: ")
+                yield run
+                yield from _runs(item, inner)
+                run = []
+            else:
+                item = _whole(item, inner) if text is None else text(item)
+                run.append(f"{sep}{encode_basestring(key)}: {item}")
+            sep = comma
+        run.append(newline + "}")
+        yield run
+    elif isinstance(value, np.ndarray) and not value.ndim:
+        yield from _runs(value.item(), newline)
+    elif isinstance(value, (list, tuple, np.ndarray, _Table)):
         if not len(value):
-            return "[]"
+            yield ("[]",)
+            return
         inner = newline + "  "
-        cell, fields = _cell_slots(value, inner)
-        template = "[" + inner + ("," + inner).join([cell] * len(value)) + newline + "]"
-        return template % tuple(itertools.chain.from_iterable(zip(*fields)))
+        if type(value) is _Table:
+            yield from _block_runs(*_record_slots(value, inner), len(value), newline)
+        elif _finite_numbers(value):
+            yield from _block_runs(*_array_slots(value, inner), len(value), newline)
+        else:
+            yield from _item_runs(value, newline)
+    elif isinstance(value, Enum):
+        yield from _runs(value.value, newline)
+    elif dataclasses.is_dataclass(value):
+        yield from _runs(_fields(value), newline)
+    elif isinstance(value, (np.floating, np.integer)) and value.itemsize <= 8:
+        yield from _runs(value.item(), newline)
+    else:
+        yield (_encode_scalar(value),)
+
+
+def _item_runs(items, newline: str):
+    """`_runs` of a non-empty list of any values, one at a time: a plain
+    scalar as a piece, up to `_BLOCK` of them per run, any other value as
+    its own runs."""
+    inner = newline + "  "
+    sep, comma, run = "[" + inner, "," + inner, []
+    for item in items.tolist() if isinstance(items, np.ndarray) else items:
+        text = _TEXT.get(type(item))
+        if text is None and not isinstance(item, Enum):
+            run.append(sep)
+            yield run
+            yield from _runs(item, inner)
+            run = []
+        else:
+            run.append(sep + (_whole(item, inner) if text is None else text(item)))
+            if len(run) >= _BLOCK:
+                yield run
+                run = []
+        sep = comma
+    run.append(newline + "]")
+    yield run
+
+
+def _whole(value: Any, newline: str) -> str:
+    """The text of a value that is not a plain scalar, whole: an enum of a
+    plain scalar without a generator, any other value through `_runs`."""
     if isinstance(value, Enum):
-        return _encode(value.value, newline)
-    if dataclasses.is_dataclass(value):
-        return _encode(_fields(value), newline)
-    if isinstance(value, (np.floating, np.integer)) and value.itemsize <= 8:
-        return _encode(value.item(), newline)
-    return _encode_scalar(value)
+        value = value.value
+        text = _TEXT.get(type(value))
+        if text is not None:
+            return text(value)
+    return "".join(itertools.chain.from_iterable(_runs(value, newline)))
+
+
+def _block_runs(cell: str, width: int, items, n: int, newline: str):
+    """`_runs` of a sequence of n > 0 cells given as `_cell_slots` gives
+    them: a block of cells per piece, written with one `%` into copies of
+    the cell template."""
+    inner = newline + "  "
+    # a piece holds about `_BLOCK` fields or `_CHUNK` characters of template
+    per = max(1, min(_BLOCK // max(1, width), _CHUNK // len(cell)))
+    template = ("," + inner).join([cell] * min(n, per))
+    sep = "[" + inner
+    for start in range(0, n, per):
+        k = min(per, n - start)
+        if k < per:
+            template = ("," + inner).join([cell] * k)
+        block = itertools.islice(items, k)
+        if width != 1:
+            block = itertools.chain.from_iterable(block)
+        yield (sep, template % tuple(block))
+        sep = "," + inner
+    yield (newline + "]",)
+
+
+def _finite_numbers(cells) -> bool:
+    """Whether `cells` is an int or finite float array of items at most 8
+    bytes wide, each of which `tolist` makes an int or a float."""
+    return (isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu"
+            and cells.itemsize <= 8
+            and (cells.dtype.kind != "f" or bool(np.isfinite(cells).all())))
 
 
 def _layout(shape: tuple[int, ...], newline: str, items) -> str:
@@ -519,51 +620,147 @@ def _layout(shape: tuple[int, ...], newline: str, items) -> str:
     return "[" + inner + ("," + inner).join(cells) + newline + "]" if cells else "[]"
 
 
-def _cell_slots(cells, newline: str) -> tuple[str, list[list]]:
+def _cell_slots(cells, newline: str):
     """The template of each of the n `cells` of a non-empty sequence, at the
-    indent `newline`, and the values of its `%s` fields, n values per field.
+    indent `newline`; its number of `%s` fields; and an iterator over the
+    cells' field values: the value itself where the template has one
+    field, else an iterable of them.
 
-    A table's cell is its record, whose columns give its fields in key
-    order. An int or finite float array's cell (of items at most 8 bytes
-    wide, each an int or a float) is its nested layout, with the repr of a
-    number baked in where all n cells have the same bits (so 0.0 and -0.0
-    stay apart). Any other cell is one field, its JSON text.
+    A table's cell is its record (`_record_slots`), a finite number array's
+    its nested layout (`_array_slots`). Any other cell is one field, its
+    JSON text.
     """
     if type(cells) is _Table:
-        inner = newline + "  "
-        pieces, fields = [], []
-        for key in sorted(cells.columns):
-            template, values = _cell_slots(cells.columns[key], inner)
-            pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
-            fields += values
-        return "{" + inner + ("," + inner).join(pieces) + newline + "}", fields
-    if (isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu"
-            and cells.itemsize <= 8 and np.isfinite(cells).all()):
-        flat = cells.reshape(len(cells), -1)
+        return _record_slots(cells, newline)
+    if _finite_numbers(cells):
+        return _array_slots(cells, newline)
+    texts = []
+    for cell in cells.tolist() if isinstance(cells, np.ndarray) else cells:
+        text = _TEXT.get(type(cell))
+        texts.append(_whole(cell, newline) if text is None else text(cell))
+    return "%s", 1, iter(texts)
+
+
+def _record_slots(table: _Table, newline: str):
+    """`_cell_slots` of a table: a record's fields are its columns' fields
+    in key order, the columns interleaved once per record."""
+    inner = newline + "  "
+    pieces, widths, columns = [], [], []
+    for key in sorted(table.columns):
+        template, width, items = _cell_slots(table.columns[key], inner)
+        pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
+        if width:
+            widths.append(width)
+            columns.append(items)
+    template = "{" + inner + ("," + inner).join(pieces) + newline + "}"
+    width = sum(widths)
+    if len(columns) < 2:
+        records = columns[0] if columns else itertools.repeat(())
+    elif width == len(widths):
+        records = zip(*columns)
+    else:
+        records = map(itertools.chain.from_iterable,
+                      zip(*(zip(c) if w == 1 else c for w, c in zip(widths, columns))))
+    return template, width, records
+
+
+def _array_slots(cells: np.ndarray, newline: str):
+    """`_cell_slots` of a finite number array, cell-major: a cell's fields
+    are its numbers in row-major order, less those baked into the template.
+
+    Where all n cells of a 2-d or wider array have the same bits at one place
+    (so 0.0 and -0.0 stay apart), the repr of that number is baked in; a 1-d
+    or one-cell array, where that cannot save a field, is not compared.
+    """
+    if cells.ndim == 1:
+        return "%s", 1, _numbers(cells)
+    flat = cells.reshape(len(cells), -1)
+    items, keep, width = itertools.repeat("%s"), None, flat.shape[1]
+    if len(flat) > 1:
         bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
-        same = (bits == bits[0]).all(axis=0).tolist()
-        columns = flat.T.tolist()
-        items = iter([repr(c[0]) if s else "%s" for c, s in zip(columns, same)])
-        return (_layout(cells.shape[1:], newline, items),
-                [c for c, s in zip(columns, same) if not s])
-    cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
-    return "%s", [[_encode(c, newline) for c in cells]]
+        same = (bits == bits[0]).all(axis=0)
+        if same.any():
+            items = iter([repr(x) if s else "%s"
+                          for x, s in zip(flat[0].tolist(), same.tolist())])
+            keep = np.flatnonzero(~same)
+            width = len(keep)
+    template = _layout(cells.shape[1:], newline, items)
+    return template, width, _numbers(flat, keep, width) if width else itertools.repeat(())
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Replace `path` by a new file of `data`, written in binary mode under
-    a temporary name in the same directory, with mode 0o666 less the umask."""
-    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
-    try:
+def _numbers(flat: np.ndarray, keep: np.ndarray | None = None, width: int = 1):
+    """The cells of `flat` as Python values: the numbers of a 1-d array, or
+    each row of a 2-d one (only its columns `keep`, if given) as a list, or
+    as its number where `width`, the number of columns left, is 1. They are
+    converted about `_BLOCK` numbers at a time, so that no large array is
+    held as Python objects whole."""
+    per = max(1, _BLOCK // max(1, width))
+    if keep is None:
+        blocks = (flat[i:i + per] for i in range(0, len(flat), per))
+    else:
+        blocks = (flat[i:i + per, keep] for i in range(0, len(flat), per))
+    if flat.ndim > 1 and width == 1:
+        blocks = map(np.ndarray.ravel, blocks)
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks))
+
+
+def _chunks(pieces):
+    """`pieces` joined into texts of about `_CHUNK` characters or more."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            yield "".join(held)
+            held, size = [], 0
+    if held:
+        yield "".join(held)
+
+
+@contextlib.contextmanager
+def _staging(directory: Path):
+    """Write files into `directory` under temporary names, and rename them
+    all into place when the block ends, in the order they were written.
+
+    Gives `stage(name, pieces)`, which writes the UTF-8 text of `pieces` to
+    a new temporary file for `name` through a running SHA-256, a chunk at a
+    time, and returns its digest and byte count. The files are written in
+    binary mode with mode 0o666 less the umask. If the block or a rename
+    raises, every temporary file still there is removed.
+    """
+    temps: dict[str, str] = {}  # name -> temporary path
+
+    def stage(name: str, pieces) -> tuple[str, int]:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp, flags, 0o666)
+        temps[name] = tmp
+        digest, size = hashlib.sha256(), 0
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+            for text in _chunks(pieces):
+                data = text.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+                size += len(data)
+        return digest.hexdigest(), size
+
+    try:
+        yield stage
+        for name, tmp in list(temps.items()):
+            os.replace(tmp, os.path.join(directory, name))
+            del temps[name]
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, pieces) -> tuple[str, int]:
+    """Replace `path` by a new file of the text of `pieces` (see `_staging`);
+    return its SHA-256 and byte count."""
+    with _staging(path.parent) as stage:
+        return stage(path.name, pieces)
 
 
 def _options_doc(config: StudyConfig) -> dict:
@@ -574,23 +771,31 @@ def _options_doc(config: StudyConfig) -> dict:
 
 
 def write_report(result: StudyResult, out_dir: str | Path) -> dict:
-    """Write all JSON artifacts and the eight SVGs, plus a hash manifest."""
+    """Write all JSON artifacts and the eight SVGs, plus a hash manifest.
+
+    Every document and figure is built before any file is opened. Then each
+    artifact, in manifest order, is serialized straight into a temporary
+    file, a JSON document as its pieces and a figure as its SVG text, which
+    is dropped before the next. The artifacts are renamed into place only
+    after the last one is written, so a failure leaves none of them.
+    """
     # every stage runs first, so normalized.json lists all of their warnings
     _compute_all(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    texts = {f"{name}.json": _dump_json(d) for name, d in artifact_jsons(result).items()}
-    texts |= {f"{name}.svg": plot.to_svg() for name, plot in render_all(result).items()}
+    docs = {f"{name}.json": doc for name, doc in artifact_jsons(result).items()}
+    plots = {f"{name}.svg": plot for name, plot in render_all(result).items()}
     entries = []
-    for name, text in sorted(texts.items()):
-        data = text.encode("utf-8")  # hashed and written as these bytes
-        _atomic_write(out / name, data)
-        entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(),
-                        "bytes": len(data)})
+    with _staging(out) as stage:
+        for name in sorted(docs.keys() | plots.keys()):
+            # the argument is the only reference to its text or pieces
+            sha256, size = stage(name, _json_pieces(docs.pop(name)) if name in docs
+                                 else (plots.pop(name).to_svg(),))
+            entries.append({"name": name, "sha256": sha256, "bytes": size})
     manifest = {
         "tool": {"name": __about__.NAME, "version": __about__.VERSION},
         "options": _options_doc(result.config),
         "artifacts": entries,
     }
-    _atomic_write(out / "manifest.json", _dump_json(manifest).encode("utf-8"))
+    _atomic_write(out / "manifest.json", _json_pieces(manifest))
     return manifest

@@ -307,5 +307,5 @@ class PlotDocument:
             ),
         ]
         lines.extend(p.to_svg() for p in self.primitives())
-        lines.append("</svg>")
-        return "\n".join(lines) + "\n"
+        lines.append("</svg>\n")  # the final newline, without a copy of the text
+        return "\n".join(lines)

@@ -646,10 +646,11 @@ def test_report_loads_no_scipy_and_no_xml_sax(tmp_path):
     assert len(list((tmp_path / "out").iterdir())) == 14
 
 
-# the process entry, `ruviz.__main__.run`, as `python -m ruviz` and as the
-# console script calls it
+# the process entry, `ruviz.__main__.run`, as `python -m ruviz`, as the
+# console script calls it and as `python -m ruviz.cli` reaches it
 ENTRIES = {"module": ["-m", "ruviz"],
-           "function": ["-c", "from ruviz.__main__ import run; run()"]}
+           "function": ["-c", "from ruviz.__main__ import run; run()"],
+           "cli_module": ["-m", "ruviz.cli"]}
 
 # a stdout that takes every write and fails its flush, as a pipe whose reader
 # has gone would; installed through `sitecustomize` before either entry runs
@@ -722,6 +723,23 @@ class TestProcessEntry:
         proc = run_entry(entry, ["validate", *common_args()], site_dir=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr == b"ruviz: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["pareto", *common_args()],
+                                  ["validate", *common_args(), "--frobnicate"]])
+def test_cli_module_is_the_process_entry(argv):
+    module, cli_module = (run_entry(entry, argv) for entry in ("module", "cli_module"))
+    assert (cli_module.returncode, cli_module.stdout, cli_module.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+
+
+@pytest.mark.parametrize("kind", ["heatmap", "pcp", "sdod"])
+def test_plot_writes_the_report_figure(tmp_path, kind):
+    assert main(["report", *common_args(), "--out", str(tmp_path / "report")]) == 0
+    assert main(["plot", kind, *common_args(), "--out", str(tmp_path / "plot")]) == 0
+    assert [p.name for p in (tmp_path / "plot").iterdir()] == [f"{kind}.svg"]
+    assert ((tmp_path / "plot" / f"{kind}.svg").read_bytes()
+            == (tmp_path / "report" / f"{kind}.svg").read_bytes())
 
 
 # argparse lays help out differently from one Python minor version to the next

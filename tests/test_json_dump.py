@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ruviz.pipeline import _Table, _dump_json
+from ruviz.pipeline import _Table, _dump_json, _json_pieces
 
 from conftest import oracle_dump_json, oracle_jsonable
 
@@ -439,6 +439,27 @@ class TestSequences:
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
+
+
+class TestPieces:
+    """The pieces the report writer streams, which join to `_dump_json`'s text."""
+
+    @pytest.mark.parametrize("doc", [
+        {"m": np.arange(90000).reshape(300, 300) % 3},
+        {"t": _Table(id=[f"r{i}" for i in range(10000)], x=np.linspace(0.0, 1.0, 10000)),
+         "ids": [f"r{i}" for i in range(10000)]},
+        [{"deep": np.zeros((20000, 4))}, np.full((5, 400), 0.5)],
+    ])
+    def test_pieces_join_to_the_text_and_none_holds_it_whole(self, doc):
+        text = _dump_json(doc)
+        pieces = list(_json_pieces(doc))
+        assert "".join(pieces) == text
+        # a piece is a block of about 1024 fields or 64 KiB of cell template
+        assert len(text) > 700_000 and max(map(len, pieces)) < 100_000
+
+    def test_a_non_string_key_raises_while_streaming(self):
+        with pytest.raises(TypeError):
+            list(_json_pieces({"a": np.zeros(3), "b": {5: "five"}}))
 
 
 def reject(token: str):
