@@ -36,14 +36,21 @@ def pareto_set(nm: NormalizedMatrix) -> DominanceResult:
     not a release candidate. The dominance matrix still covers every row
     pair.
     """
-    util = nm.block_values(Block.UTILITY)
-    risk = nm.block_values(Block.RISK)
     labels = nm.labels
-    u_i, u_j = util[:, None], util[None]
-    r_i, r_j = risk[:, None], risk[None]
-    no_worse = (u_i >= u_j).all(axis=2) & (r_i <= r_j).all(axis=2)
-    better = (u_i > u_j).any(axis=2) | (r_i < r_j).any(axis=2)
-    matrix = no_worse & better
+    n = len(labels)
+    # "no worse" and "better" over the measures, one n x n comparison at a
+    # time, in place of an n x n x m broadcast
+    no_worse = np.ones((n, n), dtype=bool)
+    better = np.zeros((n, n), dtype=bool)
+    step = np.empty((n, n), dtype=bool)
+    for block, at_least, beyond in ((Block.UTILITY, np.greater_equal, np.greater),
+                                    (Block.RISK, np.less_equal, np.less)):
+        for column in nm.block_values(block).T:
+            row, col = column[:, None], column[None]
+            no_worse &= at_least(row, col, out=step)
+            better |= beyond(row, col, out=step)
+    matrix = no_worse
+    matrix &= better
     candidates = np.flatnonzero(~nm.approaches.is_reference)
     dominated = matrix[np.ix_(candidates, candidates)].any(axis=0)
     pareto = frozenset(labels[i] for i, d in zip(candidates, dominated) if not d)

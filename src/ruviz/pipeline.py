@@ -421,7 +421,7 @@ def render_rays_plot(result: StudyResult) -> PlotDocument:
 FIGURE_BUILDERS = {
     "heatmap": lambda r: render_heatmap(r.nm, r.dendrogram, r.pareto.front.ids,
                                         column_order=r.column_order),
-    "dotplot": lambda r: render_dotplot(r.nm),
+    "dotplot": lambda r: render_dotplot(r.nm, r.dendrogram, r.pareto.front.ids),
     "composite_ru": lambda r: render_composite_ru(
         r.scores, r.pareto.front, r.pareto.knee, r.reliability,
         reference_labels=r.reference_labels),
@@ -776,8 +776,9 @@ def write_report(result: StudyResult, out_dir: str | Path) -> dict:
     Every document and figure is built before any file is opened. Then each
     artifact, in manifest order, is serialized straight into a temporary
     file, a JSON document as its pieces and a figure as its SVG text, which
-    is dropped before the next. The artifacts are renamed into place only
-    after the last one is written, so a failure leaves none of them.
+    is dropped before the next. The manifest is written last, and all 14
+    files are renamed into place only after it is, so a failure leaves none
+    of them and an earlier report's files as they were.
     """
     # every stage runs first, so normalized.json lists all of their warnings
     _compute_all(result)
@@ -792,10 +793,10 @@ def write_report(result: StudyResult, out_dir: str | Path) -> dict:
             sha256, size = stage(name, _json_pieces(docs.pop(name)) if name in docs
                                  else (plots.pop(name).to_svg(),))
             entries.append({"name": name, "sha256": sha256, "bytes": size})
-    manifest = {
-        "tool": {"name": __about__.NAME, "version": __about__.VERSION},
-        "options": _options_doc(result.config),
-        "artifacts": entries,
-    }
-    _atomic_write(out / "manifest.json", _json_pieces(manifest))
+        manifest = {
+            "tool": {"name": __about__.NAME, "version": __about__.VERSION},
+            "options": _options_doc(result.config),
+            "artifacts": entries,
+        }
+        stage("manifest.json", _json_pieces(manifest))
     return manifest

@@ -57,6 +57,11 @@ FLAG_COLORS = {
     OutlierFlag.BAD_LEVERAGE: "#b2182b",
 }
 UNIT_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# the dot plot's row band lies between these margins
+DOT_TOP, DOT_BOTTOM = 70, 150
+# the per-row views draw at most the rows that a 12 px pitch (an 11 px label
+# and a pixel) fits in the dot plot's 420 px band: 35
+ROW_BUDGET = (PlotDocument.height - DOT_TOP - DOT_BOTTOM) // 12
 
 
 @dataclass(frozen=True)
@@ -186,9 +191,14 @@ def _legend(doc: PlotDocument, entries: Sequence[LegendEntry], x: float, y: floa
 
 
 def _point_labels(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
-                  labels: Sequence[str], color: str = "#333333") -> None:
+                  labels: Sequence[str], marked: Sequence[bool],
+                  color: str = "#333333") -> None:
     """Each label right of its point, or left of it where it would run past
-    the canvas edge."""
+    the canvas edge. Past `ROW_BUDGET` points only the `marked` ones are
+    labelled."""
+    if len(labels) > ROW_BUDGET:
+        at = np.flatnonzero(marked)
+        x, y, labels = x[at], y[at], [labels[i] for i in at]
     left = x + 6 + 5.5 * np.array([len(s) for s in labels]) > doc.width - 4
     doc.add(Batch(Text, np.column_stack([np.where(left, x - 6, x + 6),
                                          np.maximum(y - 5, 10.0)]),
@@ -202,6 +212,7 @@ def _approaches(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
     """Each approach's marker at layer `z`, then the point labels: a square
     for a reference, a circle for the others, larger when Pareto-optimal."""
     is_reference = [label in reference_labels for label in labels]
+    pareto = np.array([label in pareto_ids for label in labels], dtype=bool)
     runs = itertools.groupby(range(len(labels)), is_reference.__getitem__)
     for reference, run in runs:
         at = list(run)
@@ -211,12 +222,73 @@ def _approaches(doc: PlotDocument, x: np.ndarray, y: np.ndarray,
                 x[at] - 4.5, y[at] - 4.5, 9.0, 9.0)), fill=REFERENCE_COLOR,
                 title=titles), z=z)
         else:
-            pareto = np.array([t in pareto_ids for t in titles])
-            radius = np.where(pareto, 5.0, 4.0)
+            radius = np.where(pareto[at], 5.0, 4.0)
             doc.add(Batch(Circle, np.column_stack([x[at], y[at], radius]),
-                          fill=np.where(pareto, PARETO_COLOR, NEUTRAL_COLOR),
+                          fill=np.where(pareto[at], PARETO_COLOR, NEUTRAL_COLOR),
                           title=titles), z=z)
-    _point_labels(doc, x, y, [_short(label, 14) for label in labels])
+    _point_labels(doc, x, y, [_short(label, 14) for label in labels],
+                  pareto | is_reference)
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The rows a per-row view draws, top to bottom: each a band of study
+    rows, one row drawn as itself or several drawn as their column means."""
+
+    members: tuple[np.ndarray, ...]  # each band's study rows
+    values: np.ndarray  # each band's normalized values (a mean over its rows)
+    labels: list[str]  # a row's short label, or a band's size and front count
+    titles: list[str]  # a row's label, or a band's first and last labels
+    starred: list[bool]  # a one-row band on the composite front
+
+
+def _bands(dendrogram: Dendrogram, is_reference: np.ndarray) -> list[np.ndarray]:
+    """The finest cut of `dendrogram` into runs of its leaf order that
+    leaves at most `ROW_BUDGET` runs, each reference a run of its own (so a
+    study with more references than that has more runs)."""
+    leaves = np.array(dendrogram.leaf_order)
+    n = len(leaves)
+    ref = is_reference[leaves]
+    # each cluster's first position in leaf order
+    start = [0] * (2 * n - 1)
+    for pos, leaf in enumerate(leaves.tolist()):
+        start[leaf] = pos
+    pairs = list(zip(dendrogram.left.tolist(), dendrogram.right.tolist()))
+    for t, (a, b) in enumerate(pairs, n):
+        start[t] = min(start[a], start[b])
+    # undoing a merge, the highest first, cuts where its second child starts;
+    # a cut next to a reference adds no run
+    cut = np.array([max(start[a], start[b]) for a, b in reversed(pairs)], dtype=np.intp)
+    adds = ~ref[cut] & ~ref[cut - 1]
+    uncut = np.count_nonzero(ref) + np.count_nonzero(~ref & np.r_[True, ref[:-1]])
+    taken = np.searchsorted(uncut + np.cumsum(adds), ROW_BUDGET, side="right")
+    around = np.flatnonzero(ref)[:, None] + (0, 1)
+    at = np.union1d(cut[:taken], around)
+    return np.split(leaves, at[(at > 0) & (at < n)])
+
+
+def per_row(nm: NormalizedMatrix, dendrogram: Dendrogram, pareto_ids: frozenset[str],
+            order: Sequence[int]) -> Rows:
+    """Each study row in `order`, up to `ROW_BUDGET` rows; past it, the bands
+    of `_bands`, in dendrogram leaf order."""
+    labels = nm.labels
+    members = ([np.array([i]) for i in order] if len(labels) <= ROW_BUDGET
+               else _bands(dendrogram, nm.approaches.is_reference))
+    texts, titles, starred = [], [], []
+    for rows in map(np.ndarray.tolist, members):
+        first, last = labels[rows[0]], labels[rows[-1]]
+        one = len(rows) == 1
+        front = sum(labels[i] in pareto_ids for i in rows)
+        texts.append(_short(first, 20) if one else f"{len(rows)} rows, {front} on front")
+        titles.append(first if one else f"{first} … {last}")
+        starred.append(one and front == 1)
+    values = np.array([nm.values[rows].mean(axis=0) for rows in members])
+    return Rows(tuple(members), values, texts, titles, starred)
+
+
+def _banded(title: str, n: int) -> str:
+    """A per-row view's title, which past the budget says what a band shows."""
+    return title if n <= ROW_BUDGET else f"{title} ({n} rows; a band shows their means)"
 
 
 def render_heatmap(
@@ -225,14 +297,16 @@ def render_heatmap(
     pareto_ids: frozenset[str],
     column_order: Sequence[int] | None = None,
 ) -> PlotDocument:
-    """Approaches x measures grid, rows in dendrogram leaf order.
+    """Approaches x measures grid, rows in dendrogram leaf order, banded past
+    `ROW_BUDGET` rows (see `per_row`).
 
     Asterisks on row labels mark approaches in the composite Pareto set.
     `column_order` optionally permutes the measure columns (the declared
     order is kept by default).
     """
-    doc = _document("normalized measures by approach")
-    n = len(nm.labels)
+    doc = _document(_banded("normalized measures by approach", len(nm.labels)))
+    drawn = per_row(nm, dendrogram, pareto_ids, dendrogram.leaf_order)
+    n = len(drawn.labels)
     p = len(nm.specs)
     columns = list(column_order) if column_order is not None else list(range(p))
     left, top, right, bottom = 160, 96, 30, 88
@@ -248,8 +322,7 @@ def render_heatmap(
             Text(cx - 4, top - 10, _short(spec.id, 14), size=10, anchor="start",
                  rotate=-30.0, fill="#222222", title=spec.display_name)
         )
-    rows = list(dendrogram.leaf_order)
-    grid = nm.values[np.ix_(rows, columns)]
+    grid = drawn.values[:, columns]
     fills = np.empty(grid.shape, dtype="<U7")
     for block in Block:
         at = [cidx for cidx, col in enumerate(columns) if nm.specs[col].block is block]
@@ -257,12 +330,11 @@ def render_heatmap(
     x = left + np.arange(p) * cell_w
     y = top + np.arange(n) * cell_h
     cells = np.stack(np.broadcast_arrays(x, y[:, None], cell_w, cell_h), axis=-1)
-    titles = [nm.labels[i] for i in rows]
     # each row's label, then its cells
     labels = Batch(Text, np.column_stack(np.broadcast_arrays(
         left - 8.0, top + (np.arange(n) + 0.5) * cell_h + 4)), size=11,
-        anchor="end", title=titles,
-        content=[_short(t, 20) + (" *" if t in pareto_ids else "") for t in titles])
+        anchor="end", title=drawn.titles,
+        content=[t + (" *" if s else "") for t, s in zip(drawn.labels, drawn.starred)])
     doc.add(Batch(Rect, cells.reshape(-1, 4), fill=fills.ravel(), stroke="#ffffff",
                   stroke_width=1.0, lead=labels))
     centers = np.broadcast_arrays(x + cell_w / 2, (y + cell_h / 2 + 3)[:, None])
@@ -284,14 +356,16 @@ def render_heatmap(
     return doc
 
 
-def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
-    """Per-approach dots on a shared [0, 1] axis, one facet per block."""
-    doc = _document("measure values by approach")
-    n = len(nm.labels)
-    left, top, gap = 150, 70, 50
-    bottom = 150
+def render_dotplot(nm: NormalizedMatrix, dendrogram: Dendrogram,
+                   pareto_ids: frozenset[str]) -> PlotDocument:
+    """Per-approach dots on a shared [0, 1] axis, one facet per block, rows
+    in input order; past `ROW_BUDGET` rows, the bands of `per_row`."""
+    doc = _document(_banded("measure values by approach", len(nm.labels)))
+    drawn = per_row(nm, dendrogram, pareto_ids, range(len(nm.labels)))
+    n = len(drawn.labels)
+    left, top, gap = 150, DOT_TOP, 50
     facet_w = (doc.width - left - 30 - gap) / 2
-    plot_h = doc.height - top - bottom
+    plot_h = doc.height - top - DOT_BOTTOM
     band = plot_h / n
 
     facets = ((Block.RISK, left), (Block.UTILITY, left + facet_w + gap))
@@ -301,7 +375,7 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
         color = BLOCK_COLOR[block]
         idx = nm.block_indices(block)
         k = len(idx)
-        block_values = nm.block_values(block)
+        block_values = drawn.values[:, list(idx)]
         mx = fx + median(block_values, axis=1) * facet_w
         # one colour per measure position, shared by the rows and the legend
         ramps[block] = block_ramp(block, 0.35 + 0.65 * ((np.arange(k) + 1) / (k + 1)))
@@ -326,10 +400,8 @@ def render_dotplot(nm: NormalizedMatrix) -> PlotDocument:
                       fill=np.tile(ramps[block], n), stroke="#555555",
                       stroke_width=0.6, opacity=0.9,
                       title=[nm.specs[j].id for j in idx] * n), z=3)
-    labels = nm.labels
     doc.add(Batch(Text, np.column_stack(np.broadcast_arrays(left - 10, cy + 4)),
-                  size=11, anchor="end", content=[_short(l, 20) for l in labels],
-                  title=labels))
+                  size=11, anchor="end", content=drawn.labels, title=drawn.titles))
 
     ly = doc.height - 104
     doc.add(Text(left, ly - 6, "diamond = per-approach median", size=10,
@@ -423,16 +495,17 @@ def render_rays(rays: Rays, pareto_ids: frozenset[str] = frozenset()) -> PlotDoc
     doc.add(Batch(Text, (start + end) / 2 + (3, -3), size=8, fill="#666666",
                   content=[f"s={_slope_text(s)} d={d:.2f}"
                            for s, d in zip(rays.slope.tolist(), rays.l2.tolist())]), z=1)
+    pareto = np.array([i in pareto_ids for i in rays.ids], dtype=bool)
     doc.add(Batch(Circle, np.column_stack([start, np.full(len(rays.ids), 4.5)]),
-                  fill=[PARETO_COLOR if i in pareto_ids else NEUTRAL_COLOR
-                        for i in rays.ids],
+                  fill=np.where(pareto, PARETO_COLOR, NEUTRAL_COLOR),
                   title=list(rays.ids)), z=2)
-    _point_labels(doc, start[:, 0], start[:, 1], [_short(i, 14) for i in rays.ids])
+    _point_labels(doc, start[:, 0], start[:, 1], [_short(i, 14) for i in rays.ids],
+                  pareto)
     doc.add(Batch(Rect, np.column_stack([refs - 5, np.full(refs.shape, 10.0)]),
                   fill=REFERENCE_COLOR, title=list(rays.reference_labels)), z=3)
     _point_labels(doc, refs[:, 0], refs[:, 1],
                   [_short(l, 14) for l in rays.reference_labels],
-                  color="#000000")
+                  np.ones(len(refs), dtype=bool), color="#000000")
     _legend(doc, [
         *APPROACH_LEGEND,
         LegendEntry("s = risk change per utility", "#c8c8c8", marker="line"),
@@ -700,7 +773,8 @@ def render_sdod(diag: SdOdDiagnostics) -> PlotDocument:
     doc.add(Batch(Circle, np.column_stack(np.broadcast_arrays(x, y, 5.0)),
                   fill=[FLAG_COLORS[flag] for flag in diag.flags], stroke="#333333",
                   stroke_width=0.6, title=diag.labels), z=2)
-    _point_labels(doc, x, y, [_short(label, 14) for label in diag.labels])
+    _point_labels(doc, x, y, [_short(label, 14) for label in diag.labels],
+                  [flag is not OutlierFlag.REGULAR for flag in diag.flags])
 
     _legend(doc, [LegendEntry(flag.value.replace("_", " "), color)
                   for flag, color in FLAG_COLORS.items()], doc.width - 235, 70)

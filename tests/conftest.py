@@ -411,6 +411,39 @@ def assert_in_bounds(doc, slack: float = 0.5) -> None:
             raise ValueError(f"{tag} y={y:.2f} outside canvas 0..{doc.height}")
 
 
+def text_boxes(doc, size: float) -> list[tuple[float, float, float, float]]:
+    """(x0, y0, x1, y1) of each unrotated text of font size `size` that the
+    document's SVG writes: from its anchor point, as `corners` gives it,
+    `size` tall (0.8 of it above the baseline) and 0.6 * `size` wide per
+    character, placed by its text-anchor."""
+    texts = [el for el in ET.fromstring(doc.to_svg()) if el.tag == SVG_NS + "text"]
+    anchors = [(x, y) for tag, x, y in corners(doc) if tag == "text"]
+    boxes = []
+    for el, (x, y) in zip(texts, anchors, strict=True):
+        if float(el.get("font-size")) != size or el.get("transform"):
+            continue
+        w = 0.6 * size * len(el.text or "")
+        x0 = x - {"start": 0.0, "middle": w / 2, "end": w}[el.get("text-anchor")]
+        boxes.append((x0, y - 0.8 * size, x0 + w, y + 0.2 * size))
+    return boxes
+
+
+def overlapping_boxes(boxes) -> list[tuple[int, int]]:
+    """The index pairs of the boxes whose interiors meet."""
+    return [(i, j) for (i, a), (j, b) in itertools.combinations(enumerate(boxes), 2)
+            if a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]]
+
+
+def oracle_dominance(util: np.ndarray, risk: np.ndarray) -> np.ndarray:
+    """matrix[i, j] == True iff row i strongly dominates row j, by one dense
+    n x n x m broadcast over the utility and risk columns."""
+    u_i, u_j = util[:, None], util[None]
+    r_i, r_j = risk[:, None], risk[None]
+    no_worse = (u_i >= u_j).all(axis=2) & (r_i <= r_j).all(axis=2)
+    better = (u_i > u_j).any(axis=2) | (r_i < r_j).any(axis=2)
+    return no_worse & better
+
+
 def svg_elements(doc, tag: str) -> list[ET.Element]:
     """The `tag` elements of the document's SVG, in the order it writes them."""
     return list(ET.fromstring(doc.to_svg()).iter(SVG_NS + tag))

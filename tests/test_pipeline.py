@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import functools
 import hashlib
 import json
 import os
@@ -13,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.cluster.hierarchy import cut_tree
 
+from ruviz import pipeline
 from ruviz.__about__ import VERSION
 from ruviz.cli import main
 from ruviz.config import LINKAGES, OD_CUT_MODES, StudyConfig, StudyOptions
 from ruviz.errors import AnalysisError, RuvizError, ValidationError
 from ruviz.model import Approaches, Block, Direction, MeasureMatrix, MeasureSpec, ingest
-from ruviz.multivariate import orient, pca_fit
+from ruviz.multivariate import OutlierFlag, orient, pca_fit
+from ruviz.pareto import pareto_set
 from ruviz.pipeline import (
     FIGURE_BUILDERS,
     JSON_BUILDERS,
@@ -33,9 +38,19 @@ from ruviz.pipeline import (
     run_study,
     write_report,
 )
-from ruviz.svg import Line, Rect
+from ruviz.render import ROW_BUDGET, per_row
+from ruviz.svg import Line, Rect, Text
 
-from conftest import assert_in_bounds, batch_rows, generated_study, svg_elements, title_of
+from conftest import (
+    assert_in_bounds,
+    batch_rows,
+    generated_study,
+    oracle_dominance,
+    overlapping_boxes,
+    svg_elements,
+    text_boxes,
+    title_of,
+)
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -436,21 +451,23 @@ MULTI_DATASET_SHA256 = {
 # The same for the 13 artifacts of the 60-row generated study
 # (conftest.generated_study): enough rows that the figures' per-row marks,
 # their escaping, the profiles' arrays, the 60x60 dominance matrix and the
-# documents' other grids are pinned at a size the fixture does not reach.
+# documents' other grids are pinned at a size the fixture does not reach,
+# and past the row budget, so the heat map and dot plot draw bands and the
+# scatter views label only their marked points.
 GENERATED_SHA256 = {
-    "biplot.svg": "9700fdc8d79cd21d13db12e468eb31e01a8204460b70c318d5dd386e5053624f",
-    "blockwise.svg": "efda2f847f02c50fea331319d378ad1d649d4a79bedd43ea998a5aaf39585f37",
+    "biplot.svg": "2fd5675547357e733b8c711e63d3766f7113f4b4f32ea073a0ba625355eed399",
+    "blockwise.svg": "9e5688309a87394015d7b883164bb0094874796563388807384e035bd5c00057",
     "composite.json": "ca122ce7c7d7bc736ee730021cebc67efd3121b98d043f342490c61bfb4336e9",
-    "composite_ru.svg": "d8837361444894c284a2898e3937600928e9f5c1212c0997b330e0c53afcb692",
-    "dotplot.svg": "42eb1e43e01d0e7f3fbb9d78ba74057ddd9f960ff2a29152c3fd4688745f7398",
-    "heatmap.svg": "0fcdb5a53d9406ee03ab33bd8c25c65da0e8d090678c8009f9a1e8a7c51fdf5d",
+    "composite_ru.svg": "af291719f7e9dacdc20aaa9d390b14fee05bb16040ed69ca333f70e5feab8371",
+    "dotplot.svg": "babee2c610bd2ca544ad7b815b6994121226846f88edd495cd349439adf7aca6",
+    "heatmap.svg": "b65112644ed1f7a297f6c78edd0b3284d550aea44b0abc1d5edf7cad16f06263",
     "normalized.json": "d2cd436ceba109f95fb3135570d39cacbe38d56dd0bc8bef8c4ec9bdcb81a512",
     "origami.svg": "8e9b92bc072042282a11846564002a8c5e72ddb52b4c0c8eca9b3c43435ec9e2",
     "pareto.json": "ce44c63cdcd436568f33c895534a5c8599ef35c9f49235588b93441480a905d1",
     "pca.json": "d174a8f8c87b38022443eccd8c6c40d85dd04a6d4886890baa9d399cfec2e9d4",
     "pcp.svg": "cb7243bdd254e117a3b2ad272b79209fad64b5b67e7f1746cdbfec12bc0e591d",
     "profiles.json": "54ab450937b57ef82e846270e96727238e818ff56c6ed05eb9db5cf7bd45a969",
-    "sdod.svg": "bcc26a1ebaf42468471bf50bea3ea10a4e3413ac3a30cb71ef815d49df908454",
+    "sdod.svg": "1680c526d09617117acd119b8c26a4b3d47fd290e68a70413981fd958778ec91",
 }
 
 # `pca.json` of the same study with `"options": {"robust": true}`
@@ -601,6 +618,23 @@ class TestArtifacts:
             write_report(result, tmp_path / "out")
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_a_failing_manifest_write_leaves_the_directory_as_it_was(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        write_report(study_result("fixture"), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        pieces = pipeline._json_pieces
+
+        def no_space(doc):
+            yield from pieces(doc)
+            if "artifacts" in doc:  # the manifest
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "_json_pieces", no_space)
+        with pytest.raises(OSError, match="No space"):
+            write_report(study_result("multi_dataset"), out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_a_figure_analysis_error_writes_no_file(self, tmp_path, capsys):
         args = _study_args(tmp_path, TWO_MEASURES, two_measure_csv())
         assert main(["report", *args, "--out", str(tmp_path / "out")]) == 2
@@ -609,8 +643,9 @@ class TestArtifacts:
 
     def test_write_peaks_below_the_artifacts_it_writes(self, tmp_path):
         # each artifact is streamed to its file and dropped before the next;
-        # measured: a 4.42 MB peak for 5.02 MB of artifacts (the largest,
+        # measured: a 0.96 MB peak for 3.60 MB of artifacts (the largest,
         # pareto.json, 1.87 MB), where writing whole texts peaked at 9.72 MB
+        # and every heat-map row drawn (5.02 MB of artifacts) at 4.42 MB
         result = run_study(*_generated_inputs(400))
         write_report(result, tmp_path / "warm")  # the caches of the first write
         tracemalloc.start()
@@ -717,18 +752,129 @@ CANVAS_STUDIES = {
                                      multi_dataset_csv()),
     "generated_60": lambda: _generated_inputs(60),
     "generated_400": lambda: _generated_inputs(400),
+    "generated_2000": lambda: _generated_inputs(2000),
     "wide_measures": wide_measure_inputs,
 }
 
 
+@functools.cache
+def study_result(name):
+    """The result of one of `CANVAS_STUDIES`, run once."""
+    return run_study(*CANVAS_STUDIES[name]())
+
+
 @pytest.fixture(scope="module", params=list(CANVAS_STUDIES))
 def canvas_study(request):
-    return run_study(*CANVAS_STUDIES[request.param]())
+    return study_result(request.param)
 
 
 @pytest.mark.parametrize("kind", list(FIGURE_BUILDERS))
 def test_every_figure_stays_on_its_canvas(canvas_study, kind):
     assert_in_bounds(FIGURE_BUILDERS[kind](canvas_study))
+
+
+def _short_label(label):
+    return label if len(label) <= 14 else label[:13] + "…"
+
+
+class TestRowBudget:
+    """Past `ROW_BUDGET` rows the heat map and dot plot draw bands and the
+    scatter views label only their marked points (README, "Figures at any
+    size")."""
+
+    @pytest.mark.parametrize("kind", ["heatmap", "dotplot"])
+    @pytest.mark.parametrize("study", ["fixture", "generated_60", "generated_400",
+                                       "generated_2000"])
+    def test_row_labels_do_not_overlap(self, study, kind):
+        doc = FIGURE_BUILDERS[kind](study_result(study))
+        boxes = text_boxes(doc, 11.0)  # the row labels
+        assert len(boxes) == min(len(study_result(study).nm.labels), ROW_BUDGET)
+        assert overlapping_boxes(boxes) == []
+
+    def test_per_row_figures_stay_under_their_byte_bound(self):
+        # README: at most 150,000 bytes each at any n; measured: about 65 kB
+        # each at 2,000 and 5,000 rows, where drawing every row wrote 3.5 and
+        # 8.7 MB for the heat map and 3.4 and 8.5 MB for the dot plot
+        for n in (2000, 5000):
+            result = StudyResult(*_generated_inputs(n))
+            for kind in ("heatmap", "dotplot"):
+                doc = FIGURE_BUILDERS[kind](result)
+                assert len(doc.to_svg().encode("utf-8")) < 150_000, (n, kind)
+            del result
+
+    def test_bands_are_the_finest_leaf_order_cut_within_the_budget(self):
+        result = study_result("generated_400")
+        nm, dend = result.nm, result.dendrogram
+        drawn = per_row(nm, dend, result.pareto.front.ids, range(len(nm.labels)))
+        members = [m.tolist() for m in drawn.members]
+        assert len(members) <= ROW_BUDGET
+        assert sum(members, []) == list(dend.leaf_order)
+        ref = nm.approaches.is_reference
+        assert all(len(m) == 1 for m in members if ref[m].any())
+
+        # scipy's cut into k clusters; a run of leaf order ends where the
+        # cluster changes or a reference starts or ends
+        Z = np.column_stack([dend.left, dend.right, dend.height, dend.size]).astype(float)
+        clusters = cut_tree(Z, n_clusters=range(1, 101))
+        leaves = np.array(dend.leaf_order)
+
+        def runs(k):
+            c, r = clusters[leaves, k - 1], ref[leaves]
+            ends = (c[1:] != c[:-1]) | r[1:] | r[:-1]
+            return np.split(leaves, np.flatnonzero(ends) + 1)
+
+        finest = next(k for k in range(1, 101) if len(runs(k)) > ROW_BUDGET) - 1
+        assert [m.tolist() for m in runs(finest)] == members
+
+    def test_a_band_draws_the_mean_of_its_rows(self):
+        result = study_result("generated_400")
+        nm, front = result.nm, result.pareto.front.ids
+        drawn = per_row(nm, result.dendrogram, front, result.dendrogram.leaf_order)
+        assert any(len(m) > 1 for m in drawn.members)
+        for rows, values, text, title in zip(drawn.members, drawn.values,
+                                             drawn.labels, drawn.titles):
+            assert np.array_equal(values, nm.values[rows].mean(axis=0))
+            labels = [nm.labels[i] for i in rows]
+            if len(rows) > 1:
+                assert text == f"{len(rows)} rows, {sum(l in front for l in labels)} on front"
+                assert title == f"{labels[0]} … {labels[-1]}"
+        cells = [cols["content"] for _, cols in batch_rows(
+            FIGURE_BUILDERS["heatmap"](result), Text, size=9, anchor="middle")]
+        assert cells == [f"{v:.2f}" for v in drawn.values.ravel().tolist()]
+
+    @pytest.mark.parametrize("kind", ["composite_ru", "rays", "biplot", "blockwise", "sdod"])
+    def test_scatter_views_label_only_their_marked_points(self, kind):
+        result = study_result("generated_400")
+        if kind == "sdod":
+            diag = result.diagnostics
+            marked = [l for l, f in zip(diag.labels, diag.flags)
+                      if f is not OutlierFlag.REGULAR]
+        else:
+            points = {"composite_ru": result.nm.labels, "rays": result.pareto.rays.ids,
+                      "biplot": result.pca_labels, "blockwise": result.nm.labels}[kind]
+            marked = [l for l in points
+                      if l in result.pareto.front.ids or l in result.reference_labels]
+            marked += list(result.pareto.rays.reference_labels) if kind == "rays" else []
+        doc = FIGURE_BUILDERS[kind](result)
+        labels = [cols["content"] for fill in ("#333333", "#000000")
+                  for _, cols in batch_rows(doc, Text, size=9.0, fill=fill)]
+        assert 0 < len(labels) < len(result.nm.labels)
+        assert sorted(labels) == sorted(map(_short_label, marked))
+
+
+@pytest.mark.parametrize("name", ["generated_400", "generated_60"])
+def test_dominance_equals_the_dense_broadcast(name):
+    nm = study_result(name).nm
+    oracle = oracle_dominance(nm.block_values(Block.UTILITY), nm.block_values(Block.RISK))
+    assert np.array_equal(pareto_set(nm).matrix, oracle)
+
+
+@settings(max_examples=50, deadline=None)
+@given(code_built_studies())
+def test_code_built_dominance_equals_the_dense_broadcast(study):
+    nm = StudyResult(*study).nm
+    oracle = oracle_dominance(nm.block_values(Block.UTILITY), nm.block_values(Block.RISK))
+    assert np.array_equal(pareto_set(nm).matrix, oracle)
 
 
 def products(value):

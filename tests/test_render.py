@@ -50,6 +50,11 @@ def well_formed(doc) -> None:
     assert_in_bounds(doc)
 
 
+def dotplot(nm):
+    """The dot plot of `nm`, with no composite front."""
+    return render_dotplot(nm, hclust(nm.values, "complete"), frozenset())
+
+
 def texts(doc) -> list[str]:
     """The content of every text element the document writes, batched or not."""
     return [e.text or "" for e in svg_elements(doc, "text")]
@@ -158,7 +163,7 @@ class TestDotplot:
     def test_median_marker_positions(self):
         # one approach; risk {0.5}: utility {0.1, 0.5, 0.9} -> median dot at 0.5
         nm = make_nm(np.array([[0.5, 0.1, 0.5, 0.9], [0.4, 0.2, 0.6, 0.8]]), 1)
-        doc = render_dotplot(nm)
+        doc = dotplot(nm)
         well_formed(doc)
         centers = self._diamond_centers(doc)
         dots = self._dots(doc)
@@ -173,7 +178,7 @@ class TestDotplot:
 
     def test_even_count_median_midpoint(self):
         nm = make_nm(np.array([[0.3, 0.2, 0.4], [0.7, 0.6, 0.8]]), 1)
-        doc = render_dotplot(nm)
+        doc = dotplot(nm)
         centers = self._diamond_centers(doc)
         dots = [d for d in self._dots(doc) if d[2] in ("u0", "u1")]
         # first row utility dots at 0.2 and 0.4 -> diamond at their midpoint
@@ -184,7 +189,7 @@ class TestDotplot:
 
     def test_facet_assignment_matches_blocks(self, study):
         nm, _, _ = study
-        doc = render_dotplot(nm)
+        doc = dotplot(nm)
         dots = self._dots(doc)
         risk_ids = {nm.specs[j].id for j in nm.block_indices(Block.RISK)}
         risk_x = [cx for cx, _, title in dots if title in risk_ids]
@@ -195,7 +200,7 @@ class TestDotplot:
     @pytest.mark.parametrize("k, columns", [(14, 2), (15, 3), (30, 5)])
     def test_measure_legend_stays_on_the_canvas(self, k, columns):
         nm = make_nm(np.random.default_rng(52).random((12, 2 * k)), k)
-        doc = render_dotplot(nm)
+        doc = dotplot(nm)
         well_formed(doc)
         legend = [e for e in svg_elements(doc, "text") if e.get("font-size") == "9.00"]
         assert sorted(e.text for e in legend) == sorted(s.id for s in nm.specs)
