@@ -44,10 +44,6 @@ class PcaModel:
     def k(self) -> int:
         return self.loadings.shape[1]
 
-    @property
-    def p(self) -> int:
-        return self.loadings.shape[0]
-
     def transform(self, data: np.ndarray) -> np.ndarray:
         return (np.asarray(data, dtype=float) - self.center) @ self.loadings
 

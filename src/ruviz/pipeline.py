@@ -455,152 +455,118 @@ def render_plot(result: StudyResult, kind: str) -> PlotDocument:
 
 
 # the JSON text of each scalar type, by exact type (a subclass such as an enum
-# or a numpy float64 takes `_runs`' other branches); NaN and infinity as null
+# or a numpy float64 takes `_pieces`' other branches); NaN and infinity as null
 _TEXT = {str: encode_basestring, int: repr, type(None): lambda _: "null",
          float: lambda x: repr(x) if math.isfinite(x) else "null",
          bool: {True: "true", False: "false"}.__getitem__}
 # the C encoder, used for one scalar at a time
 _encode_scalar = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-# about how many fields one piece of a sequence fills, and how many cells of
-# a list of plain scalars one run holds
+# about how many fields, or plain items of a list, one piece of a sequence holds
 _BLOCK = 1 << 10
 # about how many characters are encoded, hashed and written at a time
 _CHUNK = 1 << 16
 
 
-def _dump_json(doc: Any) -> str:
+def _json_pieces(doc: Any):
     """`doc` in the layout of `json.dumps(indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"`, byte for byte, each value written as it
-    stands: a dataclass as the dict of its fields, an enum as its value, a
-    numpy scalar or a 0-d array as its item, a tuple or an array as a list,
-    a table as its records, and every NaN or infinity as null.
+    ensure_ascii=False) + "\\n"`, byte for byte, as an iterator of text
+    pieces. Each value is written as it stands: a dataclass as the dict of
+    its fields, an enum as its value, a numpy scalar or a 0-d array as its
+    item, a tuple or an array as a list, a table as its records, and every
+    NaN or infinity as null.
 
     With `indent` set, the stdlib encodes in pure Python, one call per
     element. Here a plain scalar is one lookup in `_TEXT`, a block of cells
-    of a table or a number array is one `%` into copies of its cell
-    template, and every other scalar goes through the C encoder. Nothing is
-    kept between calls. A key that is not a `str` raises `TypeError` (the
-    stdlib converts number, bool and None keys). `_json_pieces` gives the
-    same text in pieces.
+    of a sequence is one `%` into copies of its cell template (`_sequence`),
+    and every other scalar goes through the C encoder. No container's text
+    is built whole or copied into its parent's but a container in a table
+    column, and nothing is kept between calls. A key that is not a `str`
+    raises `TypeError` (the stdlib converts number, bool and None keys).
     """
-    return "".join(_json_pieces(doc))
+    return itertools.chain(_pieces(doc, "\n"), ("\n",))
 
 
-def _json_pieces(doc: Any):
-    """The text of `_dump_json(doc)` as an iterator of pieces."""
-    return itertools.chain(itertools.chain.from_iterable(_runs(doc, "\n")), ("\n",))
-
-
-def _runs(value: Any, newline: str):
-    """One value in the indented layout, as runs of text pieces: iterables
-    of strings that, in order, join to its text. `newline` ends at the
-    value's own indent.
-
-    A dict gives each `"key": ` prefix (with the value, for a plain scalar)
-    before its value's pieces, and a list of containers gives each one's
-    pieces in turn, so no container's text is built whole or copied into
-    its parent's. A sequence's cells come a block of about `_BLOCK` fields
-    or scalars per piece (`_block_runs`, `_item_runs`), which bounds a
-    piece and keeps the cells out of the generator frames.
-    """
+def _pieces(value: Any, newline: str):
+    """The pieces of one value in the indented layout; `newline` ends at the
+    value's own indent. A dict's plain entries share one piece; each other
+    entry's value gives its own pieces after its `"key": ` prefix."""
     text = _TEXT.get(type(value))
     if text is not None:
-        yield (text(value),)
+        yield text(value)
     elif isinstance(value, (dict, MappingProxyType)):
         if not value:
-            yield ("{}",)
+            yield "{}"
             return
         inner = newline + "  "
-        sep, comma, run = "{" + inner, "," + inner, []
+        sep, run = "{" + inner, ""
         for key, item in sorted(value.items()):
             text = _TEXT.get(type(item))
-            if text is None and not isinstance(item, Enum):
-                run.append(f"{sep}{encode_basestring(key)}: ")
-                yield run
-                yield from _runs(item, inner)
-                run = []
+            if text is None and isinstance(item, Enum):
+                item = item.value
+                text = _TEXT.get(type(item))
+            if text is None:
+                yield f"{run}{sep}{encode_basestring(key)}: "
+                yield from _pieces(item, inner)
+                run = ""
             else:
-                item = _whole(item, inner) if text is None else text(item)
-                run.append(f"{sep}{encode_basestring(key)}: {item}")
-            sep = comma
-        run.append(newline + "}")
-        yield run
+                run += f"{sep}{encode_basestring(key)}: {text(item)}"
+            sep = "," + inner
+        yield run + newline + "}"
     elif isinstance(value, np.ndarray) and not value.ndim:
-        yield from _runs(value.item(), newline)
+        yield from _pieces(value.item(), newline)
     elif isinstance(value, (list, tuple, np.ndarray, _Table)):
-        if not len(value):
-            yield ("[]",)
-            return
-        inner = newline + "  "
-        if type(value) is _Table:
-            yield from _block_runs(*_record_slots(value, inner), len(value), newline)
-        elif _finite_numbers(value):
-            yield from _block_runs(*_array_slots(value, inner), len(value), newline)
-        else:
-            yield from _item_runs(value, newline)
+        yield from _sequence(value, newline) if len(value) else ("[]",)
     elif isinstance(value, Enum):
-        yield from _runs(value.value, newline)
+        yield from _pieces(value.value, newline)
     elif dataclasses.is_dataclass(value):
-        yield from _runs(_fields(value), newline)
+        yield from _pieces(_fields(value), newline)
     elif isinstance(value, (np.floating, np.integer)) and value.itemsize <= 8:
-        yield from _runs(value.item(), newline)
+        yield from _pieces(value.item(), newline)
     else:
-        yield (_encode_scalar(value),)
+        yield _encode_scalar(value)
 
 
-def _item_runs(items, newline: str):
-    """`_runs` of a non-empty list of any values, one at a time: a plain
-    scalar as a piece, up to `_BLOCK` of them per run, any other value as
-    its own runs."""
+def _sequence(cells, newline: str):
+    """The pieces of a non-empty list, tuple, array or table.
+
+    A table or an array is written a block of about `_BLOCK` fields or
+    `_CHUNK` characters of template per piece, with one `%` into copies of
+    the cell template of `_slots`. A list or a tuple, or an array whose
+    cells are lists, is written item by item: plain items share a piece of
+    up to `_BLOCK` of them, and every other item gives its own pieces.
+    """
     inner = newline + "  "
-    sep, comma, run = "[" + inner, "," + inner, []
-    for item in items.tolist() if isinstance(items, np.ndarray) else items:
-        text = _TEXT.get(type(item))
-        if text is None and not isinstance(item, Enum):
-            run.append(sep)
-            yield run
-            yield from _runs(item, inner)
-            run = []
-        else:
-            run.append(sep + (_whole(item, inner) if text is None else text(item)))
-            if len(run) >= _BLOCK:
-                yield run
-                run = []
+    comma = "," + inner
+    # only the cells of a wider or an object array can be containers
+    if isinstance(cells, np.ndarray) and (cells.ndim > 1 or cells.dtype.kind == "O") \
+            and not _finite_numbers(cells):
+        cells = cells.tolist()
+    if isinstance(cells, (list, tuple)):
+        run, sep = "", "[" + inner
+        for i, cell in enumerate(cells, 1):
+            text = _TEXT.get(type(cell))
+            if text is None:
+                yield run + sep
+                yield from _pieces(cell, inner)
+                run = ""
+            else:
+                run += sep + text(cell)
+                if not i % _BLOCK:
+                    yield run
+                    run = ""
+            sep = comma
+        yield run + newline + "]"
+        return
+    template, width, fields = _slots(cells, inner)
+    n = len(cells)
+    per = max(1, min(_BLOCK // max(1, width), _CHUNK // len(template)))
+    block, sep = comma.join([template] * min(per, n)), "[" + inner
+    for a in range(0, n, per):
+        if n - a < per:
+            block = comma.join([template] * (n - a))
+        text = block % tuple(fields(a, min(a + per, n)))
+        yield sep + text + newline + "]" if a + per >= n else sep + text
         sep = comma
-    run.append(newline + "]")
-    yield run
-
-
-def _whole(value: Any, newline: str) -> str:
-    """The text of a value that is not a plain scalar, whole: an enum of a
-    plain scalar without a generator, any other value through `_runs`."""
-    if isinstance(value, Enum):
-        value = value.value
-        text = _TEXT.get(type(value))
-        if text is not None:
-            return text(value)
-    return "".join(itertools.chain.from_iterable(_runs(value, newline)))
-
-
-def _block_runs(cell: str, width: int, items, n: int, newline: str):
-    """`_runs` of a sequence of n > 0 cells given as `_cell_slots` gives
-    them: a block of cells per piece, written with one `%` into copies of
-    the cell template."""
-    inner = newline + "  "
-    # a piece holds about `_BLOCK` fields or `_CHUNK` characters of template
-    per = max(1, min(_BLOCK // max(1, width), _CHUNK // len(cell)))
-    template = ("," + inner).join([cell] * min(n, per))
-    sep = "[" + inner
-    for start in range(0, n, per):
-        k = min(per, n - start)
-        if k < per:
-            template = ("," + inner).join([cell] * k)
-        block = itertools.islice(items, k)
-        if width != 1:
-            block = itertools.chain.from_iterable(block)
-        yield (sep, template % tuple(block))
-        sep = "," + inner
-    yield (newline + "]",)
 
 
 def _finite_numbers(cells) -> bool:
@@ -620,88 +586,60 @@ def _layout(shape: tuple[int, ...], newline: str, items) -> str:
     return "[" + inner + ("," + inner).join(cells) + newline + "]" if cells else "[]"
 
 
-def _cell_slots(cells, newline: str):
-    """The template of each of the n `cells` of a non-empty sequence, at the
-    indent `newline`; its number of `%s` fields; and an iterator over the
-    cells' field values: the value itself where the template has one
-    field, else an iterable of them.
+def _slots(cells, newline: str):
+    """The template of each of the n > 0 `cells` of a sequence, at the
+    indent `newline`; its number of `%s` fields; and `fields(a, b)`, the
+    field values of cells a to b, cell after cell.
 
-    A table's cell is its record (`_record_slots`), a finite number array's
-    its nested layout (`_array_slots`). Any other cell is one field, its
-    JSON text.
+    A finite number array's cell is its nested layout, whose fields are its
+    numbers in row-major order, converted a block at a time. Where all n
+    cells of a 2-d or wider array have the same bits at one place (so 0.0
+    and -0.0 stay apart), the repr of that number is baked into the
+    template instead. A table's cell
+    is its record, whose fields are its columns' fields in key order,
+    interleaved once per record. Any other cell is one field, its JSON
+    text, and a container cell is written whole.
     """
     if type(cells) is _Table:
-        return _record_slots(cells, newline)
+        inner = newline + "  "
+        parts, columns, width = [], [], 0
+        for key in sorted(cells.columns):
+            template, w, fields = _slots(cells.columns[key], inner)
+            parts.append(encode_basestring(key).replace("%", "%%") + ": " + template)
+            if w:
+                columns.append((w, fields))
+                width += w
+
+        def records(a: int, b: int) -> list:
+            out, at = [None] * (width * (b - a)), 0
+            for w, fields in columns:
+                values = fields(a, b)
+                for j in range(w):
+                    out[at + j::width] = values[j::w]
+                at += w
+            return out
+
+        template = "{" + inner + ("," + inner).join(parts) + newline + "}"
+        return template, width, records
     if _finite_numbers(cells):
-        return _array_slots(cells, newline)
+        flat, keep, items = cells.reshape(len(cells), -1), slice(None), itertools.repeat("%s")
+        if cells.ndim > 1:
+            bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+            same = (bits == bits[0]).all(axis=0)
+            if same.any():
+                keep = np.flatnonzero(~same)
+                items = iter([repr(x) if s else "%s"
+                              for x, s in zip(flat[0].tolist(), same.tolist())])
+        return (_layout(cells.shape[1:], newline, items), len(flat[0, keep]),
+                lambda a, b: flat[a:b, keep].ravel().tolist())
     texts = []
     for cell in cells.tolist() if isinstance(cells, np.ndarray) else cells:
         text = _TEXT.get(type(cell))
-        texts.append(_whole(cell, newline) if text is None else text(cell))
-    return "%s", 1, iter(texts)
-
-
-def _record_slots(table: _Table, newline: str):
-    """`_cell_slots` of a table: a record's fields are its columns' fields
-    in key order, the columns interleaved once per record."""
-    inner = newline + "  "
-    pieces, widths, columns = [], [], []
-    for key in sorted(table.columns):
-        template, width, items = _cell_slots(table.columns[key], inner)
-        pieces.append(encode_basestring(key).replace("%", "%%") + ": " + template)
-        if width:
-            widths.append(width)
-            columns.append(items)
-    template = "{" + inner + ("," + inner).join(pieces) + newline + "}"
-    width = sum(widths)
-    if len(columns) < 2:
-        records = columns[0] if columns else itertools.repeat(())
-    elif width == len(widths):
-        records = zip(*columns)
-    else:
-        records = map(itertools.chain.from_iterable,
-                      zip(*(zip(c) if w == 1 else c for w, c in zip(widths, columns))))
-    return template, width, records
-
-
-def _array_slots(cells: np.ndarray, newline: str):
-    """`_cell_slots` of a finite number array, cell-major: a cell's fields
-    are its numbers in row-major order, less those baked into the template.
-
-    Where all n cells of a 2-d or wider array have the same bits at one place
-    (so 0.0 and -0.0 stay apart), the repr of that number is baked in; a 1-d
-    or one-cell array, where that cannot save a field, is not compared.
-    """
-    if cells.ndim == 1:
-        return "%s", 1, _numbers(cells)
-    flat = cells.reshape(len(cells), -1)
-    items, keep, width = itertools.repeat("%s"), None, flat.shape[1]
-    if len(flat) > 1:
-        bits = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
-        same = (bits == bits[0]).all(axis=0)
-        if same.any():
-            items = iter([repr(x) if s else "%s"
-                          for x, s in zip(flat[0].tolist(), same.tolist())])
-            keep = np.flatnonzero(~same)
-            width = len(keep)
-    template = _layout(cells.shape[1:], newline, items)
-    return template, width, _numbers(flat, keep, width) if width else itertools.repeat(())
-
-
-def _numbers(flat: np.ndarray, keep: np.ndarray | None = None, width: int = 1):
-    """The cells of `flat` as Python values: the numbers of a 1-d array, or
-    each row of a 2-d one (only its columns `keep`, if given) as a list, or
-    as its number where `width`, the number of columns left, is 1. They are
-    converted about `_BLOCK` numbers at a time, so that no large array is
-    held as Python objects whole."""
-    per = max(1, _BLOCK // max(1, width))
-    if keep is None:
-        blocks = (flat[i:i + per] for i in range(0, len(flat), per))
-    else:
-        blocks = (flat[i:i + per, keep] for i in range(0, len(flat), per))
-    if flat.ndim > 1 and width == 1:
-        blocks = map(np.ndarray.ravel, blocks)
-    return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks))
+        if text is None and isinstance(cell, Enum):
+            cell = cell.value
+            text = _TEXT.get(type(cell))
+        texts.append("".join(_pieces(cell, newline)) if text is None else text(cell))
+    return "%s", 1, lambda a, b: texts[a:b]
 
 
 def _chunks(pieces):
@@ -773,19 +711,19 @@ def _options_doc(config: StudyConfig) -> dict:
 def write_report(result: StudyResult, out_dir: str | Path) -> dict:
     """Write all JSON artifacts and the eight SVGs, plus a hash manifest.
 
-    Every document and figure is built before any file is opened. Then each
-    artifact, in manifest order, is serialized straight into a temporary
-    file, a JSON document as its pieces and a figure as its SVG text, which
-    is dropped before the next. The manifest is written last, and all 14
-    files are renamed into place only after it is, so a failure leaves none
-    of them and an earlier report's files as they were.
+    Every document and figure is built before the output directory is made
+    or any file opened. Then each artifact, in manifest order, is serialized
+    straight into a temporary file, a JSON document as its pieces and a
+    figure as its SVG text, which is dropped before the next. The manifest is
+    written last, and all 14 files are renamed into place only after it is,
+    so a failure leaves none of them and an earlier report's files as they were.
     """
     # every stage runs first, so normalized.json lists all of their warnings
     _compute_all(result)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     docs = {f"{name}.json": doc for name, doc in artifact_jsons(result).items()}
     plots = {f"{name}.svg": plot for name, plot in render_all(result).items()}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     entries = []
     with _staging(out) as stage:
         for name in sorted(docs.keys() | plots.keys()):

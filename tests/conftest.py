@@ -25,7 +25,7 @@ from ruviz.model import (
     ingest,
 )
 from ruviz.multivariate import _direction_pairs
-from ruviz.pipeline import _Table
+from ruviz.pipeline import _json_pieces, _Table
 from ruviz.profiles import origami_profiles
 from ruviz.svg import Batch
 
@@ -597,8 +597,13 @@ def gift_wrap_hull(points: np.ndarray) -> set[tuple[float, float]]:
     return set(hull)
 
 
+def json_text(doc) -> str:
+    """The JSON text of `doc` as the report writes it: its pieces, joined."""
+    return "".join(_json_pieces(doc))
+
+
 def oracle_dump_json(doc) -> str:
-    """The stdlib's indented layout (oracle for `pipeline._dump_json`)."""
+    """The stdlib's indented layout (oracle for `json_text`)."""
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False,
                       allow_nan=False) + "\n"
 
@@ -607,7 +612,7 @@ def oracle_jsonable(value):
     """Element-by-element walk of a document into plain values: a dataclass
     as the dict of its fields, an enum as its value, arrays and sequences as
     lists, a table as the list of its records and each non-finite float as
-    None (with `oracle_dump_json`, the oracle for `pipeline._dump_json`)."""
+    None (with `oracle_dump_json`, the oracle for `json_text`)."""
     if isinstance(value, _Table):
         columns = {k: oracle_jsonable(c) for k, c in value.columns.items()}
         return [dict(zip(columns, row)) for row in zip(*columns.values())]

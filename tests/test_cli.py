@@ -241,6 +241,69 @@ def with_dataset(name_of_line):
     return edit
 
 
+# two risk items that are exactly anti-correlated, and one utility item
+ANTI_CORRELATED = {
+    "measures": [
+        {"id": "r0", "block": "risk", "direction": "lower"},
+        {"id": "r1", "block": "risk", "direction": "lower"},
+        {"id": "u0", "block": "utility", "direction": "higher"},
+    ],
+    "reference": "orig",
+}
+ANTI_CORRELATED_CSV = "approach,r0,r1,u0\norig,1,0,0\nm1,0,1,1\nm2,1,0,0.5\nm3,0,1,0.25\n"
+
+
+class TestInputChecks:
+    """Each check on a configuration or a measures file, by its exact line."""
+
+    def run(self, tmp_path, capsys, config_text, csv_text, cmd="validate"):
+        (tmp_path / "study.json").write_text(config_text)
+        (tmp_path / "measures.csv").write_text(csv_text)
+        code = main([cmd, "--config", str(tmp_path / "study.json"),
+                     "--data", str(tmp_path / "measures.csv")])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("options,line", [
+        ([], "config.options: must be an object"),
+        ({"frobnicate": 1, "bogus": 2},
+         "config.options: unknown option(s) ['bogus', 'frobnicate']"),
+        ({"seed": -1}, "options.seed: must be a non-negative integer"),
+    ], ids=["not-an-object", "unknown", "negative-seed"])
+    def test_bad_options_exit_1(self, tmp_path, capsys, options, line):
+        config = json.dumps({**ANTI_CORRELATED, "options": options})
+        code, captured = self.run(tmp_path, capsys, config, ANTI_CORRELATED_CSV)
+        assert (code, captured.err) == (1, f"ruviz: {line}\n")
+
+    def test_top_level_array_exit_1(self, tmp_path, capsys):
+        code, captured = self.run(tmp_path, capsys, "[]", ANTI_CORRELATED_CSV)
+        assert (code, captured.err) == (1, "ruviz: config: top-level value must be an object\n")
+
+    @pytest.mark.parametrize("csv_text,line", [
+        ("\n \n", "data: empty CSV"),
+        ("approach,r0,r1,u0,r0\norig,1,0,0,1\nm1,0,1,1,0\n",
+         "data: duplicate measure column(s): ['r0']"),
+    ], ids=["empty", "duplicate-column"])
+    def test_bad_csv_exit_1(self, tmp_path, capsys, csv_text, line):
+        code, captured = self.run(tmp_path, capsys, json.dumps(ANTI_CORRELATED), csv_text)
+        assert (code, captured.err) == (1, f"ruviz: {line}\n")
+
+    def test_overflowing_range_exit_1(self, tmp_path, capsys):
+        csv_text = "approach,r0,r1,u0\norig,1,0,0\nm1,1.7e308,1,1\nm2,-1.7e308,0,0.5\n"
+        code, captured = self.run(tmp_path, capsys, json.dumps(ANTI_CORRELATED), csv_text,
+                                  cmd="normalize")
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "ruviz: measure 'r0': range -1.7e+308 to 1.7e+308 overflows\n"
+
+    def test_anti_correlated_items_have_no_omega(self, tmp_path, capsys):
+        # their one-factor loadings are +1 and -1: zero sum, zero uniqueness
+        code, captured = self.run(tmp_path, capsys, json.dumps(ANTI_CORRELATED),
+                                  ANTI_CORRELATED_CSV, cmd="composite")
+        assert (code, captured.err) == (0, "")
+        risk = json.loads(captured.out)["reliability"]["risk"]
+        assert risk["omega"] is None
+        assert risk["note"] == "omega unavailable: omega undefined: zero common and unique variance"
+
+
 class TestInputText:
     """Every string that a user supplies and the artifacts print must be
     text that XML 1.0 can carry, and a display name must be a string."""

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ruviz.pipeline import _Table, _dump_json, _json_pieces
+from ruviz.config import StudyConfig
+from ruviz.model import ingest
+from ruviz.pipeline import _BLOCK, _Table, _json_pieces, artifact_jsons, run_study
 
-from conftest import oracle_dump_json, oracle_jsonable
+from conftest import generated_study, json_text, oracle_dump_json, oracle_jsonable
 
 # characters the string encoder must escape or pass through untouched
 SPECIAL_CHARS = '"\\,:\n\t\r\x00\x1f\x7f é€ü\u2028\U0001d11e'
@@ -52,13 +54,13 @@ class TestDumpJson:
     @settings(max_examples=300, deadline=None)
     @given(documents)
     def test_equals_stdlib_indent_layout(self, doc):
-        assert _dump_json(doc) == oracle_dump_json(doc)
+        assert json_text(doc) == oracle_dump_json(doc)
 
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(keys, st.lists(st.lists(numbers, max_size=4), max_size=4),
                            max_size=4))
     def test_equals_stdlib_on_numeric_matrices(self, doc):
-        assert _dump_json(doc) == oracle_dump_json(doc)
+        assert json_text(doc) == oracle_dump_json(doc)
 
     @pytest.mark.parametrize("doc", [
         {},
@@ -69,7 +71,7 @@ class TestDumpJson:
         -0.0,
     ])
     def test_equals_stdlib_on_edge_documents(self, doc):
-        assert _dump_json(doc) == oracle_dump_json(doc)
+        assert json_text(doc) == oracle_dump_json(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("wrap", [
@@ -82,12 +84,12 @@ class TestDumpJson:
         lambda x: [None, x],
     ])
     def test_non_finite_raises_like_stdlib(self, bad, wrap):
-        """Where the stdlib raises on NaN or infinity, `_dump_json` writes
+        """Where the stdlib raises on NaN or infinity, the writer writes
         null, the text of the element walk's None."""
         doc = wrap(bad)
         with pytest.raises(ValueError):
             oracle_dump_json(doc)
-        assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+        assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc))
 
     @pytest.mark.parametrize("doc", [
         [np.int64(1)],
@@ -96,7 +98,7 @@ class TestDumpJson:
         (np.int32(-3), np.float64(2.5), np.array(4)),
     ])
     def test_numpy_values_equal_the_element_walk(self, doc):
-        assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+        assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc))
 
     @pytest.mark.parametrize("doc", [
         {"a": np.bool_(True)},
@@ -109,12 +111,12 @@ class TestDumpJson:
         with pytest.raises(TypeError):
             oracle_dump_json(doc)
         with pytest.raises(TypeError):
-            _dump_json(doc)
+            json_text(doc)
 
     @pytest.mark.parametrize("key", [2, 1.5, True, None])
     def test_non_string_key_raises(self, key):
         with pytest.raises(TypeError):
-            _dump_json({key: "value"})
+            json_text({key: "value"})
 
 
 any_floats = st.one_of(
@@ -140,30 +142,30 @@ class TestJsonable:
     ))
     def test_equals_element_walk(self, array):
         for doc in (array, {"a": [array, 1]}):
-            assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+            assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_of_a_vertex_array_becomes_null(self, bad):
         vertices = np.arange(12.0).reshape(6, 2)
         vertices[4, 1] = bad
-        text = _dump_json(vertices)
+        text = json_text(vertices)
         got = json.loads(text)
         assert got[4] == [8.0, None] and got[:4] == vertices[:4].tolist()
         assert text == oracle_dump_json(oracle_jsonable(vertices))
 
     def test_finite_array_whose_sum_overflows_is_kept(self):
         array = np.array([1e308, 1e308, -5.0])
-        assert _dump_json(array) == oracle_dump_json([1e308, 1e308, -5.0])
+        assert json_text(array) == oracle_dump_json([1e308, 1e308, -5.0])
 
     def test_object_array_is_walked(self):
         array = np.array([1.5, None, math.nan, "x"], dtype=object)
         expected = oracle_dump_json([1.5, None, None, "x"])
-        assert _dump_json(array) == oracle_dump_json(oracle_jsonable(array)) == expected
+        assert json_text(array) == oracle_dump_json(oracle_jsonable(array)) == expected
 
     def test_scalars_and_sequences(self):
         value = (np.float64(math.inf), [np.int32(3), math.nan], np.float32(0.5))
         expected = oracle_dump_json([None, [3, None], 0.5])
-        assert _dump_json(value) == oracle_dump_json(oracle_jsonable(value)) == expected
+        assert json_text(value) == oracle_dump_json(oracle_jsonable(value)) == expected
 
 
 grid_shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)
@@ -190,13 +192,13 @@ class TestGrids:
     @settings(max_examples=300, deadline=None)
     @given(grids)
     def test_grid_equals_stdlib(self, array):
-        assert _dump_json(array) == oracle_dump_json(array.tolist())
+        assert json_text(array) == oracle_dump_json(array.tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(grids, max_size=3), st.dictionaries(keys, grids, max_size=3))
     def test_grids_nested_in_lists_and_dicts_equal_stdlib(self, in_list, in_dict):
         doc = {"list": in_list, "dict": in_dict, "deep": [[in_dict, 1.5]]}
-        assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+        assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc))
 
     @pytest.mark.parametrize("array", [
         np.zeros((0, 3), dtype=int),
@@ -207,7 +209,7 @@ class TestGrids:
         np.eye(4, dtype=int),
     ])
     def test_edge_grids_equal_stdlib(self, array):
-        assert _dump_json({"g": array}) == oracle_dump_json({"g": array.tolist()})
+        assert json_text({"g": array}) == oracle_dump_json({"g": array.tolist()})
 
 
 class Colour(str, Enum):
@@ -236,7 +238,7 @@ class TestDataclasses:
                     values=np.array([[0.5, math.inf], [-1.0, 2.0]]),
                     leaves=(Leaf("a", 1.5), Leaf("b", np.float64(-math.inf))),
                     cutoffs={"a": 0.5, "b": math.nan})
-        text = _dump_json(tree)
+        text = json_text(tree)
         assert text == oracle_dump_json(oracle_jsonable(tree))
         assert json.loads(text) == {
             "colour": "red",
@@ -300,7 +302,7 @@ def oracle_rows(columns: dict) -> list[dict]:
 
 
 class TestTables:
-    """Record lists held as columns, which `_dump_json` writes with one
+    """Record lists held as columns, which the writer writes with one
     template per table."""
 
     def check(self, columns: dict) -> None:
@@ -308,7 +310,7 @@ class TestTables:
         rows = oracle_rows(columns)
         doc = {"table": table, "nested": [{"deep": table}, 1.5]}
         expected = {"table": rows, "nested": [{"deep": rows}, 1.5]}
-        assert _dump_json(doc) == oracle_dump_json(expected)
+        assert json_text(doc) == oracle_dump_json(expected)
 
     @settings(max_examples=300, deadline=None)
     @given(tables(max_rows=5))
@@ -355,7 +357,7 @@ class TestSequences:
 
     def check(self, value) -> None:
         for doc in (value, {"a": [value, 1]}):
-            assert _dump_json(doc) == oracle_dump_json(oracle_jsonable(doc))
+            assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -381,7 +383,7 @@ class TestSequences:
         np.array([[[0.0]], [[-0.0]]], dtype=np.float32),
     ])
     def test_signed_zeros_of_one_column_stay_apart(self, array):
-        text = _dump_json(array)
+        text = json_text(array)
         assert text.count("-0.0") == np.signbit(array).sum()
         self.check(array)
 
@@ -411,7 +413,7 @@ class TestSequences:
         np.array(None, dtype=object),
     ])
     def test_zero_dimensional_arrays_are_their_item(self, array):
-        assert _dump_json(array) == oracle_dump_json(oracle_jsonable(array.item()))
+        assert json_text(array) == oracle_dump_json(oracle_jsonable(array.item()))
         self.check(array)
 
     @pytest.mark.parametrize("value", [
@@ -429,10 +431,10 @@ class TestSequences:
         self.check(tuple(items) if as_tuple else items)
 
     def test_nothing_is_kept_after_a_dump(self):
-        _dump_json({"m": np.eye(3, dtype=int)})  # warm up
+        json_text({"m": np.eye(3, dtype=int)})  # warm up
         tracemalloc.start()
         try:
-            text = _dump_json({"m": np.eye(600, dtype=int)})
+            text = json_text({"m": np.eye(600, dtype=int)})
             del text
             gc.collect()
             kept, _ = tracemalloc.get_traced_memory()
@@ -442,7 +444,7 @@ class TestSequences:
 
 
 class TestPieces:
-    """The pieces the report writer streams, which join to `_dump_json`'s text."""
+    """The pieces the report writer streams, which join to the stdlib's text."""
 
     @pytest.mark.parametrize("doc", [
         {"m": np.arange(90000).reshape(300, 300) % 3},
@@ -451,7 +453,7 @@ class TestPieces:
         [{"deep": np.zeros((20000, 4))}, np.full((5, 400), 0.5)],
     ])
     def test_pieces_join_to_the_text_and_none_holds_it_whole(self, doc):
-        text = _dump_json(doc)
+        text = oracle_dump_json(oracle_jsonable(doc))
         pieces = list(_json_pieces(doc))
         assert "".join(pieces) == text
         # a piece is a block of about 1024 fields or 64 KiB of cell template
@@ -460,6 +462,16 @@ class TestPieces:
     def test_a_non_string_key_raises_while_streaming(self):
         with pytest.raises(TypeError):
             list(_json_pieces({"a": np.zeros(3), "b": {5: "five"}}))
+
+
+def test_generated_400_row_documents_equal_the_element_walk():
+    # past one block: the dominance matrix alone holds 400 x 400 fields
+    csv, config_doc = generated_study(400)
+    config = StudyConfig.from_json(json.dumps(config_doc))
+    docs = artifact_jsons(run_study(ingest(csv, config), config))
+    assert docs["pareto"]["dominance"]["matrix"].size > _BLOCK
+    for name, doc in docs.items():
+        assert json_text(doc) == oracle_dump_json(oracle_jsonable(doc)), name
 
 
 def reject(token: str):
@@ -487,4 +499,4 @@ non_finite_documents = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(non_finite_documents)
 def test_no_document_holds_nan_or_infinity(doc):
-    json.loads(_dump_json(doc), parse_constant=reject)
+    json.loads(json_text(doc), parse_constant=reject)

@@ -194,6 +194,18 @@ class TestCodeBuiltInputs:
     """A configuration or matrix built in code is checked as from_json and
     ingest check theirs, less the location prefix."""
 
+    @pytest.mark.parametrize("values,line", [
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]],
+         "values: shape (2, 3) does not match 2 rows x 2 measures"),
+        ([[0.0, 1.0], [1.0, np.inf]], "row 'm1', column 'u0': non-finite value"),
+    ], ids=["shape", "non-finite"])
+    def test_matrix_values_are_checked(self, values, line):
+        specs = (MeasureSpec("r0", "r0", Block.RISK, Direction.LOWER),
+                 MeasureSpec("u0", "u0", Block.UTILITY, Direction.HIGHER))
+        with pytest.raises(ValidationError) as exc:
+            MeasureMatrix(specs, make_approaches(["orig", "m1"]), values)
+        assert str(exc.value) == line
+
     def test_measure_display_name_must_suit_xml(self):
         with pytest.raises(ValidationError, match=r"^display_name holds U\+0001, "):
             MeasureSpec("r0", "Replicated\x01uniques", Block.RISK, Direction.LOWER)

@@ -31,7 +31,6 @@ from ruviz.pipeline import (
     STAGES,
     StudyResult,
     _atomic_write,
-    _dump_json,
     artifact_jsons,
     render_all,
     render_plot,
@@ -45,6 +44,7 @@ from conftest import (
     assert_in_bounds,
     batch_rows,
     generated_study,
+    json_text,
     oracle_dominance,
     overlapping_boxes,
     svg_elements,
@@ -80,7 +80,7 @@ def _inputs(config_doc, csv):
 
 def _documents(result):
     """The JSON documents as a consumer reads them: written, then parsed."""
-    return {name: json.loads(_dump_json(doc)) for name, doc in artifact_jsons(result).items()}
+    return {name: json.loads(json_text(doc)) for name, doc in artifact_jsons(result).items()}
 
 
 def multi_dataset_csv():
@@ -399,7 +399,7 @@ def test_code_built_studies_keep_the_error_contract(study):
     result = StudyResult(*study)
     for build in JSON_BUILDERS.values():
         try:
-            _dump_json(build(result))
+            json_text(build(result))
         except RuvizError:
             pass
     for kind in FIGURE_BUILDERS:
@@ -552,7 +552,7 @@ class TestArtifacts:
         # outlyingness medians over (250, 60) arrays
         csv, config_doc = generated_study()
         matrix, config = _inputs({**config_doc, "options": {"robust": True}}, csv)
-        text = _dump_json(artifact_jsons(run_study(matrix, config))["pca"])
+        text = json_text(artifact_jsons(run_study(matrix, config))["pca"])
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_ROBUST_PCA_SHA256
 
     def test_undefined_front_slope_matches_pinned_hashes(self, tmp_path):
@@ -579,7 +579,7 @@ class TestArtifacts:
         assert docs["profiles"]["profiles"] == []
         assert docs["pareto"]["knee"] is None
         assert [r["slope_defined"] for r in docs["pareto"]["rays"]].count(False) == 1
-        assert {name: hashlib.sha256(_dump_json(doc).encode("utf-8")).hexdigest()
+        assert {name: hashlib.sha256(json_text(doc).encode("utf-8")).hexdigest()
                 for name, doc in artifact_jsons(result).items()} == DEGENERATE_SHA256
 
     def test_report_writes_manifest_and_files(self, tmp_path, study_config,
@@ -639,7 +639,9 @@ class TestArtifacts:
         args = _study_args(tmp_path, TWO_MEASURES, two_measure_csv())
         assert main(["report", *args, "--out", str(tmp_path / "out")]) == 2
         assert "origami" in capsys.readouterr().err
-        assert list((tmp_path / "out").iterdir()) == []
+        # README: a failure leaves the output directory as it was, so a
+        # missing one stays missing
+        assert not (tmp_path / "out").exists()
 
     def test_write_peaks_below_the_artifacts_it_writes(self, tmp_path):
         # each artifact is streamed to its file and dropped before the next;
@@ -872,6 +874,11 @@ def test_dominance_equals_the_dense_broadcast(name):
 @settings(max_examples=50, deadline=None)
 @given(code_built_studies())
 def test_code_built_dominance_equals_the_dense_broadcast(study):
+    matrix, config = study
+    if config.options.exclude_reference_from_range and matrix.approaches.is_reference.all():
+        with pytest.raises(ValidationError, match="no candidate rows"):
+            StudyResult(*study).nm
+        return
     nm = StudyResult(*study).nm
     oracle = oracle_dominance(nm.block_values(Block.UTILITY), nm.block_values(Block.RISK))
     assert np.array_equal(pareto_set(nm).matrix, oracle)

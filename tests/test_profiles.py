@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from ruviz.config import StudyOptions
 from ruviz.errors import ValidationError
-from ruviz.pipeline import _dump_json, profiles_json, run_study
+from ruviz.pipeline import profiles_json, run_study
 from ruviz.profiles import AREA_CAVEAT, origami_profiles, ranked_areas
 
-from conftest import build_origami, make_nm, profiles_nm
+from conftest import build_origami, json_text, make_nm, profiles_nm
 
 IDS5 = tuple(f"m{i}" for i in range(5))
 
@@ -124,7 +124,7 @@ class TestRankedAreas:
     def test_display_rounding_two_decimals(self, study_matrix, study_config):
         # profiles.json writes the display next to the full-precision area
         result = run_study(study_matrix, study_config)
-        entries = json.loads(_dump_json(profiles_json(result)))["areas"]
+        entries = json.loads(json_text(profiles_json(result)))["areas"]
         assert [e["id"] for e in entries] == list(result.areas.ids)
         assert [e["area"] for e in entries] == result.areas.areas.tolist()
         assert [e["display"] for e in entries] == [
